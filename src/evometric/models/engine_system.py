@@ -66,6 +66,8 @@ OK, HOT = 0.0, 1.0
 NONE, LEFT, RIGHT, BOTH = 0.0, 1.0, 2.0, 3.0
 
 _COUNTER_MAX = 1e15
+_TEMP_MIN, _TEMP_MAX = -50.0, 500.0  # domain of temp and of its history p1..p6
+_TF_MAX = 10.0  # temp_fake lies in [-_TF_MAX, _TF_MAX]
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ class AttackConfig:
             if self.ac is None or not (1.0 <= self.ac <= 3.0):
                 raise DataValidationError("act attack needs ac in [1.0, 3.0]")
         else:
-            if self.tf is None or self.tf <= 0:
-                raise DataValidationError(f"{self.kind} attack needs tf > 0")
+            if self.tf is None or not (0.0 < self.tf <= _TF_MAX):
+                raise DataValidationError(f"{self.kind} attack needs tf in (0, {_TF_MAX:g}]")
         if self.kind == "saw":
             if self.awml is None or self.awml < 1:
                 raise DataValidationError("saw attack needs awml >= 1")
@@ -151,15 +153,15 @@ def engine_space(dual: bool = False) -> DataSpace:
     specs: list[VarSpec] = []
     for s in sides:
         specs += [
-            VarSpec(_sv("temp", s), -50.0, 500.0),
+            VarSpec(_sv("temp", s), _TEMP_MIN, _TEMP_MAX),
             VarSpec(_sv("cool", s), 0.0, 1.0, values=(0.0, 1.0)),
             VarSpec(_sv("speed", s), 0.0, 2.0, values=(0.0, 1.0, 2.0)),
             VarSpec(_sv("ch_speed", s), 0.0, 2.0, values=(0.0, 1.0, 2.0)),
             VarSpec(_sv("stress", s), 0.0, 1.0),
         ]
-        specs += [VarSpec(_sv(f"p{k}", s), -50.0, 500.0) for k in range(1, 7)]
+        specs += [VarSpec(_sv(f"p{k}", s), _TEMP_MIN, _TEMP_MAX) for k in range(1, 7)]
         specs += [
-            VarSpec(_sv("temp_fake", s), -10.0, 10.0),
+            VarSpec(_sv("temp_fake", s), -_TF_MAX, _TF_MAX),
             VarSpec(_sv("ch_warning", s), 0.0, 1.0, values=(0.0, 1.0)),
             VarSpec(_sv("fn", s), 0.0, 1.0),
             VarSpec(_sv("fp", s), 0.0, 1.0),
@@ -638,7 +640,8 @@ class _EngineRun:
 
             temp = v[:, ix[_sv("temp", s)]]
             ps = [v[:, ix[_sv(f"p{k}", s)]] for k in range(1, 7)]
-            out[:, ix[_sv("temp", s)]] = temp + delta
+            # clamped into the domain, as the interpreter's state update does
+            out[:, ix[_sv("temp", s)]] = np.minimum(np.maximum(temp + delta, _TEMP_MIN), _TEMP_MAX)
             out[:, ix[_sv("p1", s)]] = temp
             for k in range(2, 7):
                 out[:, ix[_sv(f"p{k}", s)]] = ps[k - 2]

@@ -1,31 +1,47 @@
 """Deterministic, splittable random streams for reproducible simulation.
 
-Every stream is a counter-based Philox generator identified by a 128-bit key.
-Child streams are derived by hashing an index into the parent key
-(splitmix64 chain), so the stream used by run ``i`` of an experiment depends
-only on the experiment seed and ``i`` -- never on scheduling or worker count.
+Every stream is a counter-based Philox4x64-10 generator identified by a
+128-bit key.  Child keys are derived by hashing an index into the parent key
+(splitmix64 chain, :func:`_fold_in`), so the stream used by run ``i`` of an
+experiment depends only on the experiment seed and ``i`` -- never on
+scheduling or worker count.  :class:`UniformTape` derives the keys of all its
+runs in one vectorized fold (:func:`_fold_in_many`) with the same arithmetic.
 
-Normal variates use the Box-Muller transform on top of raw uniform doubles;
-the numpy bit generator is only used as a source of raw bits, which keeps the
-full draw sequence stable across platforms and numpy releases.
+A stream is a pure function of (key, counter): word ``j`` of the stream is
+word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  The numpy
+bit generator is seeded with the key directly (no entropy is gathered) and
+used only as a source of raw 64-bit words.  A word ``x`` becomes the uniform
+``1 - (x >> 11) * 2**-53`` in (0, 1], numpy's ``Generator.random`` rule
+reflected, so draw ``j`` equals ``1 - Generator(Philox(key=k)).random()``
+at position ``j``.  Vectorized runs reposition one bit generator per run
+instead of building a generator for each run; that changes the cost of a
+stream, not its draws.
+
+Normal variates use the Box-Muller transform on top of these uniforms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _BLOCK = 256
 _TWO_PI = 2.0 * math.pi
+_TWO_M53 = 2.0 ** -53
+_PHILOX_WORDS = 4  # 64-bit words per Philox4x64 block
+_TAPE_ROWS = 64    # runs converted per block in UniformTape
 
 
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
 
 
@@ -39,17 +55,69 @@ def _fold_in(key: tuple[int, int], index: int) -> tuple[int, int]:
     return k0, k1
 
 
+def _splitmix64_many(x: np.ndarray) -> np.ndarray:
+    # uint64 array arithmetic wraps modulo 2**64, as the masks do above
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
+
+
+def _fold_in_many(key: tuple[int, int], first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_fold_in(key, i)`` for ``i`` in ``first .. first + n - 1`` as two uint64 arrays."""
+    if first < 0:
+        raise ValueError(f"stream index must be non-negative, got {first}")
+    index = np.arange(n, dtype=np.uint64) + np.uint64(first)
+    k0 = np.uint64(key[0] & _MASK64)
+    k1 = np.uint64(key[1] & _MASK64)
+    h = _splitmix64_many(k0 ^ _splitmix64_many(index + np.uint64(1)))
+    return _splitmix64_many(h ^ k1), _splitmix64_many(k1 + h + index)
+
+
+@functools.cache
+def _key_seed_type() -> type:
+    """An ``ISeedSequence`` that hands a fixed key to ``np.random.Philox``.
+
+    ``Philox(key=k)`` first builds a ``SeedSequence`` from OS entropy, which
+    costs more than the rest of the construction.  The type is made on first
+    use so that importing this module does not import ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: tuple[int, int]):
+            self.key = np.array(key, dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for exactly its two 64-bit key words
+
+    return KeySeed
+
+
+def _philox(key: tuple[int, int]) -> np.random.Philox:
+    """Philox4x64-10 bit generator at counter 0; same state as ``Philox(key=key)``."""
+    return np.random.Philox(_key_seed_type()(key))
+
+
+def _uniforms01(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1] from raw words, ``1 - (x >> 11) * 2**-53``: numpy's
+    ``Generator.random`` rule, reflected.  Converts ``raw`` in place and
+    returns its memory viewed as float64."""
+    u = raw.view(np.float64)
+    np.right_shift(raw, np.uint64(11), out=raw)
+    np.multiply(raw, _TWO_M53, out=u)
+    return np.subtract(1.0, u, out=u)
+
+
 class RandomStream:
     """One private pseudo-random stream; not shared between concurrent runs."""
 
-    __slots__ = ("key", "_gen", "_buf", "_pos")
+    __slots__ = ("key", "_bitgen", "_buf", "_pos")
 
     def __init__(self, key: tuple[int, int]):
         self.key = (key[0] & _MASK64, key[1] & _MASK64)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array(self.key, dtype=np.uint64))
-        )
-        self._buf: np.ndarray | None = None
+        self._bitgen = _philox(self.key)
+        self._buf: list[float] = []
         self._pos = 0
 
     @classmethod
@@ -66,12 +134,12 @@ class RandomStream:
 
     def uniform01(self) -> float:
         """Uniform double in (0, 1]."""
-        if self._buf is None or self._pos >= _BLOCK:
-            self._buf = self._gen.random(_BLOCK)
+        if self._pos >= len(self._buf):
+            self._buf = _uniforms01(self._bitgen.random_raw(_BLOCK)).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
-        return float(1.0 - u)
+        return u
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform double in [low, high)."""
@@ -98,47 +166,70 @@ class RandomStream:
         span = high - low + 1
         return low + min(span - 1, int((1.0 - self.uniform01()) * span))
 
-    # -- block draws (vectorized fast paths) --------------------------------
-
-    def uniform01_block(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms in (0, 1], identical to ``n`` scalar draws.
-
-        Must not be interleaved with scalar draws on the same stream unless
-        the caller accounts for the cached block position.
-        """
-        if self._buf is not None:
-            raise RuntimeError("block draws must precede any scalar draw on a stream")
-        return 1.0 - self._gen.random(n)
-
 
 class UniformTape:
     """Chunked per-run uniform draws for lockstep simulation.
 
     Run ``run_offset + i`` reads the same (0, 1] sequence its scalar
     RandomStream would produce, ``draws_per_step`` values per step, laid out
-    as one (n_runs, draws_per_step) array per call to :meth:`next_step`.
+    as one contiguous (n_runs, draws_per_step) array per call to
+    :meth:`next_step`.
+
+    Draws are made ``chunk_steps`` steps at a time into a new step-major
+    buffer, of which :meth:`next_step` returns one row per step.  For each
+    chunk a single Philox bit generator is moved to every run's
+    (key, counter) in turn; its raw words are converted in blocks of
+    ``_TAPE_ROWS`` runs.
     """
 
     def __init__(self, base_key, n_runs: int, run_offset: int, draws_per_step: int,
                  chunk_steps: int = 256):
-        self._gens = [
-            RandomStream(_fold_in(base_key, run_offset + i))._gen
-            for i in range(n_runs)
-        ]
+        if draws_per_step < 1 or chunk_steps < 1:
+            raise ValueError("a tape needs draws_per_step >= 1 and chunk_steps >= 1")
+        k0, k1 = _fold_in_many(base_key, run_offset, n_runs)
+        self._keys = list(zip(k0.tolist(), k1.tolist()))
+        self._bitgen = _philox((0, 0))
         self._draws = draws_per_step
         self._chunk = chunk_steps
+        self._words = 0  # words each run has consumed before the buffered chunk
         self._buf: np.ndarray | None = None
+        self._pos = 0
+
+    def _fill(self) -> None:
+        n, steps, draws = len(self._keys), self._chunk, self._draws
+        buf = np.empty((steps, n, draws), dtype=np.float64)
+        per_run = steps * draws
+        # a chunk may end inside a Philox block: the next one regenerates
+        # that block and skips the words already drawn from it
+        counter, skip = divmod(self._words, _PHILOX_WORDS)
+        position = {"counter": [counter, 0, 0, 0], "key": None}
+        state = {"bit_generator": "Philox", "state": position, "buffer": [0, 0, 0, 0],
+                 "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
+        bitgen = self._bitgen
+        raw = np.empty((min(n, _TAPE_ROWS), per_run), dtype=np.uint64)
+        # one opaque item per (step, run) holds that step's draws, so the
+        # run-major -> step-major copy moves whole steps, not single doubles
+        step_item = np.dtype((np.void, 8 * draws))
+        by_step = buf.view(step_item).reshape(steps, n)
+        for lo in range(0, n, _TAPE_ROWS):
+            keys = self._keys[lo:lo + _TAPE_ROWS]
+            rows = len(keys)
+            for i, key in enumerate(keys):
+                position["key"] = key
+                bitgen.state = state
+                if skip:
+                    bitgen.random_raw(skip)
+                raw[i] = bitgen.random_raw(per_run)
+            u = _uniforms01(raw[:rows])
+            by_step[:, lo:lo + rows] = u.view(step_item).reshape(rows, steps).T
+        self._buf = buf
+        self._words += per_run
         self._pos = 0
 
     def next_step(self) -> np.ndarray:
         """(n_runs, draws_per_step) uniforms in (0, 1] for the next step."""
         if self._buf is None or self._pos >= self._chunk:
-            n = len(self._gens)
-            buf = np.empty((n, self._chunk, self._draws), dtype=np.float64)
-            for i, g in enumerate(self._gens):
-                buf[i] = g.random((self._chunk, self._draws))
-            self._buf = buf
-            self._pos = 0
-        u = self._buf[:, self._pos, :]
+            self._fill()
+        u = self._buf[self._pos]
         self._pos += 1
-        return 1.0 - u
+        return u

@@ -1,9 +1,34 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from evometric.dataspace import DataSpace, VarSpec
 from evometric.environment import FiniteKernel
 from evometric.process import Call, Const, If, Interleave, Op, PChoice, Prefix, SyncPar, Var
+
+# property tests draw the same examples on every run and leave no example
+# database behind; simulation-backed examples have no per-example deadline
+settings.register_profile("evometric", derandomize=True, database=None, deadline=None)
+settings.load_profile("evometric")
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # hypothesis also caches the literals of local modules in its home
+    # directory (.hypothesis/ by default) while collecting; keep that cache
+    # in a temporary directory that lives as long as the test session
+    home = tempfile.mkdtemp(prefix="evometric-hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture

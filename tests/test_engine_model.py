@@ -4,6 +4,7 @@ import pytest
 from evometric.dataspace import DataValidationError
 from evometric.engine import estimate, estimate_penalties
 from evometric.errors import PreconditionError
+from evometric.models.registry import build_model
 from evometric.models.engine_system import (
     AttackConfig,
     EngineEnv,
@@ -57,6 +58,22 @@ class TestAttackConfig:
             AttackConfig("sen", "L")
         with pytest.raises(DataValidationError):
             AttackConfig.parse("saw:L:0.4")
+
+    @pytest.mark.parametrize("text", ["sen:L:12", "sen:L:10.01", "saw:L:12:1000", "sen:L:0"])
+    def test_offset_outside_temp_fake_domain_rejected(self, text):
+        # temp_fake lies in [-10, 10]; a larger offset would make the fast
+        # path write a value the interpreter clamps
+        with pytest.raises(DataValidationError):
+            AttackConfig.parse(text)
+        with pytest.raises(DataValidationError):
+            build_model("engine", {"attacks": [text]})
+
+    def test_offset_at_domain_edge_accepted(self):
+        c = build_model("engine", {"attacks": ["sen:L:10"]})
+        fast = estimate(c, 60, 4, seed=5, use_fast_path=True)
+        slow = estimate(c, 60, 4, seed=5, use_fast_path=False)
+        assert np.array_equal(fast.states, slow.states)
+        assert (fast.states[:, 1:, c.space.index("temp_fake_L")] == -10.0).all()
 
     def test_duplicate_kind_side_rejected(self):
         with pytest.raises(PreconditionError):
@@ -255,6 +272,16 @@ class TestLockstepEquivalence:
         fast = estimate(c, 70, 9, seed=31, use_fast_path=True)
         slow = estimate(c, 70, 9, seed=31, use_fast_path=False)
         assert np.array_equal(fast.states, slow.states)
+
+    def test_temperature_clamped_at_domain_floor(self):
+        # cooling from -49.5 would leave the domain [-50, 500] of temp; both
+        # paths clamp, and the clamped value enters the history p1..p6
+        c = engine_system(init={"temp_L": -49.5, "cool_L": 1.0})
+        fast = estimate(c, 3, 2, seed=5, use_fast_path=True)
+        slow = estimate(c, 3, 2, seed=5, use_fast_path=False)
+        assert np.array_equal(fast.states, slow.states)
+        assert (fast.states[:, 1, c.space.index("temp_L")] == -50.0).all()
+        assert (fast.states[:, 2, c.space.index("p1_L")] == -50.0).all()
 
     def test_penalty_streaming_matches(self):
         c = engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),))

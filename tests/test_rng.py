@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evometric.rng import RandomStream, UniformTape
+from evometric.rng import _TAPE_ROWS, RandomStream, UniformTape, _fold_in, _fold_in_many
+
+words64 = st.integers(0, 2**64 - 1)
 
 
 class TestDeterminism:
@@ -56,19 +60,6 @@ class TestDraws:
 
 
 class TestBlockConsistency:
-    def test_block_equals_scalar_sequence(self):
-        a = RandomStream.from_seed(77)
-        b = RandomStream.from_seed(77)
-        block = a.uniform01_block(700)  # crosses the internal 256 cache size
-        scalars = np.array([b.uniform01() for _ in range(700)])
-        assert np.array_equal(block, scalars)
-
-    def test_block_after_scalar_rejected(self):
-        s = RandomStream.from_seed(1)
-        s.uniform01()
-        with pytest.raises(RuntimeError):
-            s.uniform01_block(4)
-
     def test_tape_matches_scalar_draws(self):
         base = RandomStream.from_seed(123)
         tape = UniformTape(base.key, n_runs=3, run_offset=5, draws_per_step=2)
@@ -81,9 +72,71 @@ class TestBlockConsistency:
 
     def test_normal_matches_vector_formula(self):
         # the scalar Box-Muller must equal the array-side formula bit for bit
-        s1 = RandomStream.from_seed(321)
-        s2 = RandomStream.from_seed(321)
-        u = s2.uniform01_block(200).reshape(100, 2)
+        base = RandomStream.from_seed(321)
+        tape = UniformTape(base.key, n_runs=1, run_offset=0, draws_per_step=2)
+        u = np.concatenate([tape.next_step() for _ in range(100)])
         z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
-        zs = np.array([s1.normal_std() for _ in range(100)])
+        s = base.child(0)
+        zs = np.array([s.normal_std() for _ in range(100)])
         assert np.array_equal(z, zs)
+
+
+def _numpy_reference(key, n: int) -> np.ndarray:
+    """n uniforms in (0, 1] straight from numpy's own Philox and Generator."""
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return 1.0 - gen.random(n)
+
+
+class TestStreamEquivalence:
+    @given(k0=words64, k1=words64, first=words64, n=st.integers(1, 9))
+    @settings(max_examples=100)
+    def test_vectorized_fold_matches_scalar(self, k0, k1, first, n):
+        first = min(first, 2**64 - n)
+        v0, v1 = _fold_in_many((k0, k1), first, n)
+        assert list(zip(v0.tolist(), v1.tolist())) == [
+            _fold_in((k0, k1), first + i) for i in range(n)
+        ]
+
+    def test_vectorized_fold_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            _fold_in_many((1, 2), -1, 3)
+
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    @pytest.mark.parametrize("n_runs", [3, _TAPE_ROWS + 5])
+    @pytest.mark.parametrize("chunk_steps", [7, 256])
+    def test_tape_matches_per_run_streams(self, draws, n_runs, chunk_steps):
+        # 2 full chunks and part of a third; a 7-step chunk of 1 or 3 draws
+        # ends inside a Philox block, so the next chunk starts mid-block
+        base = RandomStream.from_seed(2024)
+        steps = 2 * chunk_steps + 5
+        tape = UniformTape(base.key, n_runs, 11, draws, chunk_steps=chunk_steps)
+        got = []
+        for _ in range(steps):
+            u = tape.next_step()
+            assert u.shape == (n_runs, draws) and u.flags.c_contiguous
+            got.append(u)
+        got = np.stack(got)
+        for i in range(n_runs):
+            s = base.child(11 + i)
+            want = np.array([s.uniform01() for _ in range(steps * draws)])
+            assert np.array_equal(got[:, i, :], want.reshape(steps, draws))
+
+    def test_tape_without_draws_rejected(self):
+        with pytest.raises(ValueError):
+            UniformTape((1, 2), 3, 0, draws_per_step=0)
+
+    @given(k0=words64, k1=words64)
+    @settings(max_examples=30)
+    def test_stream_equals_numpy_generator(self, k0, k1):
+        s = RandomStream((k0, k1))
+        got = np.array([s.uniform01() for _ in range(600)])
+        assert np.array_equal(got, _numpy_reference((k0, k1), 600))
+
+    @given(k0=words64, k1=words64, offset=st.integers(0, 2**40), draws=st.integers(1, 3))
+    @settings(max_examples=30)
+    def test_tape_equals_numpy_generator(self, k0, k1, offset, draws):
+        tape = UniformTape((k0, k1), 2, offset, draws)
+        got = np.stack([tape.next_step() for _ in range(300)])  # crosses a chunk
+        for i in range(2):
+            want = _numpy_reference(_fold_in((k0, k1), offset + i), 300 * draws)
+            assert np.array_equal(got[:, i, :], want.reshape(300, draws))
