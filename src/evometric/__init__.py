@@ -31,7 +31,7 @@ from .engine import (
     sim_step,
     simulate,
 )
-from .environment import EnvironmentEvolution, IdentityKernel, env_sample, make_environment
+from .environment import EnvironmentEvolution, IdentityKernel
 from .errors import (
     DataValidationError,
     EvaluationError,
@@ -65,7 +65,6 @@ from .robustness import (
     estimate_adaptability,
     estimate_reliability,
     estimate_robustness,
-    sample_perturbations,
 )
 from .stats import ErrorReport, error_analysis, reference_means
 

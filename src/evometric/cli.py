@@ -119,6 +119,14 @@ def _penalty(args, field: str = "penalty"):
     return model_penalty(args.model, pid, _resolved_params(args))
 
 
+def _resolve_steps(args) -> None:
+    """--steps defaults to the horizon of --obs-times; one of them is required."""
+    if args.steps is None and not args.obs_times:
+        raise PreconditionError(f"{args.command} needs --steps or --obs-times")
+    if args.steps is None:
+        args.steps = ObservationTimes.parse(args.obs_times).horizon
+
+
 def _obs(args) -> ObservationTimes:
     if args.obs_times:
         return ObservationTimes.parse(args.obs_times)
@@ -423,16 +431,10 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         if args.command == "distance":
-            if args.steps is None and not args.obs_times:
-                raise PreconditionError("distance needs --steps or --obs-times")
-            if args.steps is None:
-                args.steps = ObservationTimes.parse(args.obs_times).horizon
+            _resolve_steps(args)
             return _cmd_distance(args)
         if args.command in ("robustness", "adaptability", "reliability"):
-            if args.steps is None and not args.obs_times:
-                raise PreconditionError(f"{args.command} needs --steps or --obs-times")
-            if args.steps is None:
-                args.steps = ObservationTimes.parse(args.obs_times).horizon
+            _resolve_steps(args)
             return _robustness_common(args, args.command)
         if args.command == "stats":
             return _cmd_stats(args)

@@ -5,14 +5,24 @@ One simulation step of a configuration <P, d, E> samples a support triple of
 ``sum_{j<i} p_j < u <= sum_{j<=i} p_j``, applies the selected write effect to
 d, then samples the environment on the result.  ``estimate`` runs N
 independent trajectories on child random streams and collects, per time step,
-the N sampled data states (the empirical evolution sequence).
+the N sampled data states (the empirical evolution sequence);
+``estimate_penalties`` reads the same runs through penalties at the
+observation times without keeping the states.
 
-Two execution paths produce bit-identical results:
+Both estimators share one run loop (``_run``).  It simulates blocks of runs
+and hands each block's (n, nvars) values at steps 0..k to the estimator.
+Two execution paths drive a block and produce bit-identical values:
 
-* the reference interpreter (``sim_step``/``simulate``), optionally fanned
-  out over a process pool, and
 * an optional per-model vectorized lockstep simulator attached to the
-  configuration, which advances all runs in numpy arrays.
+  configuration, which advances all runs of a block in numpy arrays, in
+  this process;
+* the reference interpreter (``sim_step``), one run per child stream.
+
+The fast path declines in one place: when ``use_fast_path`` is off, the
+configuration has no lockstep, or the lockstep's ``start`` raises
+``PreconditionError`` because it is bound to another process term (for
+instance one advanced by ``sim_step``).  The interpreter then runs the
+blocks, fanned out over a process pool (``_fan_out``) when threads > 1.
 
 Per-run randomness depends only on (master seed, run index), so results do
 not depend on worker count or execution path.
@@ -25,6 +35,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -149,8 +160,6 @@ class EmpiricalEvolutionSequence:
     space: DataSpace
     states: np.ndarray
     seed_key: tuple
-    processes: list | None = None
-    clamp_events: int = 0
 
     @property
     def runs(self) -> int:
@@ -215,44 +224,10 @@ def _write_meta(fh, meta: dict | None) -> None:
 # Estimation
 # ---------------------------------------------------------------------------
 
-
-def _run_trajectory_values(c: Configuration, k: int, rng: RandomStream, retain: bool):
-    """Raw (k+1, nvars) values of one run, plus optional process terms."""
-    space = c.space
-    values = np.empty((k + 1, len(space)), dtype=np.float64)
-    values[0, :] = c.data.values
-    procs = [c.process] if retain else None
-    clamps0 = space.clamp_events
-    cur = c
-    for i in range(k):
-        try:
-            cur = sim_step(cur, rng)
-        except Exception as exc:
-            raise SimulationError(f"step {i}: {exc}", step=i) from exc
-        values[i + 1, :] = cur.data.values
-        if retain:
-            procs.append(cur.process)
-    return values, procs, space.clamp_events - clamps0
-
-
-def _run_block(args):
-    c, k, base_key, run_indices, retain = args
-    base = RandomStream(base_key)
-    out = []
-    for run in run_indices:
-        rng = base.child(run)
-        try:
-            out.append(_run_trajectory_values(c, k, rng, retain))
-        except Exception as exc:
-            step = getattr(exc, "step", None)
-            raise SimulationError(f"run {run}: {exc}", run=run, step=step) from exc
-    return out
-
-
-def _resolve_stream(seed) -> RandomStream:
-    if isinstance(seed, RandomStream):
-        return seed
-    return RandomStream.from_seed(int(seed))
+# estimate keeps every step of every run; larger arrays are refused
+_MAX_STATE_BYTES = 2e9
+# interpreter runs advanced together (each holds a stream and its buffer)
+_INTERP_ROWS = 256
 
 
 def estimate(
@@ -261,81 +236,25 @@ def estimate(
     N: int,
     seed,
     threads: int = 1,
-    retain_processes: bool = False,
     use_fast_path: bool = True,
 ) -> EmpiricalEvolutionSequence:
     """N independent k-step runs; run i uses the child stream (seed, i).
 
     A failing run aborts the whole estimate (silently dropping runs would
     bias the empirical measure).  Results are bit-identical for any
-    ``threads`` value and for either execution path.  The clamp-event tally
-    is informational and only collected on the interpreter path.
+    ``threads`` value and for either execution path.
     """
-    if N < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {N}")
-    if k < 0:
-        raise PreconditionError(f"step count must be >= 0, got {k}")
-    base = _resolve_stream(seed)
-    space = c.space
-
-    if use_fast_path and c.lockstep is not None and not retain_processes:
-        states = _lockstep_states(c, k, N, base.key)
-        if states is not None:
-            return EmpiricalEvolutionSequence(space, states, base.key)
-
-    states = np.empty((N, k + 1, len(space)), dtype=np.float64)
-    processes: list | None = [] if retain_processes else None
-    clamps = 0
-
-    if threads <= 1 or N == 1:
-        results = _run_block((c, k, base.key, range(N), retain_processes))
-        for run, (vals, procs, nclamp) in enumerate(results):
-            states[run] = vals
-            clamps += nclamp
-            if retain_processes:
-                processes.append(procs)
-    else:
-        blocks = _partition(N, threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            tasks = [
-                (c, k, base.key, block, retain_processes) for block in blocks
-            ]
-            # pool.map preserves task order, so gathering is in run order
-            for block, results in zip(blocks, pool.map(_run_block, tasks)):
-                for run, (vals, procs, nclamp) in zip(block, results):
-                    states[run] = vals
-                    clamps += nclamp
-                    if retain_processes:
-                        processes.append(procs)
-
-    return EmpiricalEvolutionSequence(space, states, base.key, processes, clamps)
-
-
-def _partition(N: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, N))
-    size = math.ceil(N / parts)
-    return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]
-
-
-def _lockstep_states(c: Configuration, k: int, N: int, base_key: tuple):
-    """Vectorized estimate, or None when the simulator does not bind to this
-    configuration (e.g. a manually advanced process term)."""
-    nvars = len(c.space)
-    need = N * (k + 1) * nvars * 8
-    if need > 2e9:
+    _check_counts(k, N)
+    need = N * (k + 1) * len(c.space) * 8
+    if need > _MAX_STATE_BYTES:
         raise PreconditionError(
             f"full-state estimate would need {need/1e9:.1f} GB; "
             "use estimate_penalties for long horizons"
         )
-    try:
-        sim = c.lockstep.start(c, N, base_key, 0)
-    except PreconditionError:
-        return None
-    states = np.empty((N, k + 1, nvars), dtype=np.float64)
-    states[:, 0, :] = sim.current()
-    for i in range(k):
-        states[:, i + 1, :] = sim.step()
-    return states
+    base = RandomStream.resolve(seed)
+    states = np.empty((N, k + 1, len(c.space)), dtype=np.float64)
+    _run(c, k, base.key, 0, threads, use_fast_path, rows=N, fill=_store_steps, out=states)
+    return EmpiricalEvolutionSequence(c.space, states, base.key)
 
 
 def estimate_penalties(
@@ -356,72 +275,117 @@ def estimate_penalties(
     ``run_offset`` shifts the child-stream indices (run i uses seed child
     run_offset + i), letting callers draw disjoint sample sets from one seed.
     """
-    if N < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {N}")
+    _check_counts(k, N)
     obs = list(obs_times)
     if any(t < 0 or t > k for t in obs):
         raise PreconditionError("observation times must lie in [0, k]")
-    base = _resolve_stream(seed)
-    space = c.space
+    if len(set(obs)) < len(obs):
+        raise PreconditionError("observation times must be distinct")
     out = np.empty((len(penalties), N, len(obs)), dtype=np.float64)
-
-    if use_fast_path and c.lockstep is not None:
-        try:
-            obs_set = {t: j for j, t in enumerate(obs)}
-            # block the runs so transient per-block state stays small
-            block_size = min(N, max(64, int(2e8 / ((k + 1) * 16))))
-            for lo in range(0, N, block_size):
-                n = min(block_size, N - lo)
-                sim = c.lockstep.start(c, n, base.key, run_offset + lo)
-                vals = sim.current()
-                if 0 in obs_set:
-                    _eval_penalties(penalties, 0, vals, space, out, lo, obs_set[0])
-                for i in range(1, k + 1):
-                    vals = sim.step()
-                    if i in obs_set:
-                        _eval_penalties(penalties, i, vals, space, out, lo, obs_set[i])
-            return out
-        except PreconditionError:
-            pass  # simulator does not bind to this configuration
-
-    tasks = [(c, k, base.key, block, penalties, obs, run_offset)
-             for block in _partition(N, threads if threads > 1 else 1)]
-    if threads <= 1 or N == 1:
-        results = [_penalty_block(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_penalty_block, tasks))
-    for (block, res) in zip([t[3] for t in tasks], results):
-        out[:, block.start:block.stop, :] = res
+    # lockstep blocks of runs keep the transient per-block state small
+    rows = max(64, int(2e8 / ((k + 1) * 16)))
+    fill = partial(_store_penalties, tuple(penalties), obs, c.space)
+    key = RandomStream.resolve(seed).key
+    _run(c, k, key, run_offset, threads, use_fast_path, rows=rows, fill=fill,
+         out=np.moveaxis(out, 1, 0))
     return out
 
 
-def _eval_penalties(penalties, step, vals, space, out, lo, col):
-    for pi, rho in enumerate(penalties):
-        out[pi, lo:lo + vals.shape[0], col] = rho.eval_batch(step, vals, space)
+def _check_counts(k: int, N: int) -> None:
+    if N < 1:
+        raise PreconditionError(f"sample count must be >= 1, got {N}")
+    if k < 0:
+        raise PreconditionError(f"step count must be >= 0, got {k}")
 
 
-def _penalty_block(args):
-    c, k, base_key, run_indices, penalties, obs, run_offset = args
-    base = RandomStream(base_key)
-    space = c.space
-    obs_index = {t: j for j, t in enumerate(obs)}
-    res = np.empty((len(penalties), len(run_indices), len(obs)), dtype=np.float64)
-    for row, run in enumerate(run_indices):
-        rng = base.child(run_offset + run)
-        cur = c
-        if 0 in obs_index:
-            for pi, rho in enumerate(penalties):
-                res[pi, row, obs_index[0]] = rho.eval_values(0, cur.data.values, space)
+def _store_steps(steps, dest: np.ndarray) -> None:
+    for i, vals in enumerate(steps):
+        dest[:, i, :] = vals
+
+
+def _store_penalties(penalties, obs, space, steps, dest: np.ndarray) -> None:
+    col = {t: j for j, t in enumerate(obs)}
+    for i, vals in enumerate(steps):
+        if i in col:
+            for p, rho in enumerate(penalties):
+                dest[:, p, col[i]] = rho.eval_batch(i, vals, space)
+
+
+def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None:
+    """The one run loop of both estimators.
+
+    Runs ``run_offset + i`` for i < len(out) are simulated in blocks, and
+    ``fill(steps, out[block])`` reduces each block, where ``steps`` yields
+    the block's (n, nvars) values at steps 0..k.  The model's lockstep
+    simulator drives blocks of at most ``rows`` runs in this process.  When
+    there is none, ``use_fast_path`` is off, or it declines the
+    configuration, the interpreter runs the blocks, fanned out over
+    ``threads`` worker processes.
+    """
+    N = out.shape[0]
+    sim = None
+    if use_fast_path and c.lockstep is not None:
         try:
-            for i in range(1, k + 1):
-                cur = sim_step(cur, rng)
-                if i in obs_index:
-                    for pi, rho in enumerate(penalties):
-                        res[pi, row, obs_index[i]] = rho.eval_values(i, cur.data.values, space)
-        except Exception as exc:
-            raise SimulationError(f"run {run_offset + run}: {exc}", run=run_offset + run) from exc
-    return res
+            sim = c.lockstep.start(c, min(rows, N), key, run_offset)
+        except PreconditionError:
+            pass  # the simulator is bound to another process term
+    if sim is not None:
+        for lo in range(0, N, rows):
+            if lo:
+                sim = c.lockstep.start(c, min(rows, N - lo), key, run_offset + lo)
+            fill(_lockstep_steps(sim, k), out[lo:lo + rows])
+        return
+    blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
+    tasks = [(c, k, key, run_offset + b.start, len(b), fill, out.shape[1:]) for b in blocks]
+    for b, part in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
+        out[b.start:b.stop] = part
+
+
+def _lockstep_steps(sim, k: int):
+    yield sim.current()
+    for _ in range(k):
+        yield sim.step()
+
+
+def _interpret_block(task) -> np.ndarray:
+    c, k, key, first, n, fill, shape = task
+    part = np.empty((n,) + shape, dtype=np.float64)
+    fill(_interpret_steps(c, k, key, first, n), part)
+    return part
+
+
+def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):
+    """Values (n, nvars) of interpreter runs first..first+n-1 at steps 0..k;
+    run i samples from the child stream (key, i)."""
+    base = RandomStream(key)
+    rngs = [base.child(first + r) for r in range(n)]
+    confs = [c] * n
+    vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
+    yield vals
+    for i in range(k):
+        for r in range(n):
+            try:
+                confs[r] = sim_step(confs[r], rngs[r])
+            except Exception as exc:
+                run = first + r
+                raise SimulationError(f"run {run}: step {i}: {exc}", run=run, step=i) from exc
+            vals[r] = confs[r].data.values
+        yield vals
+
+
+def _fan_out(fn, tasks: list, threads: int):
+    """``fn`` of each task in task order, in a process pool when threads > 1."""
+    if threads <= 1 or len(tasks) == 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        yield from pool.map(fn, tasks)
+
+
+def _partition(N: int, parts: int) -> list[range]:
+    parts = max(1, min(parts, N))
+    size = math.ceil(N / parts)
+    return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Environment evolutions: Markov kernels over data states.
 
 An environment evolution maps a data state to a sampler for the successor
-state.  Kernels are registered natively as code (the case studies need
-arbitrary arithmetic); the registry exposes them by id with flat JSON
-parameter overrides for the CLI.
+state.  Kernels are written as code (the case studies need arbitrary
+arithmetic); the CLI reaches the case-study kernels through
+:mod:`.models.registry`.
 
 Kernels must be pure: the output may depend only on the input state and the
 random numbers consumed.  Measurability of ``d -> E(d)(B)`` is a modelling
@@ -24,10 +24,6 @@ __all__ = [
     "IdentityKernel",
     "FiniteKernel",
     "FunctionKernel",
-    "env_sample",
-    "register_environment",
-    "environment_ids",
-    "make_environment",
 ]
 
 
@@ -36,7 +32,7 @@ class EnvironmentEvolution:
 
     Subclasses implement :meth:`sample_values` on raw value vectors; the
     engine applies domain clamping to the result.  ``id`` identifies the
-    kernel in reports and the registry.
+    kernel in reports.
     """
 
     id: str = "environment"
@@ -45,18 +41,14 @@ class EnvironmentEvolution:
         raise NotImplementedError
 
     def sample(self, d: DataState, rng: RandomStream) -> DataState:
-        return env_sample(self, d, rng)
-
-
-def env_sample(env: EnvironmentEvolution, d: DataState, rng: RandomStream) -> DataState:
-    """Draw one successor of ``d`` from the kernel; clamping policy applies."""
-    raw = env.sample_values(d.values, rng)
-    if len(raw) != len(d.space):
-        raise StructuralError(
-            f"kernel {env.id!r} returned {len(raw)} values for {len(d.space)} variables"
-        )
-    clamped, _ = d.space.clamp_values(raw)
-    return DataState(d.space, tuple(clamped))
+        """Draw one successor of ``d`` from the kernel; clamping policy applies."""
+        raw = self.sample_values(d.values, rng)
+        if len(raw) != len(d.space):
+            raise StructuralError(
+                f"kernel {self.id!r} returned {len(raw)} values for {len(d.space)} variables"
+            )
+        clamped, _ = d.space.clamp_values(raw)
+        return DataState(d.space, tuple(clamped))
 
 
 @dataclass(frozen=True)
@@ -113,34 +105,3 @@ class FunctionKernel(EnvironmentEvolution):
 
     def sample_values(self, values, rng):
         return self.fn(values, rng)
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., EnvironmentEvolution]] = {}
-
-
-def register_environment(env_id: str, factory: Callable[..., EnvironmentEvolution]) -> None:
-    if env_id in _REGISTRY:
-        raise DataValidationError(f"environment id {env_id!r} already registered")
-    _REGISTRY[env_id] = factory
-
-
-def environment_ids() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def make_environment(env_id: str, params: dict | None = None) -> EnvironmentEvolution:
-    """Instantiate a registered kernel; ``params`` is a flat name->number map."""
-    try:
-        factory = _REGISTRY[env_id]
-    except KeyError:
-        raise StructuralError(
-            f"unknown environment {env_id!r}; known: {environment_ids()}"
-        ) from None
-    return factory(**(params or {}))
-
-
-register_environment("identity", lambda: IdentityKernel())

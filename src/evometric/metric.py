@@ -282,12 +282,10 @@ def distance(
     if c1.space != c2.space:
         raise StructuralError("configurations use different data spaces")
     if isinstance(seed, tuple):
-        s1, s2 = seed
-        stream1 = s1 if isinstance(s1, RandomStream) else RandomStream.from_seed(int(s1))
-        stream2 = s2 if isinstance(s2, RandomStream) else RandomStream.from_seed(int(s2))
+        stream1, stream2 = (RandomStream.resolve(s) for s in seed)
         seed_keys = [list(stream1.key), list(stream2.key)]
     else:
-        base = seed if isinstance(seed, RandomStream) else RandomStream.from_seed(int(seed))
+        base = RandomStream.resolve(seed)
         stream1, stream2 = base.child(0), base.child(1)
         seed_keys = [list(base.key)]
     k = obs.horizon

@@ -42,7 +42,7 @@ from ..dataspace import (
     VarSpec,
 )
 from ..engine import Configuration
-from ..environment import EnvironmentEvolution, register_environment
+from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
 from ..rng import UniformTape
@@ -677,8 +677,3 @@ class _EngineRun:
         self.t += 1
         return out
 
-
-register_environment(
-    "engine",
-    lambda dual=False, **kw: EngineEnv(EngineParams(**kw), bool(dual)),
-)

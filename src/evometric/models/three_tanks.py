@@ -29,7 +29,7 @@ from ..dataspace import (
     VarSpec,
 )
 from ..engine import Configuration
-from ..environment import EnvironmentEvolution, register_environment
+from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
 from ..rng import UniformTape
@@ -307,8 +307,3 @@ class _TanksRun:
         self.vals = np.column_stack((q1, x, q3, clip(l1n), clip(l2n), clip(l3n)))
         return self.vals
 
-
-register_environment(
-    "three-tanks",
-    lambda **kw: ThreeTanksEnv(ThreeTanksParams(**kw)),
-)

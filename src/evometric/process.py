@@ -48,7 +48,6 @@ __all__ = [
     "StepDistribution",
     "eval_expr",
     "pstep",
-    "apply_effect",
     "validate",
     "ValidationIssue",
     "ValidationReport",
@@ -444,11 +443,6 @@ def _pstep(P: Process, values, space, defs) -> list:
 def pstep(P: Process, d: DataState, defs: Definitions) -> StepDistribution:
     """One-step distribution of a process in a data state."""
     return StepDistribution(tuple(_pstep(P, d.values, d.space, defs)))
-
-
-def apply_effect(d: DataState, effect: Effect) -> DataState:
-    """Apply a write effect to a data state (clamping policy applies)."""
-    return d.update(effect)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,11 @@ class RandomStream:
         k0, k1 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
         return cls((int(k0), int(k1)))
 
+    @classmethod
+    def resolve(cls, seed) -> "RandomStream":
+        """``seed`` itself if it is a stream, else the root stream of the integer seed."""
+        return seed if isinstance(seed, RandomStream) else cls.from_seed(int(seed))
+
     def child(self, index: int) -> "RandomStream":
         """Statistically independent stream derived from (this stream, index)."""
         return RandomStream(_fold_in(self.key, index))

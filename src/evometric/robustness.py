@@ -41,7 +41,6 @@ __all__ = [
     "IdentitySampler",
     "RobustnessSpec",
     "RobustnessReport",
-    "sample_perturbations",
     "estimate_robustness",
     "estimate_adaptability",
     "estimate_reliability",
@@ -208,85 +207,6 @@ def _initial_distance(rho: PenaltyFunction, base: DataState, cand: DataState) ->
     return max(rho(0, cand) - rho(0, base), 0.0)
 
 
-def sample_perturbations(
-    base: Configuration,
-    sampler: PerturbationSampler,
-    eta1: float,
-    M: int,
-    budget: int,
-    seed,
-    rho: PenaltyFunction,
-    filter_mode: str = "initial",
-    obs: ObservationTimes | None = None,
-    interval: tuple | None = None,
-    discount: DiscountFunction | None = None,
-    N: int = 100,
-    ell: int = 1,
-    threads: int = 1,
-) -> tuple[list[DataState], dict]:
-    """Rejection-sample M admissible variations of the base data state.
-
-    The cheap initial-state filter compares penalties at step 0; the
-    evolution filter simulates each candidate and compares evolution
-    sequences over the observation times inside ``interval``.  Raises
-    ShortfallError if the budget runs out first.  Candidate draws are seeded
-    by attempt index, so enlarging eta1 only ever grows the accepted set.
-    """
-    if M < 1 or budget < M:
-        raise PreconditionError("need M >= 1 and budget >= M")
-    stream = _resolve(seed)
-    sample_stream = stream.child(1)
-    cand_stream = stream.child(2)
-    discount = discount or ConstantDiscount()
-
-    base_pen = None
-    filter_cols = None
-    if filter_mode == "evolution":
-        if obs is None or interval is None:
-            raise PreconditionError("evolution filtering needs observation times and an interval")
-        lo, hi = interval
-        filter_cols = [j for j, t in enumerate(obs) if lo <= t <= hi]
-        base_pen = estimate_penalties(
-            base, obs.horizon, N, stream.child(0), [rho], list(obs), threads
-        )[0]
-
-    accepted: list[DataState] = []
-    stats = {"attempts": 0, "rejected": 0}
-    for attempt in range(budget):
-        stats["attempts"] = attempt + 1
-        cand = sampler.sample(base.data, sample_stream.child(attempt))
-        if filter_mode == "initial":
-            ok = _initial_distance(rho, base.data, cand) <= eta1
-        else:
-            cand_pen = estimate_penalties(
-                base.with_data(cand), obs.horizon, N * ell,
-                cand_stream.child(attempt), [rho], list(obs), threads,
-            )[0]
-            value = max(
-                discount(obs.steps[j]) * compute_w_sorted(base_pen[:, j], cand_pen[:, j])
-                for j in filter_cols
-            )
-            ok = value <= eta1
-        if ok:
-            accepted.append(cand)
-            if len(accepted) == M:
-                break
-        else:
-            stats["rejected"] += 1
-    if len(accepted) < M:
-        raise ShortfallError(
-            f"accepted only {len(accepted)} of {M} variations in {budget} attempts",
-            accepted=len(accepted), requested=M, attempts=stats["attempts"],
-        )
-    return accepted, stats
-
-
-def _resolve(seed) -> RandomStream:
-    if isinstance(seed, RandomStream):
-        return seed
-    return RandomStream.from_seed(int(seed))
-
-
 def estimate_robustness(
     spec: RobustnessSpec,
     base: Configuration,
@@ -315,7 +235,7 @@ def estimate_robustness(
     budget = budget if budget is not None else 20 * spec.M
     if budget < spec.M:
         raise PreconditionError("budget must be at least M")
-    stream = _resolve(seed)
+    stream = RandomStream.resolve(seed)
     k = obs.horizon
     penalties = [spec.rho, spec.rho_target]
 

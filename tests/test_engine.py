@@ -18,7 +18,12 @@ from evometric.errors import (
     SimulationError,
 )
 from evometric.dataspace import VarPenalty
-from evometric.models.three_tanks import tanks_configuration
+from evometric.models.three_tanks import (
+    ThreeTanksParams,
+    tanks_configuration,
+    tanks_penalties,
+    tanks_program,
+)
 from evometric.process import Call, Const, PChoice, Prefix, tick
 from evometric.rng import RandomStream
 
@@ -32,6 +37,12 @@ def loop_defs():
 def toy_configuration(toy_space):
     p, defs = toy_process()
     return Configuration(p, toy_space.state([0.0, 0.0]), toy_kernel(), defs).validated()
+
+
+def fail_late(values, rng):
+    if values[0] >= 3.0:
+        raise ValueError("boom")
+    return [values[0] + 1.0, values[1], values[2]]
 
 
 class TestSimStep:
@@ -90,11 +101,6 @@ class TestSimulate:
         assert all(conf.data == c.data for conf in traj)
 
     def test_error_carries_step_context(self, small_space):
-        def fail_late(values, rng):
-            if values[0] >= 3.0:
-                raise ValueError("boom")
-            return [values[0] + 1.0, values[1], values[2]]
-
         env = FunctionKernel(fail_late, id="fails")
         c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), env, loop_defs())
         with pytest.raises(SimulationError):
@@ -111,11 +117,12 @@ class TestEstimate:
             assert tuple(E.states[0, i, :]) == conf.data.values
 
     def test_exchange_property(self, toy_space):
-        # column i of every step belongs to the trajectory of run i
+        # column i of every step belongs to the trajectory of run i, also
+        # across the interpreter's blocks of runs
         c = toy_configuration(toy_space)
-        E = estimate(c, 6, 7, seed=13)
+        E = estimate(c, 6, 300, seed=13)
         base = RandomStream.from_seed(13)
-        for run in (0, 3, 6):
+        for run in (0, 3, 6, 255, 256, 299):
             traj = simulate(c, 6, base.child(run))
             for i, conf in enumerate(traj):
                 assert tuple(E.states[run, i, :]) == conf.data.values
@@ -152,19 +159,30 @@ class TestEstimate:
             estimate(c, 30, 40, seed=5)
         assert err.value.run is not None
 
-    def test_retain_processes(self, toy_space):
-        c = toy_configuration(toy_space)
-        E = estimate(c, 3, 4, seed=2, retain_processes=True)
-        assert len(E.processes) == 4
-        assert all(len(run) == 4 for run in E.processes)
-        assert E.processes[0][0] == c.process
-
     def test_bad_arguments(self, toy_space):
         c = toy_configuration(toy_space)
+        rho = VarPenalty("x", id="x")
         with pytest.raises(PreconditionError):
             estimate(c, 3, 0, seed=1)
         with pytest.raises(PreconditionError):
             estimate(c, -1, 2, seed=1)
+        with pytest.raises(PreconditionError):
+            estimate_penalties(c, 3, 0, 1, [rho], [3])
+        with pytest.raises(PreconditionError):
+            estimate_penalties(c, -1, 2, 1, [rho], [])
+        with pytest.raises(PreconditionError):
+            estimate_penalties(c, 3, 2, 1, [rho], [2, 2])
+
+    def test_both_estimators_report_a_failing_run_alike(self, small_space):
+        env = FunctionKernel(fail_late, id="fails")
+        c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), env, loop_defs())
+        rho = VarPenalty("y", id="y")
+        for run in (lambda: estimate(c, 10, 2, seed=1),
+                    lambda: estimate_penalties(c, 10, 2, 1, [rho], [10])):
+            with pytest.raises(SimulationError) as err:
+                run()
+            assert (err.value.run, err.value.step) == (0, 3)
+            assert str(err.value) == "run 0: step 3: boom"
 
 
 class TestEstimatePenalties:
@@ -184,6 +202,29 @@ class TestEstimatePenalties:
         a = estimate_penalties(c, 4, 6, 23, [rho], [4], run_offset=0)
         b = estimate_penalties(c, 4, 4, 23, [rho], [4], run_offset=2)
         assert np.array_equal(a[0][2:, :], b[0])
+
+    def test_thread_count_invariance(self, toy_space):
+        c = toy_configuration(toy_space)
+        rho = VarPenalty("x", id="x")
+        a = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=1, run_offset=4)
+        b = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=3, run_offset=4)
+        assert np.array_equal(a, b)
+
+
+class TestDeclinedFastPath:
+    def test_foreign_process_falls_back_to_the_interpreter(self):
+        # the tank lockstep attached to a controller it was not built for
+        # declines, and both estimators run the interpreter instead
+        c = tanks_configuration()
+        other, defs = tanks_program(ThreeTanksParams(delta_l=0.7))
+        foreign = Configuration(other, c.data, c.env, defs, c.lockstep)
+        fast = estimate(foreign, 12, 5, seed=3, use_fast_path=True)
+        slow = estimate(foreign, 12, 5, seed=3, use_fast_path=False)
+        assert np.array_equal(fast.states, slow.states)
+        rho = tanks_penalties(c.env.params)["l3"]
+        fast = estimate_penalties(foreign, 12, 5, 3, [rho], [0, 6, 12], use_fast_path=True)
+        slow = estimate_penalties(foreign, 12, 5, 3, [rho], [0, 6, 12], use_fast_path=False)
+        assert np.array_equal(fast, slow)
 
 
 class TestEnumerationOracle:

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evometric.environment import (
-    FiniteKernel,
-    IdentityKernel,
-    env_sample,
-    environment_ids,
-    make_environment,
-)
+from evometric.environment import FiniteKernel, IdentityKernel
 from evometric.errors import DataValidationError, StructuralError
 from evometric.models.three_tanks import ThreeTanksEnv, ThreeTanksParams, tanks_space
 from evometric.rng import RandomStream
@@ -20,7 +14,7 @@ from conftest import toy_kernel
 class TestIdentity:
     def test_returns_state_unchanged(self, small_space):
         d = small_space.state([1.0, 0.5, 2.0])
-        assert env_sample(IdentityKernel(), d, RandomStream.from_seed(0)) == d
+        assert IdentityKernel().sample(d, RandomStream.from_seed(0)) == d
 
 
 class TestFiniteKernel:
@@ -41,13 +35,13 @@ class TestFiniteKernel:
     def test_bad_mass_rejected(self, toy_space):
         bad = FiniteKernel(lambda values: [(0.5, values)], id="bad")
         with pytest.raises(DataValidationError):
-            env_sample(bad, toy_space.state([0, 0]), RandomStream.from_seed(1))
+            bad.sample(toy_space.state([0, 0]), RandomStream.from_seed(1))
 
     def test_reproducible(self, toy_space):
         d = toy_space.state([1.0, 0.0])
         k = toy_kernel()
-        a = env_sample(k, d, RandomStream.from_seed(9))
-        b = env_sample(k, d, RandomStream.from_seed(9))
+        a = k.sample(d, RandomStream.from_seed(9))
+        b = k.sample(d, RandomStream.from_seed(9))
         assert a == b
 
 
@@ -70,7 +64,7 @@ class TestTanksKernel:
         env = ThreeTanksEnv(params)
         space = tanks_space(params)
         d = space.state([6.0, 6.0, 0.0, 20.0, 0.0, 0.0])
-        out = env_sample(env, d, RandomStream.from_seed(4))
+        out = env.sample(d, RandomStream.from_seed(4))
         for name, spec in zip(space.names, space.vars):
             assert spec.lower <= out[name] <= spec.upper
 
@@ -79,20 +73,4 @@ class TestTanksKernel:
 
         bad = FunctionKernel(lambda values, rng: [0.0], id="short")
         with pytest.raises(StructuralError):
-            env_sample(bad, small_space.state([0, 0, 0]), RandomStream.from_seed(0))
-
-
-class TestRegistry:
-    def test_identity_registered(self):
-        assert "identity" in environment_ids()
-        assert isinstance(make_environment("identity"), IdentityKernel)
-
-    def test_models_registered_with_params(self):
-        env = make_environment("three-tanks", {"scenario": 2, "q_max": 8.0})
-        assert env.params.q_max == 8.0
-        eng = make_environment("engine", {"threshold": 99.5})
-        assert eng.params.threshold == 99.5
-
-    def test_unknown_id(self):
-        with pytest.raises(StructuralError):
-            make_environment("warp-core")
+            bad.sample(small_space.state([0, 0, 0]), RandomStream.from_seed(0))

@@ -7,13 +7,17 @@ initial states at the domain edges, stream offsets and horizons past the
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from evometric.engine import estimate, estimate_penalties
 from evometric.models.engine_system import AttackConfig, engine_penalties, engine_system
 from evometric.models.three_tanks import ThreeTanksParams, tanks_configuration, tanks_penalties
 from evometric.rng import RandomStream
+
+# a failing example is reported as drawn: shrinking reruns the interpreter
+# over hundreds of steps per candidate and takes minutes
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 # short horizons, and horizons that read a second chunk of the draw tape
 horizons = st.one_of(st.integers(0, 30), st.integers(257, 280))
@@ -79,7 +83,7 @@ def _assert_paths_agree(c, penalties, k, N, seed, run_offset, data):
 
 @given(case=tanks_cases(), k=horizons, N=st.integers(1, 3), seed=st.integers(0, 2**32),
        run_offset=st.integers(1, 10**6), data=st.data())
-@settings(max_examples=25)
+@settings(max_examples=25, phases=NO_SHRINK)
 def test_tanks_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
     c, penalties = case
     _assert_paths_agree(c, penalties, k, N, seed, run_offset, data)
@@ -87,7 +91,7 @@ def test_tanks_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
 
 @given(case=engine_cases(), k=horizons, N=st.integers(1, 3), seed=st.integers(0, 2**32),
        run_offset=st.integers(1, 10**6), data=st.data())
-@settings(max_examples=25)
+@settings(max_examples=25, phases=NO_SHRINK)
 def test_engine_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
     c, penalties = case
     _assert_paths_agree(c, penalties, k, N, seed, run_offset, data)

@@ -14,8 +14,8 @@ from evometric.robustness import (
     estimate_adaptability,
     estimate_reliability,
     estimate_robustness,
-    sample_perturbations,
 )
+from evometric.rng import RandomStream
 
 
 def decay_system():
@@ -34,52 +34,55 @@ def assert_xi_non_increasing(report):
     assert all(a >= b - 1e-12 for a, b in zip(xs, xs[1:]))
 
 
+def ball_adaptability(sampler, eta1, M, budget, seed):
+    """Adaptability of the tanks from l1 = l2 = l3 = 5 under the l3 penalty.
+
+    Its initial filter accepts the ball rho(d') <= rho(d_s) + eta1 around
+    rho^l3(d_s) = 0.5."""
+    c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+    rho = tanks_penalties(c.env.params)["l3"]
+    report = estimate_adaptability(rho, 0, eta1, c, sampler, ObservationTimes.range(1),
+                                   N=4, ell=1, seed=seed, M=M, budget=budget)
+    return c, report
+
+
+def redraw(c, sampler, seed, attempt):
+    """The candidate of one attempt: the sampler on stream (seed, 1, attempt)."""
+    return sampler.sample(c.data, RandomStream.from_seed(seed).child(1).child(attempt))
+
+
 class TestSamplePerturbations:
     def test_vacuous_bound_accepts_first_m(self):
-        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
-        rho = tanks_penalties(c.env.params)["l3"]
-        accepted, stats = sample_perturbations(
-            c, UniformResampler(None), eta1=1.0, M=10, budget=10, seed=3, rho=rho,
-        )
-        assert len(accepted) == 10
-        assert stats == {"attempts": 10, "rejected": 0}
+        _, rep = ball_adaptability(UniformResampler(None), 0.99, M=10, budget=10, seed=3)
+        assert (rep.accepted, rep.attempts, rep.rejected) == (10, 10, 0)
+        assert rep.accepted_attempts == list(range(10))
 
     def test_identity_sampler_returns_base_copies(self):
-        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
-        rho = tanks_penalties(c.env.params)["l3"]
-        accepted, _ = sample_perturbations(
-            c, IdentitySampler(), eta1=0.0, M=5, budget=5, seed=3, rho=rho,
-        )
-        assert all(d == c.data for d in accepted)
+        c, rep = ball_adaptability(IdentitySampler(), 0.0, M=5, budget=5, seed=3)
+        assert rep.accepted_attempts == list(range(5))
+        assert all(redraw(c, IdentitySampler(), 3, a) == c.data for a in rep.accepted_attempts)
 
     def test_ball_membership(self):
-        # base d_s has rho^l3 = 0.5; eta1 = 0.3 accepts exactly rho(d') <= 0.8,
-        # i.e. l3 in [2, 18]
-        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
-        rho = tanks_penalties(c.env.params)["l3"]
-        accepted, stats = sample_perturbations(
-            c, UniformResampler(None), eta1=0.3, M=40, budget=500, seed=8, rho=rho,
-        )
-        for d in accepted:
-            assert 2.0 <= d["l3"] <= 18.0
-        assert stats["rejected"] > 0
+        # eta1 = 0.3 accepts exactly rho(d') <= 0.8, i.e. l3 in [2, 18]
+        sampler = UniformResampler(None)
+        c, rep = ball_adaptability(sampler, 0.3, M=40, budget=500, seed=8)
+        assert rep.accepted == 40 and rep.rejected > 0
+        for attempt in range(rep.attempts):
+            inside = 2.0 <= redraw(c, sampler, 8, attempt)["l3"] <= 18.0
+            assert inside == (attempt in rep.accepted_attempts)
 
     def test_shortfall_carries_counts(self):
-        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
-        rho = tanks_penalties(c.env.params)["l3"]
-        sampler = UniformResampler(("l3",))
+        # eta1 = 0 accepts only rho(d') <= 0.5, p ~ 1/2 per draw, but the
+        # budget is tiny
         with pytest.raises(ShortfallError) as err:
-            # eta1 = 0 accepts only rho(d') <= 0.5, p ~ 1/2 per draw, but the
-            # budget is tiny
-            sample_perturbations(c, sampler, eta1=0.0, M=50, budget=55, seed=9, rho=rho)
+            ball_adaptability(UniformResampler(("l3",)), 0.0, M=50, budget=55, seed=9)
         assert err.value.accepted < 50
         assert err.value.requested == 50
+        assert err.value.attempts == 55
 
     def test_budget_precondition(self):
-        c = tanks_configuration()
-        rho = tanks_penalties(c.env.params)["l3"]
         with pytest.raises(PreconditionError):
-            sample_perturbations(c, IdentitySampler(), 0.1, M=5, budget=3, seed=1, rho=rho)
+            ball_adaptability(IdentitySampler(), 0.1, M=5, budget=3, seed=1)
 
 
 class TestDeterministicDecay:
