@@ -1,8 +1,10 @@
 """Variables, domains, data states, and penalty functions.
 
 A data state assigns one real value to every variable of a data space.  Writes
-that land outside a variable's domain are clamped (and counted), mirroring
-physical saturation; they are never rejected.  Penalty functions score a data
+that land outside a variable's domain are clamped, mirroring physical
+saturation; they are never rejected.  Process writes that clamp are counted
+in ``DataSpace.clamp_events``; environment steps are clamped a block at a
+time (:meth:`DataSpace.clamp_batch`) and are not counted.  Penalty functions score a data
 state in [0, 1] at a given time step, 0 meaning "on target".
 """
 
@@ -89,7 +91,8 @@ class VarSpec:
 class DataSpace:
     """Ordered collection of variables; index lookup by name is a bijection."""
 
-    __slots__ = ("vars", "names", "_index", "lowers", "uppers", "_finite_idx", "clamp_events")
+    __slots__ = ("vars", "names", "_index", "lowers", "uppers", "_finite_idx", "_bounds",
+                 "clamp_events")
 
     def __init__(self, vars: Iterable[VarSpec]):
         self.vars: tuple[VarSpec, ...] = tuple(vars)
@@ -99,8 +102,11 @@ class DataSpace:
         self._index = {name: i for i, name in enumerate(self.names)}
         self.lowers = np.array([v.lower for v in self.vars], dtype=np.float64)
         self.uppers = np.array([v.upper for v in self.vars], dtype=np.float64)
-        self._finite_idx = tuple(i for i, v in enumerate(self.vars) if v.is_finite)
-        # Running tally of out-of-domain writes (per process; informational).
+        self._finite_idx = [i for i, v in enumerate(self.vars) if v.is_finite]
+        # (n, v) copies of the bounds for the last block size clamped; a
+        # broadcast (v,) operand costs about three times as much per block
+        self._bounds = (self.lowers[None, :], self.uppers[None, :])
+        # Running tally of out-of-domain process writes (per process; informational).
         self.clamp_events = 0
 
     def __len__(self) -> int:
@@ -132,6 +138,32 @@ class DataSpace:
             out.append(w)
         self.clamp_events += clamps
         return out, clamps
+
+    def clamp_batch(self, values: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`VarSpec.clamp` on every entry of an (n, v) block; returns a new block.
+
+        NaN raises :class:`DataValidationError` naming the variable, with the
+        first bad row in its ``row``.  ``inputs``, when given, is an
+        admissible block the values were computed from: a finite-set column
+        equal to its input column is already admissible and is not snapped.
+        Clamps made here are not counted in ``clamp_events``.
+        """
+        n = values.shape[0]
+        if self._bounds[0].shape[0] != n:
+            self._bounds = (np.tile(self.lowers, (n, 1)), np.tile(self.uppers, (n, 1)))
+        out = np.maximum(values, self._bounds[0])  # max then min, as VarSpec.clamp
+        np.minimum(out, self._bounds[1], out=out)
+        if out.size and np.isnan(out.max()):  # the maximum is NaN iff an entry is
+            row, col = np.argwhere(np.isnan(out))[0].tolist()
+            raise DataValidationError(f"{self.names[col]}: NaN is not a value", row=row)
+        finite = self._finite_idx
+        if finite and inputs is not None:
+            same = np.equal(out, inputs)[:, finite].all(axis=0)
+            finite = [j for j, kept in zip(finite, same.tolist()) if not kept]
+        for j in finite:
+            clamp = self.vars[j].clamp
+            out[:, j] = [clamp(v) for v in out[:, j].tolist()]
+        return out
 
     def state(self, values: Sequence[float] | dict[str, float]) -> "DataState":
         """Build a DataState from a vector in variable order or a full dict."""

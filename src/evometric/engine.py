@@ -14,9 +14,14 @@ and hands each block's (n, nvars) values at steps 0..k to the estimator.
 Two execution paths drive a block and produce bit-identical values:
 
 * an optional per-model vectorized lockstep simulator attached to the
-  configuration, which advances all runs of a block in numpy arrays, in
-  this process;
-* the reference interpreter (``sim_step``), one run per child stream.
+  configuration, which advances the process of all runs of a block in
+  numpy arrays, in this process;
+* the reference interpreter, which steps the process of each run as
+  ``sim_step`` does, on the run's own child stream.
+
+Either way the configuration's one batch kernel then steps the whole block
+(``EnvironmentEvolution.advance``, which also clamps), and a failing kernel
+or a NaN it produces is reported alike, naming the run and the step.
 
 The fast path declines in one place: when ``use_fast_path`` is off, the
 configuration has no lockstep, or the lockstep's ``start`` raises
@@ -113,29 +118,27 @@ class Trajectory:
 
 
 def sim_step(c: Configuration, rng: RandomStream) -> Configuration:
-    """One sampled step of a configuration.
+    """One sampled step of a configuration: the process step, its write
+    effect, then one environment sample."""
+    effect, cont = _select(pstep(c.process, c.data, c.defs), rng)
+    next_data = c.env.sample(c.data.update(effect), rng)
+    return Configuration(cont, next_data, c.env, c.defs, c.lockstep)
 
-    The selection draw is skipped when the step distribution is a Dirac: the
-    chosen triple does not depend on u, and skipping keeps the stream usage
-    of the interpreter and the lockstep simulators identical.
-    """
-    dist = pstep(c.process, c.data, c.defs)
+
+def _select(dist, rng: RandomStream) -> tuple:
+    """(effect, continuation) of the support triple selected by one uniform,
+    which is not drawn for a Dirac: the choice does not depend on it, and the
+    lockstep simulators draw none either."""
     triples = dist.triples
     if len(triples) == 1:
-        _, effect, cont = triples[0]
-    else:
-        u = rng.uniform01()
-        acc = 0.0
-        chosen = triples[-1]
-        for triple in triples:
-            acc += triple[0]
-            if u <= acc:
-                chosen = triple
-                break
-        _, effect, cont = chosen
-    after_effect = c.data.update(effect)
-    next_data = c.env.sample(after_effect, rng)
-    return Configuration(cont, next_data, c.env, c.defs, c.lockstep)
+        return triples[0][1:]
+    u = rng.uniform01()
+    acc = 0.0
+    for triple in triples:
+        acc += triple[0]
+        if u <= acc:
+            return triple[1:]
+    return triples[-1][1:]
 
 
 def simulate(c: Configuration, k: int, rng: RandomStream) -> Trajectory:
@@ -326,14 +329,14 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
     sim = None
     if use_fast_path and c.lockstep is not None:
         try:
-            sim = c.lockstep.start(c, min(rows, N), key, run_offset)
+            sim = c.lockstep.start(c, min(rows, N), key, run_offset, k)
         except PreconditionError:
             pass  # the simulator is bound to another process term
     if sim is not None:
         for lo in range(0, N, rows):
             if lo:
-                sim = c.lockstep.start(c, min(rows, N - lo), key, run_offset + lo)
-            fill(_lockstep_steps(sim, k), out[lo:lo + rows])
+                sim = c.lockstep.start(c, min(rows, N - lo), key, run_offset + lo, k)
+            fill(_lockstep_steps(sim, k, run_offset + lo), out[lo:lo + rows])
         return
     blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
     tasks = [(c, k, key, run_offset + b.start, len(b), fill, out.shape[1:]) for b in blocks]
@@ -341,10 +344,14 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
         out[b.start:b.stop] = part
 
 
-def _lockstep_steps(sim, k: int):
+def _lockstep_steps(sim, k: int, first: int):
     yield sim.current()
-    for _ in range(k):
-        yield sim.step()
+    for i in range(k):
+        try:
+            vals = sim.step()
+        except SimulationError as exc:  # raised by EnvironmentEvolution.advance
+            raise _run_failed(first + exc.run, i, exc) from exc.__cause__
+        yield vals
 
 
 def _interpret_block(task) -> np.ndarray:
@@ -356,21 +363,38 @@ def _interpret_block(task) -> np.ndarray:
 
 def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):
     """Values (n, nvars) of interpreter runs first..first+n-1 at steps 0..k;
-    run i samples from the child stream (key, i)."""
+    run i samples from the child stream (key, i) what ``sim_step`` draws.
+
+    Each step moves the process of every run, then the environment of the
+    whole block in one kernel call; so a failing process is reported before
+    a failing environment step of the same step.
+    """
     base = RandomStream(key)
     rngs = [base.child(first + r) for r in range(n)]
-    confs = [c] * n
+    procs = [c.process] * n
+    env, space, defs = c.env, c.space, c.defs
     vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
+    post = np.empty_like(vals)
+    u = np.empty((n, env.draws))
     yield vals
     for i in range(k):
-        for r in range(n):
+        for r, row in enumerate(vals.tolist()):
             try:
-                confs[r] = sim_step(confs[r], rngs[r])
+                d = DataState(space, tuple(row))
+                effect, procs[r] = _select(pstep(procs[r], d, defs), rngs[r])
+                post[r] = d.update(effect).values
             except Exception as exc:
-                run = first + r
-                raise SimulationError(f"run {run}: step {i}: {exc}", run=run, step=i) from exc
-            vals[r] = confs[r].data.values
+                raise _run_failed(first + r, i, exc) from exc
+            u[r] = [rngs[r].uniform01() for _ in range(env.draws)]
+        try:
+            vals = env.advance(post, u, space)
+        except SimulationError as exc:
+            raise _run_failed(first + exc.run, i, exc) from exc.__cause__
         yield vals
+
+
+def _run_failed(run: int, step: int, exc: Exception) -> SimulationError:
+    return SimulationError(f"run {run}: step {step}: {exc}", run=run, step=step)
 
 
 def _fan_out(fn, tasks: list, threads: int):

@@ -1,54 +1,90 @@
 """Environment evolutions: Markov kernels over data states.
 
-An environment evolution maps a data state to a sampler for the successor
-state.  Kernels are written as code (the case studies need arbitrary
-arithmetic); the CLI reaches the case-study kernels through
-:mod:`.models.registry`.
+Every kernel is written once, as a batch kernel: it declares ``draws``, the
+uniforms in (0, 1] it consumes per run and step, and implements
+``sample_batch(values, u)``, which maps an (n, v) block of data states and
+an (n, draws) block of uniforms to the (n, v) block of successors.  The
+interpreter and the lockstep simulators both step this one function; the
+engine clamps its result into the data space, so kernels need not clamp.
 
-Kernels must be pure: the output may depend only on the input state and the
-random numbers consumed.  Measurability of ``d -> E(d)(B)`` is a modelling
-obligation and is not checked at run time.
+Kernels must be pure and row-independent (row ``i`` of the result depends
+only on row ``i`` of ``values`` and ``u``) and must not modify their inputs.
+Measurability of ``d -> E(d)(B)`` is a modelling obligation and is not
+checked at run time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .dataspace import DataState
-from .errors import DataValidationError, StructuralError
+import numpy as np
+
+from .dataspace import DataSpace, DataState
+from .errors import DataValidationError, SimulationError, StructuralError
 from .rng import RandomStream
 
 __all__ = [
     "EnvironmentEvolution",
     "IdentityKernel",
     "FiniteKernel",
-    "FunctionKernel",
 ]
 
 
 class EnvironmentEvolution:
     """Base class for environment kernels.
 
-    Subclasses implement :meth:`sample_values` on raw value vectors; the
-    engine applies domain clamping to the result.  ``id`` identifies the
-    kernel in reports.
+    Subclasses set ``draws`` and implement :meth:`sample_batch`.  ``id``
+    identifies the kernel in reports.
     """
 
     id: str = "environment"
+    draws: int = 0
 
-    def sample_values(self, values: Sequence[float], rng: RandomStream) -> list[float]:
+    def sample_batch(self, values: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Successors (n, v) of the states ``values`` (n, v) given the
+        uniforms ``u`` (n, draws), before clamping."""
         raise NotImplementedError
 
     def sample(self, d: DataState, rng: RandomStream) -> DataState:
-        """Draw one successor of ``d`` from the kernel; clamping policy applies."""
-        raw = self.sample_values(d.values, rng)
-        if len(raw) != len(d.space):
+        """Draw one successor of ``d``: ``draws`` uniforms from ``rng``, then
+        a one-row batch; clamping policy applies."""
+        u = np.array([[rng.uniform01() for _ in range(self.draws)]])
+        values = np.array([d.values], dtype=np.float64)
+        out = d.space.clamp_batch(self._successors(values, u), values)
+        return DataState(d.space, tuple(out[0].tolist()))
+
+    def advance(self, values: np.ndarray, u: np.ndarray, space: DataSpace) -> np.ndarray:
+        """Clamped successors of a block of admissible states.
+
+        A failure raises :class:`SimulationError` whose ``run`` is the first
+        failing row, chained to that row's error; a kernel that raises on the
+        block is re-run one row at a time with the same uniforms to find it.
+        """
+        try:
+            raw = self._successors(values, u)
+        except Exception:
+            for row in range(len(values)):
+                try:
+                    self._successors(values[row:row + 1], u[row:row + 1])
+                except Exception as exc:
+                    raise SimulationError(str(exc), run=row) from exc
+            raise
+        try:
+            return space.clamp_batch(raw, values)
+        except DataValidationError as exc:
+            raise SimulationError(str(exc), run=exc.row) from exc
+
+    def _successors(self, values: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = self.sample_batch(values, u)
+        if np.shape(out) != values.shape:
             raise StructuralError(
-                f"kernel {self.id!r} returned {len(raw)} values for {len(d.space)} variables"
+                f"kernel {self.id!r} returned shape {np.shape(out)} for states "
+                f"of shape {values.shape}"
             )
-        clamped, _ = d.space.clamp_values(raw)
-        return DataState(d.space, tuple(clamped))
+        return out
 
 
 @dataclass(frozen=True)
@@ -57,8 +93,8 @@ class IdentityKernel(EnvironmentEvolution):
 
     id: str = "identity"
 
-    def sample_values(self, values, rng):
-        return list(values)
+    def sample_batch(self, values, u):
+        return values.copy()
 
 
 @dataclass(frozen=True)
@@ -66,13 +102,16 @@ class FiniteKernel(EnvironmentEvolution):
     """Finite-support kernel defined by a transition function.
 
     ``transition`` maps a value tuple to a list of (probability, successor
-    value tuple) pairs.  Sampling uses the same cumulative selection rule as
-    the simulation engine (u in (0,1], first index whose cumulative weight
-    reaches u), so toy models stay enumerable and exactly reproducible.
+    value tuple) pairs.  Each row consumes one uniform u in (0, 1], also
+    when the support is a single point, and selects the first successor
+    whose cumulative weight reaches u, the rule the simulation engine uses
+    for process choices; toy models stay enumerable and exactly
+    reproducible.
     """
 
     transition: Callable[[tuple], list]
     id: str = "finite"
+    draws = 1
 
     def support(self, values: Sequence[float]) -> list:
         out = self.transition(tuple(values))
@@ -83,25 +122,10 @@ class FiniteKernel(EnvironmentEvolution):
             )
         return out
 
-    def sample_values(self, values, rng):
-        support = self.support(values)
-        if len(support) == 1:
-            return list(support[0][1])
-        u = rng.uniform01()
-        acc = 0.0
-        for p, succ in support:
-            acc += p
-            if u <= acc:
-                return list(succ)
-        return list(support[-1][1])
-
-
-@dataclass(frozen=True)
-class FunctionKernel(EnvironmentEvolution):
-    """Kernel wrapping an arbitrary (values, rng) -> values function."""
-
-    fn: Callable[[Sequence[float], RandomStream], list]
-    id: str = "function"
-
-    def sample_values(self, values, rng):
-        return self.fn(values, rng)
+    def sample_batch(self, values, u):
+        out = np.empty_like(values)
+        for row, (state, ur) in enumerate(zip(values.tolist(), u[:, 0].tolist())):
+            weights, successors = zip(*self.support(state))
+            first = bisect_left(list(accumulate(weights)), ur)
+            out[row] = successors[min(first, len(successors) - 1)]
+        return out

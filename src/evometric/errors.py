@@ -12,7 +12,12 @@ class StructuralError(EvoMetricError):
 
 
 class DataValidationError(EvoMetricError):
-    """Invalid input values: NaN writes, malformed parameters, bad configuration."""
+    """Invalid input values: NaN writes, malformed parameters, bad configuration;
+    ``row`` is the first bad row when a block of states was checked."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class EvaluationError(EvoMetricError):

@@ -30,6 +30,7 @@ their writes override the controller's:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ from ..engine import Configuration
 from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
-from ..rng import UniformTape
+from ..rng import TAPE_CHUNK_STEPS, UniformTape
 from ..robustness import PerturbationSampler
 
 __all__ = [
@@ -68,6 +69,10 @@ NONE, LEFT, RIGHT, BOTH = 0.0, 1.0, 2.0, 3.0
 _COUNTER_MAX = 1e15
 _TEMP_MIN, _TEMP_MAX = -50.0, 500.0  # domain of temp and of its history p1..p6
 _TF_MAX = 10.0  # temp_fake lies in [-_TF_MAX, _TF_MAX]
+# temperature delta per step, uniform on [low, low + width): coolant on,
+# else by speed slow, half, full
+_DELTA_LOW = np.array([-1.2, 0.1, 0.3, 0.7])
+_DELTA_WIDTH = np.array([-0.8, 0.3, 0.7, 1.2]) - _DELTA_LOW
 
 
 @dataclass(frozen=True)
@@ -136,12 +141,8 @@ class AttackConfig:
         raise DataValidationError(f"unknown attack kind {kind!r}")
 
 
-_SIDE_VARS = (
-    "temp", "cool", "speed", "ch_speed", "stress",
-    "p1", "p2", "p3", "p4", "p5", "p6",
-    "temp_fake", "ch_warning", "fn", "fp", "sc",
-    "left", "right", "aw_l", "aw_r",
-)
+# per-side variables the environment kernel reads or writes
+_SIDE_VARS = ("temp", "cool", "speed", "stress", "p1", "sc", "ch_warning", "fn", "fp")
 
 
 def _sv(base: str, side: str) -> str:
@@ -354,84 +355,78 @@ def engine_system(
     return cfg.validated(tolerate_write_overlap=True)
 
 
+@dataclass(frozen=True)
 class EngineEnv(EnvironmentEvolution):
     """Temperature drift, history shift, stress accumulation, step counting,
-    and false-negative / false-positive running averages."""
+    and false-negative / false-positive running averages.
 
-    id = "engine"
+    One uniform per engine side per step draws that side's temperature delta.
+    """
 
-    def __init__(self, params: EngineParams, dual: bool = False):
-        self.params = params
-        self.dual = dual
-        self.space = engine_space(dual)
-        ix = self.space.index
-        self.sides = ("L", "R") if dual else ("L",)
-        self._side_ix = {
-            s: {name: ix(_sv(name, s)) for name in _SIDE_VARS} for s in self.sides
-        }
-        self._cs = ix("cs")
-        if dual:
-            self._alarm = ix("ch_alarm")
-            self._fn = ix("fn")
-            self._fp = ix("fp")
+    params: EngineParams
+    dual: bool = False
+    id: str = "engine"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, EngineEnv)
-            and self.params == other.params
-            and self.dual == other.dual
-        )
+    @property
+    def draws(self) -> int:
+        return 2 if self.dual else 1
 
-    def __hash__(self):
-        return hash((self.params, self.dual))
+    @functools.cached_property
+    def space(self) -> DataSpace:
+        return engine_space(self.dual)
 
-    def sample_values(self, values, rng):
-        p = self.params
-        out = list(values)
-        cs = values[self._cs]
-        for s in self.sides:
-            ix = self._side_ix[s]
-            temp = values[ix["temp"]]
-            cool = values[ix["cool"]]
-            speed = values[ix["speed"]]
-            if cool == ON:
-                lo_d, hi_d = -1.2, -0.8
-            elif speed == SLOW:
-                lo_d, hi_d = 0.1, 0.3
-            elif speed == HALF:
-                lo_d, hi_d = 0.3, 0.7
-            else:
-                lo_d, hi_d = 0.7, 1.2
-            out[ix["temp"]] = temp + rng.uniform(lo_d, hi_d)
+    @functools.cached_property
+    def _side_ix(self) -> dict:
+        return {s: {name: self.space.index(_sv(name, s)) for name in _SIDE_VARS}
+                for s in (("L", "R") if self.dual else ("L",))}
 
-            ps = [values[ix[f"p{k}"]] for k in range(1, 7)]
-            out[ix["p1"]] = temp
-            for k in range(2, 7):
-                out[ix[f"p{k}"]] = ps[k - 2]
+    def sample_batch(self, values, u):
+        p, index = self.params, self.space.index
+        out = values.copy()
+        cs = values[:, index("cs")]
+        cs1 = cs + 1.0
+        for j, ix in enumerate(self._side_ix.values()):
+            # delta interval: coolant on, else by speed slow, half, full (0, 1, 2)
+            interval = np.where(values[:, ix["cool"]] == ON, 0,
+                                values[:, ix["speed"]].astype(np.intp) + 1)
+            delta = _DELTA_LOW[interval] + _DELTA_WIDTH[interval] * (1.0 - u[:, j])
+            temp = values[:, ix["temp"]]
+            out[:, ix["temp"]] = temp + delta
 
-            hot_count = sum(1 for v in ps if v >= p.max_temp)
-            stress = values[ix["stress"]]
-            if hot_count > 3:
-                out[ix["stress"]] = min(1.0, stress + p.stress_incr)
-                out[ix["sc"]] = values[ix["sc"]] + 1.0
+            # history: p1 <- temp, p2..p6 <- p1..p5 (p1..p6 are contiguous)
+            p1 = ix["p1"]
+            history = values[:, p1:p1 + 6]
+            out[:, p1 + 1:p1 + 6] = history[:, :5]
+            out[:, p1] = temp
 
-            warn = values[ix["ch_warning"]]
-            out[ix["fn"]] = (cs * values[ix["fn"]] + max(0.0, stress - warn)) / (cs + 1.0)
-            out[ix["fp"]] = (cs * values[ix["fp"]] + max(0.0, warn - stress)) / (cs + 1.0)
+            # more than three hot readings, counted over a C-ordered (6, n) block
+            # (a reduction along each row's 6 entries costs twice as much)
+            hot_rows = np.greater_equal(history.T, p.max_temp, order="C")
+            hot = np.add.reduce(hot_rows, axis=0, dtype=np.int8) > 3
+            stress = values[:, ix["stress"]]
+            out[:, ix["stress"]] = np.where(hot, np.minimum(1.0, stress + p.stress_incr), stress)
+            out[:, ix["sc"]] = values[:, ix["sc"]] + hot
+
+            warn = values[:, ix["ch_warning"]]
+            fn = values[:, ix["fn"]]
+            fp = values[:, ix["fp"]]
+            out[:, ix["fn"]] = (cs * fn + np.maximum(0.0, stress - warn)) / cs1
+            out[:, ix["fp"]] = (cs * fp + np.maximum(0.0, warn - stress)) / cs1
 
         if self.dual:
-            alarm = values[self._alarm]
-            al = 1.0 if alarm in (LEFT, BOTH) else 0.0
-            ar = 1.0 if alarm in (RIGHT, BOTH) else 0.0
-            sl = values[self._side_ix["L"]["stress"]]
-            sr = values[self._side_ix["R"]["stress"]]
-            w = self.params.clearance
-            inc_fn = min(1.0, w * max(0.0, sl - al) + w * max(0.0, sr - ar))
-            inc_fp = min(1.0, w * max(0.0, al - sl) + w * max(0.0, ar - sr))
-            out[self._fn] = (cs * values[self._fn] + inc_fn) / (cs + 1.0)
-            out[self._fp] = (cs * values[self._fp] + inc_fp) / (cs + 1.0)
+            alarm = values[:, index("ch_alarm")]
+            al = ((alarm == LEFT) | (alarm == BOTH)).astype(np.float64)
+            ar = ((alarm == RIGHT) | (alarm == BOTH)).astype(np.float64)
+            sl = values[:, self._side_ix["L"]["stress"]]
+            sr = values[:, self._side_ix["R"]["stress"]]
+            w = p.clearance
+            inc_fn = np.minimum(1.0, w * np.maximum(0.0, sl - al) + w * np.maximum(0.0, sr - ar))
+            inc_fp = np.minimum(1.0, w * np.maximum(0.0, al - sl) + w * np.maximum(0.0, ar - sr))
+            fn, fp = index("fn"), index("fp")
+            out[:, fn] = (cs * values[:, fn] + inc_fn) / cs1
+            out[:, fp] = (cs * values[:, fp] + inc_fp) / cs1
 
-        out[self._cs] = cs + 1.0
+        out[:, index("cs")] = cs1
         return out
 
 
@@ -521,8 +516,9 @@ def engine_manifest(params: EngineParams, dual: bool = False) -> dict:
 
 @dataclass(frozen=True)
 class EngineLockstep:
-    """Per-run automaton for the controller phase; everything else is a pure
-    function of the current values.  One uniform per engine side per step."""
+    """Per-run automaton for the controller phase; every other process write
+    is a pure function of the current values.  After the process effects the
+    configuration's environment kernel steps the whole block."""
 
     params: EngineParams
     attacks: tuple
@@ -530,30 +526,35 @@ class EngineLockstep:
     expected_process: Process
     expected_defs: tuple = ()  # sorted (name, body) pairs of the bound system
 
-    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int):
+    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int):
         defs_now = tuple(sorted(c.defs.items()))
         if c.process != self.expected_process or defs_now != self.expected_defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the initial engine process"
             )
-        return _EngineRun(self, np.asarray(c.data.values, dtype=np.float64),
-                          n_runs, base_key, run_offset)
+        return _EngineRun(self, c, n_runs, base_key, run_offset, steps)
 
 
 class _EngineRun:
     # controller phases: 0 read-guard, 1..4 cooling ticks, 5 check;
     # act-attack state per side: False idle, True hold
-    def __init__(self, cfg: EngineLockstep, init: np.ndarray, n: int, base_key, run_offset):
+    def __init__(self, cfg: EngineLockstep, c: Configuration, n: int, base_key,
+                 run_offset: int, steps: int):
         self.cfg = cfg
         self.p = cfg.params
         self.sides = ("L", "R") if cfg.dual else ("L",)
-        self.space = engine_space(cfg.dual)
+        self.env, self.space = c.env, c.space
         self.ix = {name: i for i, name in enumerate(self.space.names)}
-        self.vals = np.tile(init, (n, 1))
+        self.vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
         self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
         self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
         self.t = 0
-        self.tape = UniformTape(base_key, n, run_offset, draws_per_step=len(self.sides))
+        if self.env.draws:
+            # a horizon shorter than a chunk draws only the steps it uses
+            self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
+                                    chunk_steps=max(1, min(TAPE_CHUNK_STEPS, steps)))
+        else:
+            self.tape, self.no_draws = None, np.empty((n, 0))
 
     def current(self) -> np.ndarray:
         return self.vals
@@ -563,10 +564,8 @@ class _EngineRun:
 
     def step(self) -> np.ndarray:
         p = self.p
-        v = self.vals
         ix = self.ix
-        out = v.copy()
-        warn_post: dict = {}
+        out = self.vals.copy()
 
         # --- process effects (synchronous; attacks applied last) ---
         for s in self.sides:
@@ -594,7 +593,6 @@ class _EngineRun:
             out[:, ix[_sv("ch_speed", s)]] = np.where(warn, SLOW, HALF)
             ch_out = "ch_speed_L_to_R" if s == "L" else "ch_speed_R_to_L"
             out[:, ix[ch_out]] = np.where(warn, FULL, HALF)
-            warn_post[s] = np.where(warn, HOT, OK)
 
         if self.cfg.dual:
             wl = self._col("ch_warning", "L") == HOT
@@ -624,56 +622,7 @@ class _EngineRun:
                     out[:, ix[_sv("temp_fake", s)]] = np.where(inside, -att.tf, 0.0)
 
         # --- environment on the post-effect state ---
-        # reads of variables the processes never write (temp, p's, stress,
-        # fn, fp, cs) go through the pre-step matrix v to match the kernel
-        u = self.tape.next_step()
-        cs = v[:, ix["cs"]]
-        for j, s in enumerate(self.sides):
-            cool = out[:, ix[_sv("cool", s)]]
-            speed = out[:, ix[_sv("speed", s)]]
-            coolm = cool == ON
-            s0 = ~coolm & (speed == SLOW)
-            s1 = ~coolm & (speed == HALF)
-            lo_d = np.where(coolm, -1.2, np.where(s0, 0.1, np.where(s1, 0.3, 0.7)))
-            hi_d = np.where(coolm, -0.8, np.where(s0, 0.3, np.where(s1, 0.7, 1.2)))
-            delta = lo_d + (hi_d - lo_d) * (1.0 - u[:, j])
-
-            temp = v[:, ix[_sv("temp", s)]]
-            ps = [v[:, ix[_sv(f"p{k}", s)]] for k in range(1, 7)]
-            # clamped into the domain, as the interpreter's state update does
-            out[:, ix[_sv("temp", s)]] = np.minimum(np.maximum(temp + delta, _TEMP_MIN), _TEMP_MAX)
-            out[:, ix[_sv("p1", s)]] = temp
-            for k in range(2, 7):
-                out[:, ix[_sv(f"p{k}", s)]] = ps[k - 2]
-
-            hot_count = sum((arr >= p.max_temp).astype(np.int64) for arr in ps)
-            cond = hot_count > 3
-            stress = v[:, ix[_sv("stress", s)]]
-            out[:, ix[_sv("stress", s)]] = np.where(
-                cond, np.minimum(1.0, stress + p.stress_incr), stress
-            )
-            out[:, ix[_sv("sc", s)]] = v[:, ix[_sv("sc", s)]] + cond
-
-            warn = warn_post[s]
-            fn = v[:, ix[_sv("fn", s)]]
-            fp = v[:, ix[_sv("fp", s)]]
-            out[:, ix[_sv("fn", s)]] = (cs * fn + np.maximum(0.0, stress - warn)) / (cs + 1.0)
-            out[:, ix[_sv("fp", s)]] = (cs * fp + np.maximum(0.0, warn - stress)) / (cs + 1.0)
-
-        if self.cfg.dual:
-            alarm = out[:, ix["ch_alarm"]]
-            al = ((alarm == LEFT) | (alarm == BOTH)).astype(np.float64)
-            ar = ((alarm == RIGHT) | (alarm == BOTH)).astype(np.float64)
-            sl = v[:, ix[_sv("stress", "L")]]
-            sr = v[:, ix[_sv("stress", "R")]]
-            w = p.clearance
-            inc_fn = np.minimum(1.0, w * np.maximum(0.0, sl - al) + w * np.maximum(0.0, sr - ar))
-            inc_fp = np.minimum(1.0, w * np.maximum(0.0, al - sl) + w * np.maximum(0.0, ar - sr))
-            out[:, ix["fn"]] = (cs * v[:, ix["fn"]] + inc_fn) / (cs + 1.0)
-            out[:, ix["fp"]] = (cs * v[:, ix["fp"]] + inc_fp) / (cs + 1.0)
-
-        out[:, ix["cs"]] = cs + 1.0
-        self.vals = out
+        u = self.tape.next_step() if self.tape else self.no_draws
+        self.vals = self.env.advance(out, u, self.space)
         self.t += 1
-        return out
-
+        return self.vals

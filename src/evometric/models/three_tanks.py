@@ -32,7 +32,7 @@ from ..engine import Configuration
 from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
-from ..rng import UniformTape
+from ..rng import TAPE_CHUNK_STEPS, UniformTape
 
 __all__ = [
     "ThreeTanksParams",
@@ -101,44 +101,29 @@ def tanks_space(params: ThreeTanksParams) -> DataSpace:
 @dataclass(frozen=True)
 class ThreeTanksEnv(EnvironmentEvolution):
     """One environment step of the tanks: inflow draw, Torricelli flows,
-    level integration.  q1 and q3 are left to the program."""
+    level integration.  q1 and q3 are left to the program.
+
+    Two uniforms per step make one Box-Muller normal for the inflow draw.
+    """
 
     params: ThreeTanksParams
     id: str = "three-tanks"
+    draws = 2
 
-    def flows(self, l1: float, l2: float, l3: float) -> tuple[float, float]:
-        """Signed inter-tank flow rates (q12, q23) by Torricelli's law."""
+    def sample_batch(self, values, u):
         p = self.params
+        q1, q2, q3, l1, l2, l3 = values.T
+        z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+        x = p.q_med + p.sigma_q * z if p.scenario == 1 else q2 + z
+        x = np.minimum(np.maximum(x, 0.0), p.q_max)
+        # signed inter-tank flow rates by Torricelli's law
         d12 = l1 - l2
-        q12 = p.pipe12 * math.sqrt(d12) if d12 >= 0 else -p.pipe12 * math.sqrt(-d12)
+        q12 = np.where(d12 >= 0, 1.0, -1.0) * (p.pipe12 * np.sqrt(np.abs(d12)))
         d23 = l2 - l3
-        q23 = p.pipe23 * math.sqrt(d23) if d23 >= 0 else -p.pipe23 * math.sqrt(-d23)
-        return q12, q23
-
-    def deterministic_step(self, values, inflow: float) -> list[float]:
-        """Successor values given the inflow sample (the only random input)."""
-        p = self.params
-        q1, _, q3, l1, l2, l3 = values
-        q12, q23 = self.flows(l1, l2, l3)
+        q23 = np.where(d23 >= 0, 1.0, -1.0) * (p.pipe23 * np.sqrt(np.abs(d23)))
         dt = p.dt
-        return [
-            q1,
-            inflow,
-            q3,
-            l1 + dt * (q1 - q12),
-            l2 + dt * (q12 - q23),
-            l3 + dt * (inflow + q23 - q3),
-        ]
-
-    def sample_values(self, values, rng):
-        p = self.params
-        z = rng.normal_std()
-        if p.scenario == 1:
-            x = p.q_med + p.sigma_q * z
-        else:
-            x = values[1] + z
-        x = min(max(x, 0.0), p.q_max)
-        return self.deterministic_step(values, x)
+        return np.column_stack((q1, x, q3, l1 + dt * (q1 - q12), l2 + dt * (q12 - q23),
+                                l3 + dt * (x + q23 - q3)))
 
 
 def _goal_band(params: ThreeTanksParams) -> tuple[float, float]:
@@ -237,32 +222,38 @@ def tanks_manifest(params: ThreeTanksParams) -> dict:
 
 @dataclass(frozen=True)
 class TanksLockstep:
-    """Advances all runs of the tank model in numpy arrays.
+    """Advances all runs of the tank controller in numpy arrays, then steps
+    the configuration's environment kernel on the whole block.
 
-    Stream usage per run and step: two uniforms (one Box-Muller normal) --
-    exactly what the reference interpreter consumes, so both paths visit
-    identical states.
+    Stream usage per run and step: the kernel's draws and nothing else (the
+    controller's step is a Dirac) -- exactly what the reference interpreter
+    consumes, so both paths visit identical states.
     """
 
     params: ThreeTanksParams
 
-    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int):
+    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int):
         expected, defs = tanks_program(self.params)
         stepped = SyncPar(Call("Tanks_in"), Call("Tanks_out"))
         if (c.process not in (expected, stepped)) or dict(c.defs) != defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the built-in tank controller"
             )
-        return _TanksRun(self.params, np.asarray(c.data.values, dtype=np.float64),
-                         n_runs, base_key, run_offset)
+        return _TanksRun(self.params, c, n_runs, base_key, run_offset, steps)
 
 
 class _TanksRun:
-    def __init__(self, params: ThreeTanksParams, init: np.ndarray, n: int,
-                 base_key, run_offset: int):
+    def __init__(self, params: ThreeTanksParams, c: Configuration, n: int,
+                 base_key, run_offset: int, steps: int):
         self.p = params
-        self.tape = UniformTape(base_key, n, run_offset, draws_per_step=2)
-        self.vals = np.tile(init, (n, 1))
+        self.env, self.space = c.env, c.space
+        self.vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
+        if self.env.draws:
+            # a horizon shorter than a chunk draws only the steps it uses
+            self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
+                                    chunk_steps=max(1, min(TAPE_CHUNK_STEPS, steps)))
+        else:
+            self.tape, self.no_draws = None, np.empty((n, 0))
 
     def current(self) -> np.ndarray:
         return self.vals
@@ -270,40 +261,20 @@ class _TanksRun:
     def step(self) -> np.ndarray:
         p = self.p
         v = self.vals
-        q1, q2, q3 = v[:, 0], v[:, 1], v[:, 2]
-        l1, l2, l3 = v[:, 3], v[:, 4], v[:, 5]
+        q1, q3 = v[:, 0], v[:, 2]
+        l1, l3 = v[:, 3], v[:, 5]
         lo, hi = _goal_band(p)
 
         # controller effects (one synchronous step of both pump loops)
-        q1 = np.where(
+        post = v.copy()
+        post[:, 0] = np.where(
             l1 > hi, np.maximum(0.0, q1 - p.q_step),
             np.where(l1 < lo, np.minimum(p.q_max, q1 + p.q_step), q1),
         )
-        q3 = np.where(
+        post[:, 2] = np.where(
             l3 > hi, np.minimum(p.q_max, q3 + p.q_step),
             np.where(l3 < lo, np.maximum(0.0, q3 - p.q_step), q3),
         )
-
-        # environment: inflow draw, Torricelli flows, level integration
-        u = self.tape.next_step()
-        z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
-        if p.scenario == 1:
-            x = p.q_med + p.sigma_q * z
-        else:
-            x = q2 + z
-        x = np.minimum(np.maximum(x, 0.0), p.q_max)
-
-        d12 = l1 - l2
-        q12 = np.where(d12 >= 0, 1.0, -1.0) * (p.pipe12 * np.sqrt(np.abs(d12)))
-        d23 = l2 - l3
-        q23 = np.where(d23 >= 0, 1.0, -1.0) * (p.pipe23 * np.sqrt(np.abs(d23)))
-
-        dt = p.dt
-        l1n = l1 + dt * (q1 - q12)
-        l2n = l2 + dt * (q12 - q23)
-        l3n = l3 + dt * (x + q23 - q3)
-        clip = lambda a: np.minimum(np.maximum(a, p.l_min), p.l_max)
-
-        self.vals = np.column_stack((q1, x, q3, clip(l1n), clip(l2n), clip(l3n)))
+        u = self.tape.next_step() if self.tape else self.no_draws
+        self.vals = self.env.advance(post, u, self.space)
         return self.vals
-

@@ -16,14 +16,11 @@ reflected, so draw ``j`` equals ``1 - Generator(Philox(key=k)).random()``
 at position ``j``.  Vectorized runs reposition one bit generator per run
 instead of building a generator for each run; that changes the cost of a
 stream, not its draws.
-
-Normal variates use the Box-Muller transform on top of these uniforms.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -32,10 +29,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BLOCK = 256
-_TWO_PI = 2.0 * math.pi
 _TWO_M53 = 2.0 ** -53
 _PHILOX_WORDS = 4  # 64-bit words per Philox4x64 block
 _TAPE_ROWS = 64    # runs converted per block in UniformTape
+TAPE_CHUNK_STEPS = 256  # longest UniformTape chunk
 
 
 def _splitmix64(x: int) -> int:
@@ -150,20 +147,6 @@ class RandomStream:
         """Uniform double in [low, high)."""
         return low + (high - low) * (1.0 - self.uniform01())
 
-    def normal_std(self) -> float:
-        """Standard normal via Box-Muller; consumes exactly two uniforms.
-
-        Computed with numpy scalar ufuncs so that the value is bit-identical
-        to the vectorized form sqrt(-2 log u1) * cos(2 pi u2) used by the
-        lockstep simulators (libm's log can differ from numpy's by one ulp).
-        """
-        u1 = self.uniform01()
-        u2 = self.uniform01()
-        return float(np.sqrt(-2.0 * np.log(np.float64(u1))) * np.cos(np.float64(_TWO_PI * u2)))
-
-    def normal(self, mu: float, sigma: float) -> float:
-        return mu + sigma * self.normal_std()
-
     def uniform_int(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
         if high < low:
@@ -188,7 +171,7 @@ class UniformTape:
     """
 
     def __init__(self, base_key, n_runs: int, run_offset: int, draws_per_step: int,
-                 chunk_steps: int = 256):
+                 chunk_steps: int = TAPE_CHUNK_STEPS):
         if draws_per_step < 1 or chunk_steps < 1:
             raise ValueError("a tape needs draws_per_step >= 1 and chunk_steps >= 1")
         k0, k1 = _fold_in_many(base_key, run_offset, n_runs)

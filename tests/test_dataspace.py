@@ -85,6 +85,62 @@ class TestMakeDataState:
             assert list(d.values) == vals
 
 
+MIXED = DataSpace([
+    VarSpec("c", -2.5, 7.0),
+    VarSpec("f", 0.0, 1.0, values=(0.1, 0.2, 0.35, 1.0)),
+    VarSpec("g", -3.0, 3.0, values=(-3.0, 0.0, 3.0)),
+    VarSpec("d", 0.0, 1e15),
+])
+
+
+def _interesting(spec: VarSpec):
+    """Values at and around the bounds and the finite-set midpoints."""
+    points = [spec.lower, spec.upper]
+    if spec.is_finite:
+        points += list(spec.values)
+        points += [(a + b) / 2 for a, b in zip(spec.values, spec.values[1:])]
+    near = [np.nextafter(p, s) for p in points for s in (-math.inf, math.inf)]
+    return st.one_of(st.sampled_from(points + near),
+                     st.floats(spec.lower - 5.0, spec.upper + 5.0),
+                     st.sampled_from([-math.inf, math.inf]))
+
+
+class TestClampBatch:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_equals_clamp_values_row_by_row(self, data):
+        row = st.tuples(*(_interesting(spec) for spec in MIXED.vars)).map(list)
+        values = np.array(data.draw(st.lists(row, min_size=1, max_size=8)), dtype=np.float64)
+        expect = [MIXED.clamp_values(r)[0] for r in values.tolist()]
+        assert MIXED.clamp_batch(values).tolist() == expect
+        # an admissible input block: finite columns equal to it are kept,
+        # the others are snapped as before
+        inputs = np.array(expect)
+        keep = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        mixed = np.where(keep, inputs, values)
+        expect = [MIXED.clamp_values(r)[0] for r in mixed.tolist()]
+        assert MIXED.clamp_batch(mixed, inputs).tolist() == expect
+
+    @given(n=st.integers(1, 6), row=st.integers(0, 5), col=st.integers(0, 3))
+    def test_nan_names_the_first_bad_row(self, n, row, col):
+        values = np.zeros((n, 4))
+        row = min(row, n - 1)
+        values[row, col] = math.nan
+        values[n - 1, 0] = math.nan  # a later bad row does not mask the first
+        with pytest.raises(DataValidationError) as err:
+            MIXED.clamp_batch(values)
+        assert err.value.row == row
+        bad = MIXED.names[0 if row == n - 1 else col]
+        assert str(err.value) == f"{bad}: NaN is not a value"
+        with pytest.raises(DataValidationError):
+            MIXED.clamp_values(values[row].tolist())
+
+    def test_does_not_count_clamp_events(self):
+        before = MIXED.clamp_events
+        MIXED.clamp_batch(np.array([[100.0, 0.5, 2.0, -1.0]]))
+        assert MIXED.clamp_events == before
+
+
 class TestUpdate:
     def test_single_assignment(self):
         d = tanks_space().state({"q1": 3, "q2": 0, "q3": 0, "l1": 0, "l2": 0, "l3": 0})

@@ -11,7 +11,7 @@ from evometric.engine import (
     sim_step,
     simulate,
 )
-from evometric.environment import FunctionKernel, IdentityKernel
+from evometric.environment import EnvironmentEvolution, IdentityKernel
 from evometric.errors import (
     PreconditionError,
     ProcessValidationError,
@@ -39,10 +39,43 @@ def toy_configuration(toy_space):
     return Configuration(p, toy_space.state([0.0, 0.0]), toy_kernel(), defs).validated()
 
 
-def fail_late(values, rng):
-    if values[0] >= 3.0:
-        raise ValueError("boom")
-    return [values[0] + 1.0, values[1], values[2]]
+class FailLate(EnvironmentEvolution):
+    """x counts the steps; the kernel raises once it reaches 3."""
+
+    id = "fails"
+
+    def sample_batch(self, values, u):
+        if (values[:, 0] >= 3.0).any():
+            raise ValueError("boom")
+        out = values.copy()
+        out[:, 0] += 1.0
+        return out
+
+
+class FailForSome(EnvironmentEvolution):
+    """Raises for every row whose uniform exceeds 0.95."""
+
+    id = "flaky"
+    draws = 1
+
+    def sample_batch(self, values, u):
+        if (u[:, 0] > 0.95).any():
+            raise ValueError("diverged")
+        return values.copy()
+
+
+class NaNLate(EnvironmentEvolution):
+    """x counts the steps; from x = 3 on, y becomes NaN in every row whose
+    uniform exceeds 0.5."""
+
+    id = "nan-late"
+    draws = 1
+
+    def sample_batch(self, values, u):
+        out = values.copy()
+        out[:, 0] += 1.0
+        out[:, 1] = np.where((out[:, 0] >= 3.0) & (u[:, 0] > 0.5), np.nan, out[:, 1])
+        return out
 
 
 class TestSimStep:
@@ -101,7 +134,7 @@ class TestSimulate:
         assert all(conf.data == c.data for conf in traj)
 
     def test_error_carries_step_context(self, small_space):
-        env = FunctionKernel(fail_late, id="fails")
+        env = FailLate()
         c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), env, loop_defs())
         with pytest.raises(SimulationError):
             simulate(c, 10, RandomStream.from_seed(0))
@@ -147,14 +180,7 @@ class TestEstimate:
         assert np.array_equal(a.states, b.states)
 
     def test_run_failure_aborts_with_context(self, small_space):
-        def fail_for_some(values, rng):
-            u = rng.uniform01()
-            if u > 0.95:
-                raise ValueError("diverged")
-            return list(values)
-
-        env = FunctionKernel(fail_for_some, id="flaky")
-        c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), env, loop_defs())
+        c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), FailForSome(), loop_defs())
         with pytest.raises(SimulationError) as err:
             estimate(c, 30, 40, seed=5)
         assert err.value.run is not None
@@ -174,7 +200,7 @@ class TestEstimate:
             estimate_penalties(c, 3, 2, 1, [rho], [2, 2])
 
     def test_both_estimators_report_a_failing_run_alike(self, small_space):
-        env = FunctionKernel(fail_late, id="fails")
+        env = FailLate()
         c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), env, loop_defs())
         rho = VarPenalty("y", id="y")
         for run in (lambda: estimate(c, 10, 2, seed=1),
@@ -183,6 +209,25 @@ class TestEstimate:
                 run()
             assert (err.value.run, err.value.step) == (0, 3)
             assert str(err.value) == "run 0: step 3: boom"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nan_row_names_the_first_failing_run(self, small_space, threads):
+        # a run draws one uniform per step (the tick is a Dirac); the first
+        # step with x = 3 is step 2, where the first run whose uniform
+        # exceeds 0.5 fails
+        c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), NaNLate(), loop_defs())
+        N, seed = 40, 6
+        base = RandomStream.from_seed(seed)
+        draws = [[base.child(r).uniform01() for _ in range(30)] for r in range(N)]
+        step = next(i for i in range(2, 30) if any(d[i] > 0.5 for d in draws))
+        run = next(r for r in range(N) if draws[r][step] > 0.5)
+        rho = VarPenalty("x", id="x")
+        for call in (lambda: estimate(c, 30, N, seed, threads=threads),
+                     lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads)):
+            with pytest.raises(SimulationError) as err:
+                call()
+            assert (err.value.run, err.value.step) == (run, step)
+            assert str(err.value) == f"run {run}: step {step}: y: NaN is not a value"
 
 
 class TestEstimatePenalties:

@@ -19,12 +19,14 @@ from evometric.process import validate
 from evometric.rng import RandomStream
 
 
-def kernel_step(env, overrides):
+def kernel_step(env, overrides, u=0.5):
+    """One kernel row from the default initial state with ``overrides``,
+    every side drawing the uniform ``u``."""
     values = dict(zip(env.space.names, engine_system(dual=env.dual).data.values))
     values.update(overrides)
-    vec = [values[n] for n in env.space.names]
-    out = env.sample_values(vec, RandomStream.from_seed(0))
-    return dict(zip(env.space.names, out))
+    vec = np.array([[values[n] for n in env.space.names]])
+    out = env.sample_batch(vec, np.full((1, env.draws), u))
+    return dict(zip(env.space.names, out[0].tolist()))
 
 
 class TestSpace:
@@ -99,26 +101,30 @@ class TestKernel:
         for k in range(2, 7):
             assert out[f"p{k}_L"] == 90.0 + (k - 1)
 
+    def test_history_shift_per_side(self):
+        env = EngineEnv(EngineParams(), dual=True)
+        ps = {f"p{k}_{s}": k + (10.0 if s == "R" else 0.0) for k in range(1, 7) for s in "LR"}
+        out = kernel_step(env, {"temp_L": 50.0, "temp_R": 60.0, **ps})
+        assert [out[f"p{k}_L"] for k in range(1, 7)] == [50.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [out[f"p{k}_R"] for k in range(1, 7)] == [60.0, 11.0, 12.0, 13.0, 14.0, 15.0]
+
     def test_cooling_delta_interval(self):
+        # delta = low + width * (1 - u): u = 1 gives the low end, u -> 0 the
+        # high end, u = 0.5 the middle
+        # (from temp 0, so that the new temp is the delta itself)
         env = EngineEnv(EngineParams())
-        base = engine_system().data
-        vec = list(base.values)
-        vec[env.space.index("cool_L")] = 1.0
-        root = RandomStream.from_seed(12)
-        for i in range(500):
-            out = env.sample_values(vec, root.child(i))
-            delta = out[env.space.index("temp_L")] - vec[env.space.index("temp_L")]
-            assert -1.2 <= delta <= -0.8
+        for u, delta in ((1.0, -1.2), (0.5, -1.0), (2.0**-53, -0.8)):
+            out = kernel_step(env, {"cool_L": 1.0, "temp_L": 0.0}, u)
+            assert out["temp_L"] == pytest.approx(delta, abs=1e-12)
+            assert -1.2 <= out["temp_L"] <= -0.8
 
     def test_heating_intervals_by_speed(self):
         env = EngineEnv(EngineParams())
-        base = engine_system().data
         for speed, lo, hi in ((0.0, 0.1, 0.3), (1.0, 0.3, 0.7), (2.0, 0.7, 1.2)):
-            vec = list(base.values)
-            vec[env.space.index("speed_L")] = speed
-            out = env.sample_values(vec, RandomStream.from_seed(7))
-            delta = out[env.space.index("temp_L")] - 95.0
-            assert lo <= delta <= hi
+            low = kernel_step(env, {"speed_L": speed, "temp_L": 95.0}, 1.0)
+            mid = kernel_step(env, {"speed_L": speed, "temp_L": 95.0}, 0.5)
+            assert low["temp_L"] == 95.0 + lo
+            assert mid["temp_L"] == pytest.approx(95.0 + (lo + hi) / 2, abs=1e-12)
 
     def test_stress_saturates_at_one(self):
         env = EngineEnv(EngineParams())
@@ -126,6 +132,8 @@ class TestKernel:
         out = kernel_step(env, {"stress_L": 1.0, **hot})
         assert out["stress_L"] == 1.0
         assert out["sc_L"] == 1.0
+        near = kernel_step(env, {"stress_L": 0.99, **hot})
+        assert near["stress_L"] == 1.0
 
     def test_stress_needs_more_than_three(self):
         env = EngineEnv(EngineParams())

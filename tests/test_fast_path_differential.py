@@ -1,18 +1,35 @@
 """The vectorized lockstep path against the reference interpreter.
 
-Both case studies ship a hand-written numpy simulator next to their process
-term and environment kernel.  These properties draw models, attacks,
-initial states at the domain edges, stream offsets and horizons past the
-256-step draw chunk, and require the two paths to agree bit for bit.
+Both case studies ship a numpy simulator of their process term next to it;
+after the process effects it steps the configuration's own environment
+kernel, the same ``sample_batch`` the interpreter steps, on the whole block.
+These properties draw models, attacks, environments whose parameters are
+drawn independently of the process's (or the identity kernel, which draws
+nothing), initial states at the domain edges, stream offsets and horizons
+past the 256-step draw chunk, and require the two paths to agree bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from evometric.engine import estimate, estimate_penalties
-from evometric.models.engine_system import AttackConfig, engine_penalties, engine_system
-from evometric.models.three_tanks import ThreeTanksParams, tanks_configuration, tanks_penalties
+from evometric.environment import IdentityKernel
+from evometric.models.engine_system import (
+    AttackConfig,
+    EngineEnv,
+    EngineParams,
+    engine_penalties,
+    engine_system,
+)
+from evometric.models.three_tanks import (
+    ThreeTanksEnv,
+    ThreeTanksParams,
+    tanks_configuration,
+    tanks_penalties,
+)
 from evometric.rng import RandomStream
 
 # a failing example is reported as drawn: shrinking reruns the interpreter
@@ -27,8 +44,8 @@ temperatures = st.one_of(edge_temperatures, st.floats(-50.0, 500.0))
 
 
 @st.composite
-def tanks_cases(draw):
-    params = ThreeTanksParams(
+def tanks_params(draw):
+    return ThreeTanksParams(
         l_goal=draw(st.floats(2.0, 18.0)),
         delta_l=draw(st.floats(0.1, 2.0)),
         q_step=draw(st.floats(0.0, 3.0)),
@@ -37,10 +54,28 @@ def tanks_cases(draw):
         dt=draw(st.floats(0.01, 0.5)),
         scenario=draw(st.sampled_from([1, 2])),
     )
+
+
+@st.composite
+def tanks_cases(draw):
+    params = draw(tanks_params())
+    env = draw(st.one_of(tanks_params().map(ThreeTanksEnv), st.just(IdentityKernel())))
     levels = st.one_of(st.sampled_from([0.0, 20.0]), st.floats(0.0, 20.0))
     init = {name: draw(levels) for name in ("l1", "l2", "l3")}
     init.update({name: draw(st.floats(0.0, 6.0)) for name in ("q1", "q2", "q3")})
-    return tanks_configuration(params, init=init), list(tanks_penalties(params).values())
+    c = replace(tanks_configuration(params, init=init), env=env)
+    return c, list(tanks_penalties(params).values())
+
+
+@st.composite
+def engine_params(draw):
+    max_temp = draw(st.floats(95.0, 105.0))
+    return EngineParams(
+        max_temp=max_temp,
+        stress_incr=draw(st.floats(0.0, 0.5, exclude_min=True)),
+        threshold=max_temp - draw(st.floats(0.0, 3.0)),
+        clearance=draw(st.floats(0.0, 1.0)),
+    )
 
 
 @st.composite
@@ -63,18 +98,19 @@ def engine_cases(draw):
         init[f"cool_{side}"] = draw(st.sampled_from([0.0, 1.0]))
         init[f"speed_{side}"] = draw(st.sampled_from([0.0, 1.0, 2.0]))
         init.update({f"p{k}_{side}": draw(temperatures) for k in range(1, 7)})
-    c = engine_system(attacks=tuple(attacks), dual=dual, init=init)
-    return c, list(engine_penalties(dual).values())
+    c = engine_system(draw(engine_params()), attacks=tuple(attacks), dual=dual, init=init)
+    env = draw(st.one_of(engine_params().map(lambda p: EngineEnv(p, dual)),
+                         st.just(IdentityKernel())))
+    return replace(c, env=env), list(engine_penalties(dual).values())
 
 
-def _assert_paths_agree(c, penalties, k, N, seed, run_offset, data):
+def _assert_paths_agree(c, penalties, k, N, seed, run_offset, obs):
     # the fast path must bind, or both calls would run the interpreter
-    c.lockstep.start(c, 1, RandomStream.from_seed(seed).key, 0)
+    c.lockstep.start(c, 1, RandomStream.from_seed(seed).key, 0, k)
     fast = estimate(c, k, N, seed, use_fast_path=True)
     slow = estimate(c, k, N, seed, use_fast_path=False)
     assert np.array_equal(fast.states, slow.states)
 
-    obs = sorted(data.draw(st.sets(st.integers(0, k), min_size=1, max_size=6)))
     args = (c, k, N, seed, penalties, obs)
     fast = estimate_penalties(*args, use_fast_path=True, run_offset=run_offset)
     slow = estimate_penalties(*args, use_fast_path=False, run_offset=run_offset)
@@ -86,7 +122,8 @@ def _assert_paths_agree(c, penalties, k, N, seed, run_offset, data):
 @settings(max_examples=25, phases=NO_SHRINK)
 def test_tanks_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
     c, penalties = case
-    _assert_paths_agree(c, penalties, k, N, seed, run_offset, data)
+    obs = sorted(data.draw(st.sets(st.integers(0, k), min_size=1, max_size=6)))
+    _assert_paths_agree(c, penalties, k, N, seed, run_offset, obs)
 
 
 @given(case=engine_cases(), k=horizons, N=st.integers(1, 3), seed=st.integers(0, 2**32),
@@ -94,4 +131,17 @@ def test_tanks_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
 @settings(max_examples=25, phases=NO_SHRINK)
 def test_engine_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
     c, penalties = case
-    _assert_paths_agree(c, penalties, k, N, seed, run_offset, data)
+    obs = sorted(data.draw(st.sets(st.integers(0, k), min_size=1, max_size=6)))
+    _assert_paths_agree(c, penalties, k, N, seed, run_offset, obs)
+
+
+def test_swapped_environment_is_the_one_stepped():
+    # a configuration whose env was replaced keeps its lockstep; both paths
+    # must step the new kernel, not the model's built-in one
+    tanks = replace(tanks_configuration(scenario=1),
+                    env=ThreeTanksEnv(ThreeTanksParams(scenario=2)))
+    engine = replace(engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),)),
+                     env=EngineEnv(EngineParams(max_temp=99, threshold=98, stress_incr=0.5)))
+    for c, k, rho in ((tanks, 20, tanks_penalties(ThreeTanksParams())["l3"]),
+                      (engine, 300, engine_penalties()["stress_L"])):
+        _assert_paths_agree(c, [rho], k, 3, 1, 7, [0, k // 2, k])

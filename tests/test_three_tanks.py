@@ -1,11 +1,12 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from evometric.dataspace import DataValidationError
 from evometric.engine import estimate, sim_step
-from evometric.errors import PreconditionError, StructuralError
+from evometric.errors import PreconditionError, SimulationError, StructuralError
 from evometric.models.three_tanks import (
     ThreeTanksEnv,
     ThreeTanksParams,
@@ -34,45 +35,62 @@ class TestParams:
             ThreeTanksParams(scenario=3)
 
 
+def env_step(params, values, u) -> np.ndarray:
+    """One tanks kernel row on explicit uniforms (u1, u2) of the inflow draw."""
+    return ThreeTanksEnv(params).sample_batch(np.array([values], dtype=np.float64),
+                                              np.array([u]))[0]
+
+
 class TestEnvironment:
+    # u = (1, u2) makes the Box-Muller normal exactly 0 (log 1 = 0)
     def test_equal_levels_no_flow(self):
-        env = ThreeTanksEnv(ThreeTanksParams())
-        q12, q23 = env.flows(7.0, 7.0, 7.0)
-        assert q12 == 0.0 and q23 == 0.0
+        out = env_step(ThreeTanksParams(), [0.0, 0.0, 0.0, 7.0, 7.0, 7.0], (1.0, 0.3))
+        assert out[3:].tolist() == [7.0, 7.0, 7.0 + 0.1 * 3.0]
 
     def test_torricelli_hand_value(self):
-        # 0.75 * 0.5 * sqrt(2 * 9.81 * (12 - 10))
-        env = ThreeTanksEnv(ThreeTanksParams())
-        q12, _ = env.flows(12.0, 10.0, 10.0)
-        assert q12 == pytest.approx(0.375 * math.sqrt(2 * 9.81 * 2.0), abs=1e-12)
-        back, _ = env.flows(10.0, 12.0, 10.0)
-        assert back == pytest.approx(-q12, abs=1e-12)
+        # q12 = 0.75 * 0.5 * sqrt(2 * 9.81 * (12 - 10)) leaves tank 1 over
+        # dt = 0.1, and flows back when the levels are swapped
+        q12 = 0.375 * math.sqrt(2 * 9.81 * 2.0)
+        p = ThreeTanksParams()
+        out = env_step(p, [0.0, 0.0, 0.0, 12.0, 10.0, 10.0], (1.0, 0.3))
+        assert out[3] == pytest.approx(12.0 - 0.1 * q12, abs=1e-12)
+        assert out[4] == pytest.approx(10.0 + 0.1 * q12, abs=1e-12)
+        back = env_step(p, [0.0, 0.0, 0.0, 10.0, 12.0, 10.0], (1.0, 0.3))
+        assert back[3] == pytest.approx(10.0 + 0.1 * q12, abs=1e-12)
 
     def test_volume_conservation_without_sources(self):
-        # q1 = q3 = inflow = 0: the level sum telescopes exactly
-        env = ThreeTanksEnv(ThreeTanksParams())
+        # q1 = q3 = q2 = 0, and u2 = 0.5 makes cos(2 pi u2) = -1, so the
+        # scenario-2 inflow q2 + z <= 0 clamps to exactly 0: the level sum
+        # telescopes
         values = [0.0, 0.0, 0.0, 12.0, 7.0, 3.0]
-        out = env.deterministic_step(values, inflow=0.0)
+        out = env_step(ThreeTanksParams(scenario=2), values, (0.3, 0.5))
+        assert out[1] == 0.0
         assert sum(out[3:]) == pytest.approx(sum(values[3:]), abs=1e-12)
 
     def test_scenario1_one_step_mean(self):
         # from the all-zero state one environment step sets l3 = dt * x with
         # x ~ N(3, 0.5) clamped; Gaussian-mean oracle: mean ~ 0.3
         params = ThreeTanksParams(scenario=1)
-        env = ThreeTanksEnv(params)
-        space = tanks_space(params)
-        d = space.state([0.0] * 6)
-        base = RandomStream.from_seed(77)
         n = 100000
-        acc = 0.0
-        for i in range(n):
-            acc += env.sample_values(d.values, base.child(i))[5]
-        assert abs(acc / n - 0.3) <= 0.005
+        rng = RandomStream.from_seed(77)
+        u = np.array([rng.uniform01() for _ in range(2 * n)]).reshape(n, 2)
+        out = ThreeTanksEnv(params).sample_batch(np.zeros((n, 6)), u)
+        assert abs(out[:, 5].mean() - 0.3) <= 0.005
 
     def test_environment_leaves_pump_rates(self):
-        env = ThreeTanksEnv(ThreeTanksParams(scenario=2))
-        out = env.sample_values([2.0, 1.0, 3.0, 5.0, 5.0, 5.0], RandomStream.from_seed(3))
+        out = env_step(ThreeTanksParams(scenario=2), [2.0, 1.0, 3.0, 5.0, 5.0, 5.0], (0.4, 0.8))
         assert out[0] == 2.0 and out[2] == 3.0
+
+
+@dataclass(frozen=True)
+class SpillingTanks(ThreeTanksEnv):
+    """The tanks kernel, writing NaN into l2 of every row whose first
+    uniform exceeds 0.99."""
+
+    def sample_batch(self, values, u):
+        out = super().sample_batch(values, u)
+        out[:, 4] = np.where(u[:, 0] > 0.99, np.nan, out[:, 4])
+        return out
 
 
 class TestProgram:
@@ -161,7 +179,18 @@ class TestLockstepEquivalence:
         other, defs = tanks_program(ThreeTanksParams(delta_l=0.7))
         broken = c.__class__(other, c.data, c.env, defs, c.lockstep)
         with pytest.raises(PreconditionError):
-            c.lockstep.start(broken, 2, RandomStream.from_seed(0).key, 0)
+            c.lockstep.start(broken, 2, RandomStream.from_seed(0).key, 0, 10)
+
+    def test_nan_row_reported_alike_on_both_paths(self):
+        c = replace(tanks_configuration(), env=SpillingTanks(ThreeTanksParams()))
+        c.lockstep.start(c, 1, RandomStream.from_seed(4).key, 0, 200)  # binds
+        errors = []
+        for fast in (True, False):
+            with pytest.raises(SimulationError) as err:
+                estimate(c, 200, 6, seed=4, use_fast_path=fast)
+            errors.append((err.value.run, err.value.step, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][2].endswith(": l2: NaN is not a value")
 
     def test_lockstep_accepts_one_step_continuation(self):
         c = tanks_configuration()
