@@ -4,8 +4,9 @@ A data state assigns one real value to every variable of a data space.  Writes
 that land outside a variable's domain are clamped, mirroring physical
 saturation; they are never rejected.  Process writes that clamp are counted
 in ``DataSpace.clamp_events``; environment steps are clamped a block at a
-time (:meth:`DataSpace.clamp_batch`) and are not counted.  Penalty functions score a data
-state in [0, 1] at a given time step, 0 meaning "on target".
+time (:meth:`DataSpace.clamp_batch`, or :meth:`DataSpace.clamp_row` for a
+single state) and are not counted.  Penalty functions score a data state in
+[0, 1] at a given time step, 0 meaning "on target".
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class DataSpace:
         self.lowers = np.array([v.lower for v in self.vars], dtype=np.float64)
         self.uppers = np.array([v.upper for v in self.vars], dtype=np.float64)
         self._finite_idx = [i for i, v in enumerate(self.vars) if v.is_finite]
-        # (n, v) copies of the bounds for the last block size clamped; a
-        # broadcast (v,) operand costs about three times as much per block
+        # (n, v) copies of the bounds in the layout of the last block
+        # clamped; a broadcast (v,) operand costs about three times as much
         self._bounds = (self.lowers[None, :], self.uppers[None, :])
         # Running tally of out-of-domain process writes (per process; informational).
         self.clamp_events = 0
@@ -146,11 +147,15 @@ class DataSpace:
         first bad row in its ``row``.  ``inputs``, when given, is an
         admissible block the values were computed from: a finite-set column
         equal to its input column is already admissible and is not snapped.
-        Clamps made here are not counted in ``clamp_events``.
+        Clamps made here are not counted in ``clamp_events``.  The result
+        has the memory layout of ``values`` (row- or column-major).
         """
-        n = values.shape[0]
-        if self._bounds[0].shape[0] != n:
-            self._bounds = (np.tile(self.lowers, (n, 1)), np.tile(self.uppers, (n, 1)))
+        lowers = self._bounds[0]
+        if lowers.shape[0] != values.shape[0] or \
+                lowers.flags.f_contiguous != values.flags.f_contiguous:
+            order = "F" if values.flags.f_contiguous else "C"
+            self._bounds = tuple(np.broadcast_to(b, values.shape).copy(order=order)
+                                 for b in (self.lowers, self.uppers))
         out = np.maximum(values, self._bounds[0])  # max then min, as VarSpec.clamp
         np.minimum(out, self._bounds[1], out=out)
         if out.size and np.isnan(out.max()):  # the maximum is NaN iff an entry is
@@ -164,6 +169,21 @@ class DataSpace:
             clamp = self.vars[j].clamp
             out[:, j] = [clamp(v) for v in out[:, j].tolist()]
         return out
+
+    def clamp_row(self, values: Sequence[float], inputs: Sequence[float]) -> tuple:
+        """:meth:`clamp_batch` of one row of floats computed from the
+        admissible row ``inputs``, bit for bit: a bound wins a tie, as
+        ``np.maximum`` and ``np.minimum`` let it (so -0.0 clamps to a lower
+        bound 0.0), and the bounds are not re-tiled for a one-row block."""
+        out = []
+        for spec, v, old in zip(self.vars, values, inputs):
+            if math.isnan(v):
+                raise DataValidationError(f"{spec.name}: NaN is not a value", row=0)
+            v = min(spec.upper, max(spec.lower, v))
+            if v != old and spec.is_finite:
+                v = spec.clamp(v)
+            out.append(v)
+        return tuple(out)
 
     def state(self, values: Sequence[float] | dict[str, float]) -> "DataState":
         """Build a DataState from a vector in variable order or a full dict."""

@@ -172,18 +172,6 @@ class EmpiricalEvolutionSequence:
     def horizon(self) -> int:
         return self.states.shape[1] - 1
 
-    def values_at(self, step: int) -> np.ndarray:
-        """(N, nvars) array of the sampled values at one time step."""
-        return self.states[:, step, :]
-
-    def states_at(self, step: int) -> list[DataState]:
-        return [
-            DataState(self.space, tuple(row)) for row in self.states[:, step, :]
-        ]
-
-    def penalties_at(self, rho: PenaltyFunction, step: int) -> np.ndarray:
-        return rho.eval_batch(step, self.states[:, step, :], self.space)
-
     def mean_std(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-step mean and (N-1)-normalised std per variable, (k+1, nvars)."""
         mean = self.states.mean(axis=0)
@@ -324,6 +312,10 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
     there is none, ``use_fast_path`` is off, or it declines the
     configuration, the interpreter runs the blocks, fanned out over
     ``threads`` worker processes.
+
+    Each block returns its first failing run instead of raising it, and the
+    failure raised is the least (step, run) over all blocks, so it does not
+    depend on how the runs were split into blocks.
     """
     N = out.shape[0]
     sim = None
@@ -332,16 +324,31 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
             sim = c.lockstep.start(c, min(rows, N), key, run_offset, k)
         except PreconditionError:
             pass  # the simulator is bound to another process term
+    failures = []
     if sim is not None:
         for lo in range(0, N, rows):
             if lo:
                 sim = c.lockstep.start(c, min(rows, N - lo), key, run_offset + lo, k)
-            fill(_lockstep_steps(sim, k, run_offset + lo), out[lo:lo + rows])
-        return
-    blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
-    tasks = [(c, k, key, run_offset + b.start, len(b), fill, out.shape[1:]) for b in blocks]
-    for b, part in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
-        out[b.start:b.stop] = part
+            steps = _lockstep_steps(sim, k, run_offset + lo)
+            failures.append(_reduce_block(fill, steps, out[lo:lo + rows]))
+    else:
+        blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
+        tasks = [(c, k, key, run_offset + b.start, len(b), fill, out.shape[1:]) for b in blocks]
+        for b, (part, failure) in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
+            out[b.start:b.stop] = part
+            failures.append(failure)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: (f.step, f.run))
+
+
+def _reduce_block(fill, steps, dest) -> SimulationError | None:
+    """``fill(steps, dest)``; the block's first failing run is returned."""
+    try:
+        fill(steps, dest)
+    except SimulationError as exc:  # raised by the step generators only
+        return exc
+    return None
 
 
 def _lockstep_steps(sim, k: int, first: int):
@@ -354,11 +361,10 @@ def _lockstep_steps(sim, k: int, first: int):
         yield vals
 
 
-def _interpret_block(task) -> np.ndarray:
+def _interpret_block(task) -> tuple[np.ndarray, SimulationError | None]:
     c, k, key, first, n, fill, shape = task
     part = np.empty((n,) + shape, dtype=np.float64)
-    fill(_interpret_steps(c, k, key, first, n), part)
-    return part
+    return part, _reduce_block(fill, _interpret_steps(c, k, key, first, n), part)
 
 
 def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):
@@ -366,8 +372,9 @@ def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):
     run i samples from the child stream (key, i) what ``sim_step`` draws.
 
     Each step moves the process of every run, then the environment of the
-    whole block in one kernel call; so a failing process is reported before
-    a failing environment step of the same step.
+    whole block in one kernel call.  A failing step names its least failing
+    run: when the process of run r fails, the environment of the runs
+    before r is stepped first, and a failure there is the one reported.
     """
     base = RandomStream(key)
     rngs = [base.child(first + r) for r in range(n)]
@@ -384,13 +391,19 @@ def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):
                 effect, procs[r] = _select(pstep(procs[r], d, defs), rngs[r])
                 post[r] = d.update(effect).values
             except Exception as exc:
+                if r:
+                    _advance(env, post[:r], u[:r], space, first, i)
                 raise _run_failed(first + r, i, exc) from exc
             u[r] = [rngs[r].uniform01() for _ in range(env.draws)]
-        try:
-            vals = env.advance(post, u, space)
-        except SimulationError as exc:
-            raise _run_failed(first + exc.run, i, exc) from exc.__cause__
+        vals = _advance(env, post, u, space, first, i)
         yield vals
+
+
+def _advance(env, post, u, space, first: int, step: int) -> np.ndarray:
+    try:
+        return env.advance(post, u, space)
+    except SimulationError as exc:
+        raise _run_failed(first + exc.run, step, exc) from exc.__cause__
 
 
 def _run_failed(run: int, step: int, exc: Exception) -> SimulationError:

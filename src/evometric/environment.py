@@ -9,6 +9,9 @@ engine clamps its result into the data space, so kernels need not clamp.
 
 Kernels must be pure and row-independent (row ``i`` of the result depends
 only on row ``i`` of ``values`` and ``u``) and must not modify their inputs.
+A block may be row- or column-major (the engine's lockstep keeps its block
+in Fortran order); a kernel may return either layout, and the result must
+not depend on it.  ``values.copy(order="K")`` keeps the layout it is given.
 Measurability of ``d -> E(d)(B)`` is a modelling obligation and is not
 checked at run time.
 """
@@ -50,25 +53,26 @@ class EnvironmentEvolution:
 
     def sample(self, d: DataState, rng: RandomStream) -> DataState:
         """Draw one successor of ``d``: ``draws`` uniforms from ``rng``, then
-        a one-row batch; clamping policy applies."""
+        a one-row batch, clamped as :meth:`advance` clamps it."""
         u = np.array([[rng.uniform01() for _ in range(self.draws)]])
-        values = np.array([d.values], dtype=np.float64)
-        out = d.space.clamp_batch(self._successors(values, u), values)
-        return DataState(d.space, tuple(out[0].tolist()))
+        raw = self._successors(np.array([d.values], dtype=np.float64), u)
+        return DataState(d.space, d.space.clamp_row(raw[0].tolist(), d.values))
 
     def advance(self, values: np.ndarray, u: np.ndarray, space: DataSpace) -> np.ndarray:
         """Clamped successors of a block of admissible states.
 
         A failure raises :class:`SimulationError` whose ``run`` is the first
         failing row, chained to that row's error; a kernel that raises on the
-        block is re-run one row at a time with the same uniforms to find it.
+        block is re-run and clamped one row at a time with the same uniforms
+        to find it, so a NaN row before the raising one is named.
         """
         try:
             raw = self._successors(values, u)
         except Exception:
             for row in range(len(values)):
+                one = values[row:row + 1]
                 try:
-                    self._successors(values[row:row + 1], u[row:row + 1])
+                    space.clamp_batch(self._successors(one, u[row:row + 1]), one)
                 except Exception as exc:
                     raise SimulationError(str(exc), run=row) from exc
             raise

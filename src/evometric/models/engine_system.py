@@ -382,7 +382,7 @@ class EngineEnv(EnvironmentEvolution):
 
     def sample_batch(self, values, u):
         p, index = self.params, self.space.index
-        out = values.copy()
+        out = values.copy(order="K")  # column writes stay contiguous in an F block
         cs = values[:, index("cs")]
         cs1 = cs + 1.0
         for j, ix in enumerate(self._side_ix.values()):
@@ -400,7 +400,8 @@ class EngineEnv(EnvironmentEvolution):
             out[:, p1] = temp
 
             # more than three hot readings, counted over a C-ordered (6, n) block
-            # (a reduction along each row's 6 entries costs twice as much)
+            # (a reduction along each row's 6 entries costs twice as much);
+            # in a column-major block history.T is already C-ordered
             hot_rows = np.greater_equal(history.T, p.max_temp, order="C")
             hot = np.add.reduce(hot_rows, axis=0, dtype=np.int8) > 3
             stress = values[:, ix["stress"]]
@@ -537,7 +538,9 @@ class EngineLockstep:
 
 class _EngineRun:
     # controller phases: 0 read-guard, 1..4 cooling ticks, 5 check;
-    # act-attack state per side: False idle, True hold
+    # act-attack state per side: False idle, True hold.  The block is
+    # column-major (Fortran order): every step reads and writes whole
+    # columns, which are then contiguous.
     def __init__(self, cfg: EngineLockstep, c: Configuration, n: int, base_key,
                  run_offset: int, steps: int):
         self.cfg = cfg
@@ -545,7 +548,8 @@ class _EngineRun:
         self.sides = ("L", "R") if cfg.dual else ("L",)
         self.env, self.space = c.env, c.space
         self.ix = {name: i for i, name in enumerate(self.space.names)}
-        self.vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
+        self.vals = np.empty((n, len(self.space)), order="F")
+        self.vals[:] = c.data.values
         self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
         self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
         self.t = 0
@@ -565,7 +569,7 @@ class _EngineRun:
     def step(self) -> np.ndarray:
         p = self.p
         ix = self.ix
-        out = self.vals.copy()
+        out = self.vals.copy(order="K")
 
         # --- process effects (synchronous; attacks applied last) ---
         for s in self.sides:

@@ -122,8 +122,9 @@ class ThreeTanksEnv(EnvironmentEvolution):
         d23 = l2 - l3
         q23 = np.where(d23 >= 0, 1.0, -1.0) * (p.pipe23 * np.sqrt(np.abs(d23)))
         dt = p.dt
-        return np.column_stack((q1, x, q3, l1 + dt * (q1 - q12), l2 + dt * (q12 - q23),
-                                l3 + dt * (x + q23 - q3)))
+        # the transposed (6, n) stack is a column-major (n, 6) block
+        return np.array((q1, x, q3, l1 + dt * (q1 - q12), l2 + dt * (q12 - q23),
+                         l3 + dt * (x + q23 - q3))).T
 
 
 def _goal_band(params: ThreeTanksParams) -> tuple[float, float]:
@@ -247,7 +248,9 @@ class _TanksRun:
                  base_key, run_offset: int, steps: int):
         self.p = params
         self.env, self.space = c.env, c.space
-        self.vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
+        # column-major, as the engine's run: each column is contiguous
+        self.vals = np.empty((n, len(self.space)), order="F")
+        self.vals[:] = c.data.values
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses
             self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
@@ -266,7 +269,7 @@ class _TanksRun:
         lo, hi = _goal_band(p)
 
         # controller effects (one synchronous step of both pump loops)
-        post = v.copy()
+        post = v.copy(order="K")
         post[:, 0] = np.where(
             l1 > hi, np.maximum(0.0, q1 - p.q_step),
             np.where(l1 < lo, np.minimum(p.q_max, q1 + p.q_step), q1),

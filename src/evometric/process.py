@@ -33,8 +33,6 @@ __all__ = [
     "Const",
     "Var",
     "Op",
-    "const",
-    "var",
     "Process",
     "Prefix",
     "If",
@@ -123,14 +121,6 @@ class Op(Expr):
             raise StructuralError(
                 f"operator {self.name!r} expects {arity} arguments, got {len(self.args)}"
             )
-
-
-def const(v: float) -> Const:
-    return Const(float(v))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def _as_bool(v: float, e: Expr) -> bool:

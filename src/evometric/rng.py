@@ -28,7 +28,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# scalar draws are converted _BLOCK at a time, the first _FIRST_BLOCK only:
+# many streams (one sim_step, a short run) draw a few uniforms and no more
 _BLOCK = 256
+_FIRST_BLOCK = 16
 _TWO_M53 = 2.0 ** -53
 _PHILOX_WORDS = 4  # 64-bit words per Philox4x64 block
 _TAPE_ROWS = 64    # runs converted per block in UniformTape
@@ -137,7 +140,8 @@ class RandomStream:
     def uniform01(self) -> float:
         """Uniform double in (0, 1]."""
         if self._pos >= len(self._buf):
-            self._buf = _uniforms01(self._bitgen.random_raw(_BLOCK)).tolist()
+            size = _BLOCK if self._buf else _FIRST_BLOCK
+            self._buf = _uniforms01(self._bitgen.random_raw(size)).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1

@@ -237,12 +237,6 @@ def estimate_robustness(
         raise PreconditionError("budget must be at least M")
     stream = RandomStream.resolve(seed)
     k = obs.horizon
-    penalties = [spec.rho, spec.rho_target]
-
-    base_pen = estimate_penalties(
-        base, k, N, stream.child(0), penalties, list(obs), threads
-    )
-    base_rho, base_target = base_pen[0], base_pen[1]
 
     if spec.filter_mode == "evolution":
         lo, hi = spec.interval
@@ -251,6 +245,14 @@ def estimate_robustness(
     else:
         filter_cols = []
         trivial_window = False
+    # the simulated rho is read only by the evolution filter over a window
+    # other than {0}; the target penalty is always read, and is the last row
+    evolution_filter = spec.filter_mode == "evolution" and not trivial_window
+    penalties = [spec.rho, spec.rho_target] if evolution_filter else [spec.rho_target]
+
+    base_pen = estimate_penalties(
+        base, k, N, stream.child(0), penalties, list(obs), threads
+    )
 
     sampler_stream = stream.child(1)
     cand_stream = stream.child(2)
@@ -267,7 +269,7 @@ def estimate_robustness(
         if progress is not None:
             progress(accepted, attempts, spec.M)
 
-        if spec.filter_mode == "initial" or trivial_window:
+        if not evolution_filter:
             # step-0 distributions are Dirac: the evolution filter over {0}
             # equals the data-state hemimetric, no simulation needed
             d0 = _initial_distance(spec.rho, base.data, cand)
@@ -282,19 +284,16 @@ def estimate_robustness(
             cand_stream.child(attempt), penalties, list(obs), threads,
         )
 
-        if spec.filter_mode == "evolution" and not trivial_window:
-            value = max(
-                discount(obs.steps[j]) * compute_w_sorted(base_rho[:, j], cand_pen[0][:, j])
-                for j in filter_cols
-            )
+        if evolution_filter:
+            window = slice(filter_cols[0], filter_cols[-1] + 1)
+            w = compute_w_sorted(base_pen[0][:, window], cand_pen[0][:, window])
+            value = max(discount(obs.steps[j]) * wj for j, wj in zip(filter_cols, w.tolist()))
             if value > spec.eta1:
                 rejected += 1
                 continue
 
-        pointwise = [
-            discount(t) * compute_w_sorted(base_target[:, j], cand_pen[1][:, j])
-            for j, t in enumerate(obs)
-        ]
+        w = compute_w_sorted(base_pen[-1], cand_pen[-1])
+        pointwise = [discount(t) * wj for t, wj in zip(obs, w.tolist())]
         suffix = suffix_maxima(pointwise)
         if xi is None:
             xi = list(suffix)

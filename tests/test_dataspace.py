@@ -95,7 +95,7 @@ MIXED = DataSpace([
 
 def _interesting(spec: VarSpec):
     """Values at and around the bounds and the finite-set midpoints."""
-    points = [spec.lower, spec.upper]
+    points = [spec.lower, spec.upper, -0.0]
     if spec.is_finite:
         points += list(spec.values)
         points += [(a + b) / 2 for a, b in zip(spec.values, spec.values[1:])]
@@ -121,6 +121,26 @@ class TestClampBatch:
         expect = [MIXED.clamp_values(r)[0] for r in mixed.tolist()]
         assert MIXED.clamp_batch(mixed, inputs).tolist() == expect
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_one_row_and_column_major_blocks_clamp_alike(self, data):
+        # bit for bit, so a -0.0 clamped to a bound 0.0 must agree too; a
+        # row is compared with a one-row block, since whether a finite
+        # column is snapped depends on every row of the block
+        row = st.tuples(*(_interesting(spec) for spec in MIXED.vars)).map(list)
+        values = np.array(data.draw(st.lists(row, min_size=1, max_size=8)), dtype=np.float64)
+        inputs = np.array([MIXED.clamp_values(r)[0] for r in values.tolist()])
+        keep = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        values = np.where(keep, inputs, values)
+        block = MIXED.clamp_batch(values, inputs)
+        by_column = MIXED.clamp_batch(np.asfortranarray(values), inputs)
+        assert by_column.flags.f_contiguous
+        assert by_column.tobytes(order="C") == block.tobytes()
+        for r in range(len(values)):
+            one = MIXED.clamp_row(values[r].tolist(), inputs[r].tolist())
+            row_block = MIXED.clamp_batch(values[r:r + 1], inputs[r:r + 1])
+            assert np.array(one).tobytes() == row_block.tobytes()
+
     @given(n=st.integers(1, 6), row=st.integers(0, 5), col=st.integers(0, 3))
     def test_nan_names_the_first_bad_row(self, n, row, col):
         values = np.zeros((n, 4))
@@ -134,6 +154,9 @@ class TestClampBatch:
         assert str(err.value) == f"{bad}: NaN is not a value"
         with pytest.raises(DataValidationError):
             MIXED.clamp_values(values[row].tolist())
+        with pytest.raises(DataValidationError) as err:
+            MIXED.clamp_row(values[row].tolist(), [0.0, 0.1, 0.0, 0.0])
+        assert str(err.value) == f"{MIXED.names[0 if row == n - 1 else col]}: NaN is not a value"
 
     def test_does_not_count_clamp_events(self):
         before = MIXED.clamp_events

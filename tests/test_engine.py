@@ -24,7 +24,7 @@ from evometric.models.three_tanks import (
     tanks_penalties,
     tanks_program,
 )
-from evometric.process import Call, Const, PChoice, Prefix, tick
+from evometric.process import Call, Const, Op, PChoice, Prefix, Var, tick
 from evometric.rng import RandomStream
 
 from conftest import toy_kernel, toy_process
@@ -75,6 +75,32 @@ class NaNLate(EnvironmentEvolution):
         out = values.copy()
         out[:, 0] += 1.0
         out[:, 1] = np.where((out[:, 0] >= 3.0) & (u[:, 0] > 0.5), np.nan, out[:, 1])
+        return out
+
+
+class NaNRare(EnvironmentEvolution):
+    """y becomes NaN in every row whose uniform exceeds 0.97."""
+
+    id = "nan-rare"
+    draws = 1
+
+    def sample_batch(self, values, u):
+        out = values.copy()
+        out[:, 1] = np.where(u[:, 0] > 0.97, np.nan, out[:, 1])
+        return out
+
+
+class ZFromUniform(EnvironmentEvolution):
+    """z becomes 5 times the row's first uniform; y becomes NaN when the
+    second exceeds 0.99."""
+
+    id = "z-uniform"
+    draws = 2
+
+    def sample_batch(self, values, u):
+        out = values.copy()
+        out[:, 2] = 5.0 * u[:, 0]
+        out[:, 1] = np.where(u[:, 1] > 0.99, np.nan, out[:, 1])
         return out
 
 
@@ -226,6 +252,53 @@ class TestEstimate:
                      lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads)):
             with pytest.raises(SimulationError) as err:
                 call()
+            assert (err.value.run, err.value.step) == (run, step)
+            assert str(err.value) == f"run {run}: step {step}: y: NaN is not a value"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_report_does_not_depend_on_the_blocks(self, small_space, threads):
+        # at threads=2 the runs split into two blocks; the failure reported
+        # is still the least (step, run), here in the second block at step 0
+        c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), NaNRare(), loop_defs())
+        N, seed = 40, 2
+        base = RandomStream.from_seed(seed)
+        draws = [[base.child(r).uniform01() for _ in range(30)] for r in range(N)]
+        step, run = min((i, r) for r in range(N) for i in range(30) if draws[r][i] > 0.97)
+        assert (run, step) == (23, 0)
+        rho = VarPenalty("x", id="x")
+        for call in (lambda: estimate(c, 30, N, seed, threads=threads),
+                     lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads)):
+            with pytest.raises(SimulationError) as err:
+                call()
+            assert (err.value.run, err.value.step) == (run, step)
+
+    def test_process_failure_after_an_environment_failure_of_an_earlier_run(self, small_space):
+        # the process sqrt(4.5 - z) fails when the last step set z = 5 * u0
+        # above 4.5; the environment writes a NaN y when u1 > 0.99.  At step
+        # 1 the environment of run 10 fails and so do the processes of later
+        # runs: run 10 is reported, in one block or in several
+        body = Prefix((Op("sqrt", (Op("-", (Const(4.5), Var("z"))),)),), ("x",), Call("P"))
+        c = Configuration(Call("P"), small_space.state([0, 0, 0]), ZFromUniform(), {"P": body})
+        N, k, seed = 40, 20, 14
+        base = RandomStream.from_seed(seed)
+        failures = []
+        for r in range(N):
+            rng, z = base.child(r), 0.0
+            for i in range(k):
+                if z > 4.5:
+                    failures.append((i, r, "process"))
+                    break
+                u0, u1 = rng.uniform01(), rng.uniform01()
+                if u1 > 0.99:
+                    failures.append((i, r, "environment"))
+                    break
+                z = 5.0 * u0
+        step, run, kind = min(failures)
+        assert (step, run, kind) == (1, 10, "environment")
+        assert (1, 25, "process") in failures
+        for threads in (1, 2, 3):
+            with pytest.raises(SimulationError) as err:
+                estimate(c, k, N, seed, threads=threads)
             assert (err.value.run, err.value.step) == (run, step)
             assert str(err.value) == f"run {run}: step {step}: y: NaN is not a value"
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evometric.dataspace import DataSpace, DataState, VarSpec
 from evometric.environment import EnvironmentEvolution, FiniteKernel, IdentityKernel
 from evometric.errors import DataValidationError, SimulationError, StructuralError
 from evometric.models.engine_system import EngineEnv, EngineParams, engine_system
@@ -189,3 +190,52 @@ def test_block_equals_one_row_calls(kernel, rows, data):
     for r in range(len(values)):
         one = kernel.sample_batch(values[r:r + 1], u[r:r + 1])
         assert np.array_equal(block[r:r + 1], one, equal_nan=True)
+    # a column-major block gives the same bits
+    by_column = kernel.sample_batch(np.asfortranarray(values), u)
+    assert np.asarray(by_column).tobytes(order="C") == np.asarray(block).tobytes(order="C")
+
+
+class SignedZeros(EnvironmentEvolution):
+    """Writes -0.0 at bounds 0.0, leaves the domain, and negates a finite
+    variable (0.0 becomes -0.0, which equals its input and is kept)."""
+
+    id = "signed-zeros"
+    draws = 1
+
+    def sample_batch(self, values, u):
+        out = values.copy()
+        out[:, 0] = values[:, 0] * 40.0 * (u[:, 0] - 0.5)
+        out[:, 1] = -0.0 * u[:, 0]
+        out[:, 2] = np.where(u[:, 0] > 0.5, 9.0, -0.0)
+        out[:, 3] = -values[:, 3]
+        return out
+
+
+SIGNED_SPACE = DataSpace([
+    VarSpec("x", -10.0, 10.0),
+    VarSpec("y", 0.0, 1.0),
+    VarSpec("z", 0.0, 5.0),
+    VarSpec("f", 0.0, 2.0, values=(0.0, 1.0, 2.0)),
+])
+
+SAMPLED = [
+    (SignedZeros(), SIGNED_SPACE,
+     st.tuples(st.floats(-10.0, 10.0), st.sampled_from([-0.0, 0.0, 1.0]),
+               st.floats(0.0, 5.0), st.sampled_from([0.0, 1.0, 2.0])).map(list)),
+    (KERNELS[1][0], DataSpace([VarSpec("x", 0.0, 3.0, values=(0.0, 1.0, 2.0, 3.0)),
+                               VarSpec("y", 0.0, 1.0, values=(0.0, 1.0))]), KERNELS[1][1]),
+    (KERNELS[2][0], tanks_space(KERNELS[2][0].params), KERNELS[2][1]),
+    (ENGINE_DUAL, ENGINE_DUAL.space, KERNELS[5][1]),
+]
+
+
+@pytest.mark.parametrize("kernel, space, rows", SAMPLED, ids=lambda x: getattr(x, "id", ""))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_sample_equals_a_one_row_advance(kernel, space, rows, data):
+    row = data.draw(rows)
+    seed = data.draw(st.integers(0, 2**32))
+    got = kernel.sample(DataState(space, tuple(row)), RandomStream.from_seed(seed))
+    u = uniforms(seed, 1, kernel.draws)
+    want = kernel.advance(np.array([row], dtype=np.float64), u, space)[0]
+    assert np.array(got.values).tobytes() == want.tobytes()

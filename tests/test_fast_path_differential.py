@@ -145,3 +145,23 @@ def test_swapped_environment_is_the_one_stepped():
     for c, k, rho in ((tanks, 20, tanks_penalties(ThreeTanksParams())["l3"]),
                       (engine, 300, engine_penalties()["stress_L"])):
         _assert_paths_agree(c, [rho], k, 3, 1, 7, [0, k // 2, k])
+
+
+class FlippedLayoutEngineEnv(EngineEnv):
+    """The engine kernel returning a row-major block for a column-major
+    input and the other way round."""
+
+    def sample_batch(self, values, u):
+        out = super().sample_batch(values, u)
+        return np.asarray(out, order="C" if values.flags.f_contiguous else "F")
+
+
+def test_mixed_block_layouts_match_the_interpreter():
+    # the engine lockstep hands the kernel column-major blocks; a kernel may
+    # return either layout, and the clamp keeps the one it gets
+    c = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),),
+                      init={"left_L": 5.0, "right_L": 60.0, "temp_L": 99.8})
+    key = RandomStream.from_seed(3).key
+    assert c.lockstep.start(c, 3, key, 0, 10).current().flags.f_contiguous
+    flipped = replace(c, env=FlippedLayoutEngineEnv(EngineParams(stress_incr=0.3)))
+    _assert_paths_agree(flipped, list(engine_penalties().values()), 120, 3, 3, 5, [0, 7, 60, 120])

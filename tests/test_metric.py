@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from evometric.dataspace import DataSpace, VarPenalty, VarSpec
 from evometric.errors import PreconditionError, StructuralError
 from evometric.metric import (
+    _W_CHUNK,
     ObservationTimes,
     compute_w,
     compute_w_sorted,
@@ -134,6 +137,10 @@ class TestComputeW:
     def test_size_mismatch(self):
         with pytest.raises(StructuralError):
             compute_w_sorted(np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(StructuralError):
+            compute_w_sorted(np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(StructuralError):
+            compute_w_sorted(np.zeros((2, 1)), np.zeros(2))
 
     def test_state_interface(self):
         space = unit_space()
@@ -151,6 +158,31 @@ class TestComputeW:
             assert compute_w_sorted(omega, nu) == pytest.approx(
                 assignment_oracle(omega, nu), abs=1e-9
             )
+
+
+# penalty-like samples: many ties, both signed zeros, the ends of [0, 1]
+SAMPLE_VALUES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(0.0, 1.0)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 12), ell=st.sampled_from([1, 3, 10]),
+       m=st.sampled_from([1, 2, _W_CHUNK - 1, _W_CHUNK, _W_CHUNK + 1, 2 * _W_CHUNK + 3]),
+       pool=SAMPLE_VALUES, seed=st.integers(0, 2**32), by_column=st.booleans())
+def test_block_equals_column_calls_bit_for_bit(n, ell, m, pool, seed, by_column):
+    r = np.random.default_rng(seed)
+    omega = r.choice(np.array(pool), size=(n, m))
+    nu = r.choice(np.array(pool), size=(n * ell, m))
+    if by_column:
+        omega, nu = np.asfortranarray(omega), np.asfortranarray(nu)
+    before = omega.copy(), nu.copy()
+    block = compute_w_sorted(omega, nu)
+    assert np.array_equal(omega, before[0]) and np.array_equal(nu, before[1])
+    columns = np.array([compute_w_sorted(omega[:, j], nu[:, j]) for j in range(m)])
+    assert block.shape == (m,)
+    assert block.tobytes() == columns.tobytes()
 
 
 class TestDistance:

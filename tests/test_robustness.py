@@ -1,10 +1,17 @@
 import pytest
 
+from evometric import robustness
 from evometric.dataspace import DataSpace, GoalPenalty, VarSpec
-from evometric.engine import Configuration
+from evometric.engine import Configuration, estimate_penalties
 from evometric.environment import IdentityKernel
 from evometric.errors import PreconditionError, ShortfallError
-from evometric.metric import ObservationTimes, constant_discount, distance
+from evometric.metric import (
+    ObservationTimes,
+    compute_w_sorted,
+    constant_discount,
+    distance,
+    suffix_maxima,
+)
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
 from evometric.process import Call, Const, Op, Prefix, Var
 from evometric.robustness import (
@@ -223,3 +230,62 @@ class TestEstimators:
         assert len(lines) == 2 + len(obs)
         data = rep.to_json_dict()
         assert data["accepted"] == 1
+
+
+def folded_by_hand(spec, c, sampler, obs, N, ell, seed, budget):
+    """xi, curves and accepted attempts of a spec whose filter needs no
+    simulation, folded one column at a time from estimate_penalties called
+    with both penalties (constant discount 1)."""
+    stream = RandomStream.from_seed(seed)
+    both = [spec.rho, spec.rho_target]
+    base = estimate_penalties(c, obs.horizon, N, stream.child(0), both, list(obs))
+    curves, attempts = [], []
+    for attempt in range(budget):
+        cand = sampler.sample(c.data, stream.child(1).child(attempt))
+        if max(spec.rho(0, cand) - spec.rho(0, c.data), 0.0) > spec.eta1:
+            continue
+        pen = estimate_penalties(c.with_data(cand), obs.horizon, N * ell,
+                                 stream.child(2).child(attempt), both, list(obs))
+        pointwise = [compute_w_sorted(base[1][:, j], pen[1][:, j]) for j in range(len(obs))]
+        curves.append(tuple(suffix_maxima(pointwise)))
+        attempts.append(attempt)
+        if len(curves) == spec.M:
+            break
+    return tuple(max(column) for column in zip(*curves)), curves, attempts
+
+
+class TestOnlyTheTargetPenaltyIsSimulated:
+    @pytest.fixture
+    def penalty_counts(self, monkeypatch):
+        counts = []
+
+        def counting(c, k, N, seed, penalties, *args, **kwargs):
+            counts.append(len(penalties))
+            return estimate_penalties(c, k, N, seed, penalties, *args, **kwargs)
+        monkeypatch.setattr(robustness, "estimate_penalties", counting)
+        return counts
+
+    def test_trivial_window_equals_the_hand_fold(self, penalty_counts):
+        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+        pens = tanks_penalties(c.env.params)
+        spec = RobustnessSpec(rho=pens["l3"], rho_target=pens["l1"], interval=(0, 0),
+                              tau_tilde=5, eta1=0.3, eta2=0.3, M=3)
+        obs = ObservationTimes.range(20)
+        sampler = UniformResampler(("l2", "l3"))
+        rep = estimate_robustness(spec, c, sampler, obs, N=30, ell=2, seed=8, budget=60)
+        xi, curves, attempts = folded_by_hand(spec, c, sampler, obs, 30, 2, 8, 60)
+        assert (rep.xi, rep.variation_curves, rep.accepted_attempts) == (xi, curves, attempts)
+        assert penalty_counts == [1] * (1 + len(attempts))
+
+    def test_adaptability_equals_the_hand_fold(self, penalty_counts):
+        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+        rho = tanks_penalties(c.env.params)["l3"]
+        obs = ObservationTimes.range(20)
+        sampler = UniformResampler(("q1", "l2", "l3"))
+        rep = estimate_adaptability(rho, 5, 0.3, c, sampler, obs, N=30, ell=3, seed=9,
+                                    M=3, budget=60)
+        spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, 0), tau_tilde=5,
+                              eta1=0.3, eta2=0.0, M=3, filter_mode="initial")
+        xi, curves, attempts = folded_by_hand(spec, c, sampler, obs, 30, 3, 9, 60)
+        assert (rep.xi, rep.variation_curves, rep.accepted_attempts) == (xi, curves, attempts)
+        assert penalty_counts == [1] * (1 + len(attempts))
