@@ -53,7 +53,7 @@ from .metric import (
     distance,
     exponential_discount,
 )
-from .process import Definitions, Effect, Process, StepDistribution, eval_expr, pstep, validate
+from .process import Definitions, Effect, Process, StepDistribution, pstep, validate
 from .process_text import format_process, parse_definitions, parse_expr, parse_process
 from .rng import RandomStream
 from .robustness import (

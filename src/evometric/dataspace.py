@@ -145,10 +145,11 @@ class DataSpace:
 
         NaN raises :class:`DataValidationError` naming the variable, with the
         first bad row in its ``row``.  ``inputs``, when given, is an
-        admissible block the values were computed from: a finite-set column
-        equal to its input column is already admissible and is not snapped.
-        Clamps made here are not counted in ``clamp_events``.  The result
-        has the memory layout of ``values`` (row- or column-major).
+        admissible block the values were computed from: a finite-set entry
+        equal to its input is already admissible and is not snapped, as in
+        :meth:`clamp_row`, so a row clamps alike in any block.  Clamps made
+        here are not counted in ``clamp_events``.  The result has the memory
+        layout of ``values`` (row- or column-major).
         """
         lowers = self._bounds[0]
         if lowers.shape[0] != values.shape[0] or \
@@ -167,7 +168,9 @@ class DataSpace:
             finite = [j for j, kept in zip(finite, same.tolist()) if not kept]
         for j in finite:
             clamp = self.vars[j].clamp
-            out[:, j] = [clamp(v) for v in out[:, j].tolist()]
+            col = out[:, j]
+            rows = slice(None) if inputs is None else np.flatnonzero(col != inputs[:, j])
+            col[rows] = [clamp(v) for v in col[rows].tolist()]
         return out
 
     def clamp_row(self, values: Sequence[float], inputs: Sequence[float]) -> tuple:

@@ -11,23 +11,33 @@ observation times without keeping the states.
 
 Both estimators share one run loop (``_run``).  It simulates blocks of runs
 and hands each block's (n, nvars) values at steps 0..k to the estimator.
-Two execution paths drive a block and produce bit-identical values:
+Three execution paths drive a block and produce bit-identical values; the
+first that takes the configuration runs it:
 
-* an optional per-model vectorized lockstep simulator attached to the
-  configuration, which advances the process of all runs of a block in
-  numpy arrays, in this process;
+* a per-model vectorized lockstep simulator attached to the configuration
+  (the built-in models' hand-written numpy twins of their terms), in this
+  process;
+* the compiled program of the process (:mod:`.compiled`), in this process.
+  A process compiles when each of its reachable steps is a Dirac by
+  construction.  The compiler declines a probabilistic choice between two
+  or more branches of non-zero weight, an interleaving with 0 < p < 1, an
+  undefined process variable, unguarded recursion, a constant that is not
+  a float, and a table of more than 4096 control terms;
 * the reference interpreter, which steps the process of each run as
-  ``sim_step`` does, on the run's own child stream.
+  ``sim_step`` does, on the run's own child stream, fanned out over a
+  process pool (``_fan_out``) when threads > 1.
 
-Either way the configuration's one batch kernel then steps the whole block
-(``EnvironmentEvolution.advance``, which also clamps), and a failing kernel
-or a NaN it produces is reported alike, naming the run and the step.
+Whichever path moves the process, the configuration's one batch kernel
+then steps the whole block (``EnvironmentEvolution.advance``, which also
+clamps), and a failing process, a failing kernel or a NaN it produces is
+reported alike, naming the run and the step.
 
-The fast path declines in one place: when ``use_fast_path`` is off, the
-configuration has no lockstep, or the lockstep's ``start`` raises
-``PreconditionError`` because it is bound to another process term (for
-instance one advanced by ``sim_step``).  The interpreter then runs the
-blocks, fanned out over a process pool (``_fan_out``) when threads > 1.
+The lockstep declines when its ``start`` raises ``PreconditionError``
+because it is bound to another process term (for instance one advanced by
+``sim_step``).  Each decline of a fast path is logged at DEBUG level with
+its reason.
+``use_fast_path=False`` (``--no-fast-path`` on the command line) skips both
+fast paths and forces the interpreter.
 
 Per-run randomness depends only on (master seed, run index), so results do
 not depend on worker count or execution path.
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -46,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataspace import DataSpace, DataState, PenaltyFunction
-from .environment import EnvironmentEvolution, FiniteKernel
+from .environment import EnvironmentEvolution
 from .errors import PreconditionError, SimulationError, StructuralError
 from .process import Process, pstep, validate
 from .rng import RandomStream
@@ -59,9 +70,9 @@ __all__ = [
     "simulate",
     "estimate",
     "estimate_penalties",
-    "enumerate_multi_step",
-    "enumerate_data_marginal",
 ]
+
+log = logging.getLogger(__name__)
 
 # Issue kinds tolerated when a configuration is built with permissive
 # validation (attack processes intentionally override controller writes).
@@ -307,28 +318,24 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
 
     Runs ``run_offset + i`` for i < len(out) are simulated in blocks, and
     ``fill(steps, out[block])`` reduces each block, where ``steps`` yields
-    the block's (n, nvars) values at steps 0..k.  The model's lockstep
-    simulator drives blocks of at most ``rows`` runs in this process.  When
-    there is none, ``use_fast_path`` is off, or it declines the
-    configuration, the interpreter runs the blocks, fanned out over
-    ``threads`` worker processes.
+    the block's (n, nvars) values at steps 0..k.  A fast path (the model's
+    lockstep simulator, else the compiled program) drives blocks of at most
+    ``rows`` runs in this process.  When ``use_fast_path`` is off or both
+    decline the configuration, the interpreter runs the blocks, fanned out
+    over ``threads`` worker processes.
 
     Each block returns its first failing run instead of raising it, and the
     failure raised is the least (step, run) over all blocks, so it does not
     depend on how the runs were split into blocks.
     """
     N = out.shape[0]
-    sim = None
-    if use_fast_path and c.lockstep is not None:
-        try:
-            sim = c.lockstep.start(c, min(rows, N), key, run_offset, k)
-        except PreconditionError:
-            pass  # the simulator is bound to another process term
+    fast = _start_fast_path(c, min(rows, N), key, run_offset, k) if use_fast_path else None
     failures = []
-    if sim is not None:
+    if fast is not None:
+        start, sim = fast
         for lo in range(0, N, rows):
             if lo:
-                sim = c.lockstep.start(c, min(rows, N - lo), key, run_offset + lo, k)
+                sim = start(c, min(rows, N - lo), key, run_offset + lo, k)
             steps = _lockstep_steps(sim, k, run_offset + lo)
             failures.append(_reduce_block(fill, steps, out[lo:lo + rows]))
     else:
@@ -340,6 +347,27 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: (f.step, f.run))
+
+
+def _start_fast_path(c, n, key, first, k):
+    """(start, the first block's run) of the first fast path that takes the
+    configuration, or None; ``start`` has the signature of
+    ``lockstep.start``."""
+    if c.lockstep is not None:
+        try:
+            return c.lockstep.start, c.lockstep.start(c, n, key, first, k)
+        except PreconditionError as exc:
+            log.debug("lockstep simulator declined: %s", exc)
+    # imported on first use: a lockstep-served or interpreted estimate, and
+    # importing the package, do not pay for compiling the module
+    from . import compiled
+
+    try:
+        program = compiled.program(c)
+    except PreconditionError as exc:
+        log.debug("process not compiled, running the interpreter: %s", exc)
+        return None
+    return program.start, program.start(c, n, key, first, k)
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:
@@ -356,7 +384,7 @@ def _lockstep_steps(sim, k: int, first: int):
     for i in range(k):
         try:
             vals = sim.step()
-        except SimulationError as exc:  # raised by EnvironmentEvolution.advance
+        except SimulationError as exc:  # its run is the failing row of the block
             raise _run_failed(first + exc.run, i, exc) from exc.__cause__
         yield vals
 
@@ -423,47 +451,3 @@ def _partition(N: int, parts: int) -> list[range]:
     parts = max(1, min(parts, N))
     size = math.ceil(N / parts)
     return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration oracle for finite toy kernels (testing aid)
-# ---------------------------------------------------------------------------
-
-
-def enumerate_multi_step(c: Configuration, steps: int) -> list[dict]:
-    """Exact per-step distributions over (process, value tuple) pairs.
-
-    Only valid for configurations whose environment is a FiniteKernel; the
-    expansion follows the one-step kernel exactly: process step probabilities
-    times environment transition probabilities, with domain clamping applied
-    the same way the sampler applies it.
-    """
-    if not isinstance(c.env, FiniteKernel):
-        raise PreconditionError("enumeration needs a finite-support environment kernel")
-    space = c.space
-    current: dict = {(c.process, c.data.values): 1.0}
-    out = [dict(current)]
-    for _ in range(steps):
-        nxt: dict = {}
-        for (proc, values), q in current.items():
-            d = DataState(space, values)
-            for p, effect, cont in pstep(proc, d, c.defs):
-                after = d.update(effect)
-                for pe, succ in c.env.support(after.values):
-                    clamped, _ = space.clamp_values(succ)
-                    key = (cont, tuple(clamped))
-                    nxt[key] = nxt.get(key, 0.0) + q * p * pe
-        current = nxt
-        out.append(dict(current))
-    return out
-
-
-def enumerate_data_marginal(c: Configuration, steps: int) -> list[dict]:
-    """Exact per-step distributions over value tuples (processes marginalised)."""
-    out = []
-    for dist in enumerate_multi_step(c, steps):
-        marg: dict = {}
-        for (_, values), q in dist.items():
-            marg[values] = marg.get(values, 0.0) + q
-        out.append(marg)
-    return out

@@ -4,13 +4,14 @@ Every kernel is written once, as a batch kernel: it declares ``draws``, the
 uniforms in (0, 1] it consumes per run and step, and implements
 ``sample_batch(values, u)``, which maps an (n, v) block of data states and
 an (n, draws) block of uniforms to the (n, v) block of successors.  The
-interpreter and the lockstep simulators both step this one function; the
-engine clamps its result into the data space, so kernels need not clamp.
+interpreter, the lockstep simulators and the compiled programs all step
+this one function; the engine clamps its result into the data space, so
+kernels need not clamp.
 
 Kernels must be pure and row-independent (row ``i`` of the result depends
 only on row ``i`` of ``values`` and ``u``) and must not modify their inputs.
-A block may be row- or column-major (the engine's lockstep keeps its block
-in Fortran order); a kernel may return either layout, and the result must
+A block may be row- or column-major (the lockstep simulators and the
+compiled programs keep their blocks in Fortran order); a kernel may return either layout, and the result must
 not depend on it.  ``values.copy(order="K")`` keeps the layout it is given.
 Measurability of ``d -> E(d)(B)`` is a modelling obligation and is not
 checked at run time.

@@ -44,7 +44,6 @@ __all__ = [
     "Definitions",
     "Effect",
     "StepDistribution",
-    "eval_expr",
     "pstep",
     "validate",
     "ValidationIssue",
@@ -189,11 +188,6 @@ def _eval(e: Expr, values: Sequence[float], space: DataSpace) -> float:
         f = _eval(a[2], values, space)
         return t if c else f
     raise EvaluationError(f"unknown operator {name!r}")  # unreachable
-
-
-def eval_expr(e: Expr, d: DataState) -> float:
-    """Evaluate an expression in a data state; booleans encode as 1/0."""
-    return _eval(e, d.values, d.space)
 
 
 def expr_vars(e: Expr, acc: set | None = None) -> set:

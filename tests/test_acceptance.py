@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from evometric.cli import main as cli_main
 from evometric.dataspace import ConvexPenalty, DataSpace, GoalPenalty, MaxPenalty, VarSpec
-from evometric.engine import Configuration, enumerate_data_marginal, estimate
+from evometric.engine import Configuration, estimate
 from evometric.metric import (
     ObservationTimes,
     compute_w_sorted,
@@ -34,6 +34,7 @@ from evometric.rng import RandomStream
 from evometric.stats import error_analysis, reference_means
 
 from conftest import random_valid_system, toy_kernel, toy_process
+from enumeration import enumerate_data_marginal
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

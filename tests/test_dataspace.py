@@ -141,6 +141,24 @@ class TestClampBatch:
             row_block = MIXED.clamp_batch(values[r:r + 1], inputs[r:r + 1])
             assert np.array(one).tobytes() == row_block.tobytes()
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_block_equals_its_rows_clamped_one_at_a_time(self, data):
+        # bit for bit: whether an entry is snapped must not depend on the
+        # other rows of its block, so a -0.0 next to its input 0.0 in a
+        # finite column stays -0.0 beside a row that is snapped
+        row = st.tuples(*(_interesting(spec) for spec in MIXED.vars)).map(list)
+        values = np.array(data.draw(st.lists(row, min_size=1, max_size=8)), dtype=np.float64)
+        inputs = np.array([MIXED.clamp_values(r)[0] for r in values.tolist()])
+        entries = st.lists(st.sampled_from(["drawn", "input", "signed zero"]),
+                           min_size=values.size, max_size=values.size)
+        kind = np.array(data.draw(entries)).reshape(values.shape)
+        values = np.where(kind == "input", inputs, values)
+        values = np.where((kind == "signed zero") & (inputs == 0.0), -0.0, values)
+        rows = np.array([MIXED.clamp_row(v, i) for v, i in zip(values.tolist(), inputs.tolist())])
+        for block in (values, np.asfortranarray(values)):
+            assert MIXED.clamp_batch(block, inputs).tobytes(order="C") == rows.tobytes()
+
     @given(n=st.integers(1, 6), row=st.integers(0, 5), col=st.integers(0, 3))
     def test_nan_names_the_first_bad_row(self, n, row, col):
         values = np.zeros((n, 4))

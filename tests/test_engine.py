@@ -5,7 +5,6 @@ import pytest
 
 from evometric.engine import (
     Configuration,
-    enumerate_data_marginal,
     estimate,
     estimate_penalties,
     sim_step,
@@ -28,6 +27,7 @@ from evometric.process import Call, Const, Op, PChoice, Prefix, Var, tick
 from evometric.rng import RandomStream
 
 from conftest import toy_kernel, toy_process
+from enumeration import enumerate_data_marginal
 
 
 def loop_defs():
@@ -236,8 +236,19 @@ class TestEstimate:
             assert (err.value.run, err.value.step) == (0, 3)
             assert str(err.value) == "run 0: step 3: boom"
 
+    # The three failure reports below run on the compiled program (their
+    # processes are Diracs) and, in their *_on_the_interpreter twins, on the
+    # interpreter; both must name the same run, step and message.
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_nan_row_names_the_first_failing_run(self, small_space, threads):
+        self.check_nan_row_names_the_first_failing_run(small_space, threads, True)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nan_row_names_the_first_failing_run_on_the_interpreter(self, small_space, threads):
+        self.check_nan_row_names_the_first_failing_run(small_space, threads, False)
+
+    def check_nan_row_names_the_first_failing_run(self, small_space, threads, fast):
         # a run draws one uniform per step (the tick is a Dirac); the first
         # step with x = 3 is step 2, where the first run whose uniform
         # exceeds 0.5 fails
@@ -248,8 +259,9 @@ class TestEstimate:
         step = next(i for i in range(2, 30) if any(d[i] > 0.5 for d in draws))
         run = next(r for r in range(N) if draws[r][step] > 0.5)
         rho = VarPenalty("x", id="x")
-        for call in (lambda: estimate(c, 30, N, seed, threads=threads),
-                     lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads)):
+        for call in (lambda: estimate(c, 30, N, seed, threads=threads, use_fast_path=fast),
+                     lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads,
+                                                use_fast_path=fast)):
             with pytest.raises(SimulationError) as err:
                 call()
             assert (err.value.run, err.value.step) == (run, step)
@@ -257,8 +269,17 @@ class TestEstimate:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failure_report_does_not_depend_on_the_blocks(self, small_space, threads):
-        # at threads=2 the runs split into two blocks; the failure reported
-        # is still the least (step, run), here in the second block at step 0
+        self.check_failure_report_does_not_depend_on_the_blocks(small_space, threads, True)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_report_does_not_depend_on_the_blocks_on_the_interpreter(
+            self, small_space, threads):
+        self.check_failure_report_does_not_depend_on_the_blocks(small_space, threads, False)
+
+    def check_failure_report_does_not_depend_on_the_blocks(self, small_space, threads, fast):
+        # at threads=2 the interpreter splits the runs into two blocks; the
+        # failure reported is still the least (step, run), here in the
+        # second block at step 0
         c = Configuration(Call("Loop"), small_space.state([0, 0, 0]), NaNRare(), loop_defs())
         N, seed = 40, 2
         base = RandomStream.from_seed(seed)
@@ -266,13 +287,20 @@ class TestEstimate:
         step, run = min((i, r) for r in range(N) for i in range(30) if draws[r][i] > 0.97)
         assert (run, step) == (23, 0)
         rho = VarPenalty("x", id="x")
-        for call in (lambda: estimate(c, 30, N, seed, threads=threads),
-                     lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads)):
+        for call in (lambda: estimate(c, 30, N, seed, threads=threads, use_fast_path=fast),
+                     lambda: estimate_penalties(c, 30, N, seed, [rho], [30], threads=threads,
+                                                use_fast_path=fast)):
             with pytest.raises(SimulationError) as err:
                 call()
             assert (err.value.run, err.value.step) == (run, step)
 
     def test_process_failure_after_an_environment_failure_of_an_earlier_run(self, small_space):
+        self.check_process_failure_after_an_environment_failure(small_space, True)
+
+    def test_process_failure_after_an_environment_failure_on_the_interpreter(self, small_space):
+        self.check_process_failure_after_an_environment_failure(small_space, False)
+
+    def check_process_failure_after_an_environment_failure(self, small_space, fast):
         # the process sqrt(4.5 - z) fails when the last step set z = 5 * u0
         # above 4.5; the environment writes a NaN y when u1 > 0.99.  At step
         # 1 the environment of run 10 fails and so do the processes of later
@@ -298,9 +326,17 @@ class TestEstimate:
         assert (1, 25, "process") in failures
         for threads in (1, 2, 3):
             with pytest.raises(SimulationError) as err:
-                estimate(c, k, N, seed, threads=threads)
+                estimate(c, k, N, seed, threads=threads, use_fast_path=fast)
             assert (err.value.run, err.value.step) == (run, step)
             assert str(err.value) == f"run {run}: step {step}: y: NaN is not a value"
+        # from run 12 on, the least failure is that of the process of run 25
+        assert min(f for f in failures if f[1] >= 12) == (1, 25, "process")
+        step, run = 1, 25
+        with pytest.raises(SimulationError) as err:
+            estimate_penalties(c, k, N - 12, seed, [VarPenalty("x", id="x")], [k],
+                               use_fast_path=fast, run_offset=12)
+        assert (err.value.run, err.value.step) == (run, step)
+        assert str(err.value).startswith(f"run {run}: step {step}: sqrt of negative value")
 
 
 class TestEstimatePenalties:

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from evometric import compiled
 from evometric.dataspace import DataSpace, VarSpec
-from evometric.errors import EvaluationError, SemanticError, StructuralError
+from evometric.engine import Configuration
+from evometric.environment import IdentityKernel
+from evometric.errors import EvaluationError, SemanticError, SimulationError, StructuralError
 from evometric.process import (
     Call,
     Const,
@@ -14,7 +19,6 @@ from evometric.process import (
     StepDistribution,
     SyncPar,
     Var,
-    eval_expr,
     pstep,
     tick,
     validate,
@@ -63,42 +67,88 @@ def tanks_defs():
             "P_Tanks": SyncPar(Call("P_in"), Call("P_out"))}
 
 
+def one_prefix(e, values):
+    """The one-prefix process writing ``e`` in the tank state ``values`` to
+    an unbounded variable, so that no clamp touches the value."""
+    space = DataSpace(tanks_space().vars + (VarSpec("out", -math.inf, math.inf),))
+    p = Prefix((e,), ("out",), Call("Loop"))
+    return Configuration(p, space.state(list(values) + [0.0]), IdentityKernel(),
+                         {"Loop": tick(Call("Loop"))})
+
+
+def interpreted(c):
+    (_, effect, _), = pstep(c.process, c.data, c.defs).triples
+    return effect[0][1]
+
+
+def batched(c):
+    """The values the compiled program writes in a block of three rows."""
+    block = compiled.program(c).start(c, 3, (1, 2), 0, 1).step()
+    return block[:, c.space.index("out")]
+
+
+def assert_evaluates_to(e, values, expect):
+    c = one_prefix(e, values)
+    assert np.array(interpreted(c)).tobytes() == np.float64(expect).tobytes()
+    assert batched(c).tobytes() == np.full(3, expect).tobytes()
+
+
+def assert_both_raise(e, values, exc, match):
+    c = one_prefix(e, values)
+    with pytest.raises(exc, match=match):
+        interpreted(c)
+    with pytest.raises(SimulationError, match=match) as err:
+        batched(c)
+    assert type(err.value.__cause__) is exc
+
+
 class TestEvalExpr:
     def test_pump_decrement_expression(self):
         # max{0, q1 - q_step} with q1 = 3 and q_step = 1.2
-        d = tanks_space().state([3.0, 0, 0, 0])
         e = Op("max", (Const(0.0), Op("-", (Var("q1"), Const(Q_STEP)))))
-        assert eval_expr(e, d) == pytest.approx(1.8, abs=0)
+        assert_evaluates_to(e, [3.0, 0, 0, 0], 3.0 - Q_STEP)
 
     def test_comparison_encodes_as_one(self):
-        d = tanks_space().state([0, 0, 12.0, 0])
         e = Op(">", (Var("l1"), Op("+", (Const(L_GOAL), Const(DELTA_L)))))
-        assert eval_expr(e, d) == 1.0
+        assert_evaluates_to(e, [0, 0, 12.0, 0], 1.0)
+        assert_evaluates_to(Op("+", (e, e)), [0, 0, 12.0, 0], 2.0)
 
     def test_constant(self):
-        assert eval_expr(Const(5.0), tanks_space().state([0, 0, 0, 0])) == 5.0
+        assert_evaluates_to(Const(5.0), [0, 0, 0, 0], 5.0)
+        assert_evaluates_to(Const(-0.0), [0, 0, 0, 0], -0.0)
+
+    def test_min_max_keep_the_first_of_equals(self):
+        # Python's min and max return their first argument on a tie
+        for op in ("min", "max"):
+            assert_evaluates_to(Op(op, (Const(-0.0), Var("q1"))), [0, 0, 0, 0], -0.0)
+            assert_evaluates_to(Op(op, (Var("q1"), Const(-0.0))), [0, 0, 0, 0], 0.0)
 
     def test_division_by_zero_names_subexpression(self):
-        d = tanks_space().state([0, 0, 0, 0])
-        with pytest.raises(EvaluationError, match="division by zero"):
-            eval_expr(Op("/", (Const(1.0), Var("q1"))), d)
+        assert_both_raise(Op("/", (Const(1.0), Var("q1"))), [0, 0, 0, 0],
+                          EvaluationError, "division by zero")
 
     def test_sqrt_of_negative(self):
-        d = tanks_space().state([0, 0, 0, 0])
-        with pytest.raises(EvaluationError, match="sqrt"):
-            eval_expr(Op("sqrt", (Const(-1.0),)), d)
+        assert_both_raise(Op("sqrt", (Const(-1.0),)), [0, 0, 0, 0], EvaluationError, "sqrt")
+        # max(0, NaN) is 0: only the sqrt check itself reports this row
+        masked = Op("max", (Const(0.0), Op("sqrt", (Op("neg", (Var("q1"),)),))))
+        assert_both_raise(masked, [1.0, 0, 0, 0], EvaluationError, "sqrt")
 
     def test_boolean_connectives_strict(self):
-        d = tanks_space().state([0, 0, 0, 0])
-        ok = Op("and", (Const(1.0), Const(0.0)))
-        assert eval_expr(ok, d) == 0.0
-        with pytest.raises(EvaluationError):
-            eval_expr(Op("and", (Const(2.0), Const(1.0))), d)
+        ok = Op("and", (Var("q1"), Var("q3")))
+        assert_evaluates_to(ok, [1.0, 0.0, 0, 0], 0.0)
+        assert_evaluates_to(Op("or", (Var("q1"), Var("q3"))), [1.0, 0.0, 0, 0], 1.0)
+        assert_evaluates_to(Op("not", (Var("q3"),)), [1.0, 0.0, 0, 0], 1.0)
+        assert_both_raise(ok, [2.0, 1.0, 0, 0], EvaluationError, "expected 0 or 1")
+        assert_both_raise(Op("and", (Const(2.0), Const(1.0))), [0, 0, 0, 0],
+                          EvaluationError, "expected 0 or 1")
 
     def test_conditional_selection(self):
-        d = tanks_space().state([0, 0, 0, 0])
-        assert eval_expr(Op("ite", (Const(1.0), Const(7.0), Const(9.0))), d) == 7.0
-        assert eval_expr(Op("ite", (Const(0.0), Const(7.0), Const(9.0))), d) == 9.0
+        e = Op("ite", (Var("q1"), Const(7.0), Const(9.0)))
+        assert_evaluates_to(e, [1.0, 0, 0, 0], 7.0)
+        assert_evaluates_to(e, [0.0, 0, 0, 0], 9.0)
+        # all three arguments are evaluated, the unselected one too
+        bad = Op("ite", (Var("q1"), Const(7.0), Op("/", (Const(1.0), Var("q3")))))
+        assert_both_raise(bad, [1.0, 0, 0, 0], EvaluationError, "division by zero")
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(StructuralError):
