@@ -19,8 +19,6 @@ from .dataspace import (
     PenaltyFunction,
     VarPenalty,
     VarSpec,
-    make_data_state,
-    penalty_eval,
 )
 from .engine import (
     Configuration,
@@ -47,17 +45,14 @@ from .metric import (
     DiscountFunction,
     MetricReport,
     ObservationTimes,
-    compute_w,
     constant_discount,
-    data_state_metric,
     distance,
     exponential_discount,
 )
-from .process import Definitions, Effect, Process, StepDistribution, pstep, validate
+from .process import Definitions, Process, StepDistribution, pstep, validate
 from .process_text import format_process, parse_definitions, parse_expr, parse_process
 from .rng import RandomStream
 from .robustness import (
-    IdentitySampler,
     PerturbationSampler,
     RobustnessReport,
     RobustnessSpec,

@@ -612,13 +612,13 @@ def _any(a, b):
 
 
 def _clamp(v: np.ndarray, spec) -> np.ndarray:
-    """``VarSpec.clamp`` of every entry: the bounds by Python's ``max`` and
-    ``min`` (the value wins a tie), then the nearest element of a finite
-    set, ties downward.  A NaN entry comes back different from itself, so
-    the caller finds it among the changed entries."""
+    """``VarSpec.clamp`` of every entry: the bounds (a bound wins a tie),
+    then the nearest element of a finite set, ties downward.  A NaN entry
+    comes back different from itself, so the caller finds it among the
+    changed entries."""
     lo, hi = spec.lower, spec.upper
-    w = np.where(lo > v, lo, v)
-    w = np.where(hi < w, hi, w)
+    w = np.where(v <= lo, lo, v)
+    w = np.where(w >= hi, hi, w)
     if spec.values is not None:
         best = np.full_like(w, spec.values[0])
         gap = np.abs(w - spec.values[0])

@@ -11,10 +11,9 @@ single state) and are not counted.  Penalty functions score a data state in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,9 +29,6 @@ __all__ = [
     "ConvexPenalty",
     "VarPenalty",
     "RatioPenalty",
-    "FnPenalty",
-    "make_data_state",
-    "penalty_eval",
 ]
 
 
@@ -73,10 +69,15 @@ class VarSpec:
         return self.values is not None
 
     def clamp(self, value: float) -> float:
-        """Nearest admissible value (ties on finite sets resolve downward)."""
+        """Nearest admissible value (ties on finite sets resolve downward).
+
+        A bound wins a tie with the value, as ``np.maximum`` and
+        ``np.minimum`` let it in :meth:`DataSpace.clamp_batch`, so -0.0
+        clamps to a lower bound 0.0.
+        """
         if math.isnan(value):
             raise DataValidationError(f"{self.name}: NaN is not a value")
-        v = min(max(value, self.lower), self.upper)
+        v = min(self.upper, max(self.lower, value))
         if self.values is not None:
             # nearest element; linear scan is fine for the small sets used here
             best = self.values[0]
@@ -175,9 +176,9 @@ class DataSpace:
 
     def clamp_row(self, values: Sequence[float], inputs: Sequence[float]) -> tuple:
         """:meth:`clamp_batch` of one row of floats computed from the
-        admissible row ``inputs``, bit for bit: a bound wins a tie, as
-        ``np.maximum`` and ``np.minimum`` let it (so -0.0 clamps to a lower
-        bound 0.0), and the bounds are not re-tiled for a one-row block."""
+        admissible row ``inputs``, bit for bit, without re-tiling the bounds
+        for a one-row block: :meth:`VarSpec.clamp` of each entry, except that
+        a finite-set entry equal to its input is not snapped."""
         out = []
         for spec, v, old in zip(self.vars, values, inputs):
             if math.isnan(v):
@@ -189,7 +190,8 @@ class DataSpace:
         return tuple(out)
 
     def state(self, values: Sequence[float] | dict[str, float]) -> "DataState":
-        """Build a DataState from a vector in variable order or a full dict."""
+        """Build a DataState from a vector in variable order or a full dict;
+        out-of-domain values clamp and NaN raises."""
         if isinstance(values, dict):
             missing = [n for n in self.names if n not in values]
             if missing:
@@ -198,25 +200,10 @@ class DataSpace:
             if extra:
                 raise StructuralError(f"unknown variables {extra}")
             values = [values[n] for n in self.names]
-        return make_data_state(self, values)
-
-    def to_json_dict(self) -> dict:
-        out = []
-        for v in self.vars:
-            entry: dict = {"name": v.name, "lower": v.lower, "upper": v.upper}
-            entry["kind"] = "finite" if v.is_finite else "continuous"
-            if v.is_finite:
-                entry["values"] = list(v.values)
-            out.append(entry)
-        return {"vars": out}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DataSpace":
-        specs = []
-        for entry in data["vars"]:
-            values = tuple(entry["values"]) if entry.get("kind") == "finite" else None
-            specs.append(VarSpec(entry["name"], entry["lower"], entry["upper"], values))
-        return cls(specs)
+        if len(values) != len(self):
+            raise StructuralError(f"expected {len(self)} values, got {len(values)}")
+        clamped, _ = self.clamp_values(values)
+        return DataState(self, tuple(clamped))
 
 
 class DataState:
@@ -225,15 +212,12 @@ class DataState:
     __slots__ = ("space", "values")
 
     def __init__(self, space: DataSpace, values: tuple[float, ...]):
-        # Internal: assumes values already clamped; use make_data_state / update.
+        # Internal: assumes values already clamped; use DataSpace.state / update.
         self.space = space
         self.values = values
 
     def __getitem__(self, name: str) -> float:
         return self.values[self.space.index(name)]
-
-    def get(self, name: str) -> float:
-        return self[name]
 
     def __eq__(self, other) -> bool:
         return (
@@ -266,35 +250,6 @@ class DataState:
         self.space.clamp_events += clamps
         return DataState(self.space, tuple(vals))
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.space.names, self.values))
-
-    def to_json_dict(self) -> dict:
-        out = self.space.to_json_dict()
-        out["values"] = list(self.values)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DataState":
-        data = json.loads(text)
-        return DataSpace.from_json_dict(data).state(data["values"])
-
-
-def make_data_state(space: DataSpace, values: Sequence[float]) -> DataState:
-    """Data state from a vector in variable order; out-of-domain values clamp."""
-    if len(values) != len(space):
-        raise StructuralError(
-            f"expected {len(space)} values, got {len(values)}"
-        )
-    for name, v in zip(space.names, values):
-        if math.isnan(float(v)):
-            raise DataValidationError(f"{name}: NaN is not a value")
-    clamped, _ = space.clamp_values(values)
-    return DataState(space, tuple(clamped))
-
 
 # ---------------------------------------------------------------------------
 # Penalty functions
@@ -316,7 +271,10 @@ class PenaltyFunction:
         raise NotImplementedError
 
     def __call__(self, step: int, state: DataState) -> float:
-        return penalty_eval(self, step, state)
+        """The penalty of a data state at a time step, in [0, 1]."""
+        if step < 0:
+            raise PreconditionError(f"time step must be non-negative, got {step}")
+        return self.eval_values(step, state.values, state.space)
 
     def eval_values(self, step: int, values: Sequence[float], space: DataSpace) -> float:
         v = self.raw(step, values, space)
@@ -330,13 +288,6 @@ class PenaltyFunction:
         for i in range(values.shape[0]):
             out[i] = self.eval_values(step, values[i], space)
         return out
-
-
-def penalty_eval(rho: PenaltyFunction, step: int, state: DataState) -> float:
-    """Evaluate a penalty at a time step; result is always in [0, 1]."""
-    if step < 0:
-        raise PreconditionError(f"time step must be non-negative, got {step}")
-    return rho.eval_values(step, state.values, state.space)
 
 
 @dataclass(frozen=True)
@@ -400,7 +351,7 @@ class ConvexPenalty(PenaltyFunction):
 
     def __post_init__(self):
         total = sum(w for w, _ in self.parts)
-        if abs(total - 1.0) > 1e-9 or any(w < 0 for w, _ in self.parts):
+        if not abs(total - 1.0) <= 1e-9 or not all(w >= 0 for w, _ in self.parts):
             raise DataValidationError("convex combination weights must be >= 0 and sum to 1")
         if not self.id:
             inner = "+".join(f"{w:g}*{p.id}" for w, p in self.parts)
@@ -457,14 +408,3 @@ class RatioPenalty(PenaltyFunction):
         den = values[:, space.index(self.denominator)]
         out = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
         return np.clip(out, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class FnPenalty(PenaltyFunction):
-    """Arbitrary pure function wrapper, for tests and ad-hoc objectives."""
-
-    fn: Callable[[int, DataState], float]
-    id: str = "fn"
-
-    def raw(self, step, values, space):
-        return self.fn(step, DataState(space, tuple(values)))

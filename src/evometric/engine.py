@@ -124,9 +124,6 @@ class Trajectory:
     def __iter__(self):
         return iter(self.configurations)
 
-    def data_states(self) -> list[DataState]:
-        return [c.data for c in self.configurations]
-
 
 def sim_step(c: Configuration, rng: RandomStream) -> Configuration:
     """One sampled step of a configuration: the process step, its write

@@ -1,11 +1,12 @@
-"""The evolution metric: hemimetric on data states, its Wasserstein lifting
-between sampled distributions, and the discounted supremum over observation
-times.
+"""The evolution metric: the Wasserstein lifting of a hemimetric on data
+states between sampled distributions, and the discounted supremum over
+observation times.
 
-The pointwise estimator sorts the penalty samples of both sides and averages
-``max(nu_h - omega_ceil(h/l), 0)``; with N and l*N samples this converges to
-the Wasserstein lifting of the ground hemimetric ``max(rho(d2)-rho(d1), 0)``,
-and runs in O(lN log lN).
+The ground hemimetric is ``max(rho(d2) - rho(d1), 0)`` for a penalty
+``rho``.  The pointwise estimator sorts the penalty samples of both sides
+and averages ``max(nu_h - omega_ceil(h/l), 0)``; with N and l*N samples
+this converges to the Wasserstein lifting of that hemimetric, and runs in
+O(lN log lN).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataspace import DataState, PenaltyFunction
+from .dataspace import PenaltyFunction
 from .engine import Configuration, estimate_penalties
 from .errors import PreconditionError, StructuralError
 from .rng import RandomStream
@@ -28,8 +29,6 @@ __all__ = [
     "constant_discount",
     "exponential_discount",
     "MetricReport",
-    "data_state_metric",
-    "compute_w",
     "compute_w_sorted",
     "distance",
     "suffix_maxima",
@@ -126,18 +125,6 @@ def exponential_discount(gamma: float) -> DiscountFunction:
     return ExponentialDiscount(gamma)
 
 
-def data_state_metric(
-    rho: PenaltyFunction, step: int, d1: DataState, d2: DataState
-) -> float:
-    """How much worse d2 scores than d1: max(rho(d2) - rho(d1), 0).
-
-    A 1-bounded hemimetric (asymmetric by design) on any shared data space.
-    """
-    if d1.space != d2.space:
-        raise StructuralError("data states live in different data spaces")
-    return max(rho(step, d2) - rho(step, d1), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise Wasserstein estimator
 # ---------------------------------------------------------------------------
@@ -150,12 +137,12 @@ def data_state_metric(
 _W_CHUNK = 32
 
 
-def compute_w_sorted(omega: np.ndarray, nu: np.ndarray):
-    """Estimator on raw penalty samples; sizes must satisfy |nu| = l * |omega|.
+def compute_w_sorted(omega: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Estimator on raw penalty samples, one estimate per column.
 
-    With 1-D samples this is one estimate, a float.  With an (N, m) block
-    of the first side and an (l*N, m) block of the second it is the array of
-    the m estimates, column j equal bit for bit to the 1-D call on column j.
+    ``omega`` is an (N, m) block of the first side's samples and ``nu`` an
+    (l*N, m) block of the second's; the result is the array of the m
+    estimates, column j equal bit for bit to the call on column j alone.
     """
     n = omega.shape[0]
     ln = nu.shape[0]
@@ -163,21 +150,14 @@ def compute_w_sorted(omega: np.ndarray, nu: np.ndarray):
         raise StructuralError(
             f"second sample count {ln} must be a positive multiple of the first {n}"
         )
-    if omega.ndim != nu.ndim or omega.shape[1:] != nu.shape[1:]:
+    if omega.ndim != 2 or nu.ndim != 2 or omega.shape[1] != nu.shape[1]:
         raise StructuralError(
-            f"sample blocks of shapes {omega.shape} and {nu.shape} do not match"
+            f"sample blocks of shapes {omega.shape} and {nu.shape} are not (N, m) and (l*N, m)"
         )
     ell = ln // n
-    if omega.ndim == 1:
-        om = np.sort(omega)
-        nv = np.sort(nu)
-        if ell > 1:
-            om = np.repeat(om, ell)
-        return float(np.maximum(nv - om, 0.0).mean())
     out = np.empty(omega.shape[1])
     for lo in range(0, len(out), _W_CHUNK):
-        # row-major copies, one row per column, sorted in place: each row is
-        # the 1-D call on its column
+        # row-major copies, one row per column, sorted in place
         om = omega[:, lo:lo + _W_CHUNK].T.copy(order="C")
         nv = nu[:, lo:lo + _W_CHUNK].T.copy(order="C")
         om.sort(axis=1)
@@ -187,36 +167,6 @@ def compute_w_sorted(omega: np.ndarray, nu: np.ndarray):
         np.subtract(nv, om, out=nv)
         out[lo:lo + _W_CHUNK] = np.maximum(nv, 0.0, out=nv).mean(axis=1)
     return out
-
-
-def compute_w(
-    E1: Sequence[DataState] | np.ndarray,
-    E2: Sequence[DataState] | np.ndarray,
-    rho: PenaltyFunction,
-    step: int,
-) -> float:
-    """Pointwise Wasserstein estimate between two sample sets at one step.
-
-    ``E1`` holds N sampled data states of the first configuration, ``E2``
-    holds l*N of the second (integer l >= 1).  Both may also be given as
-    (count, nvars) value arrays over the same space.
-    """
-    omega = _penalty_vector(E1, rho, step)
-    nu = _penalty_vector(E2, rho, step)
-    return compute_w_sorted(omega, nu)
-
-
-def _penalty_vector(E, rho: PenaltyFunction, step: int) -> np.ndarray:
-    if isinstance(E, np.ndarray):
-        raise StructuralError(
-            "raw arrays need a data space; pass DataStates or use compute_w_sorted"
-        )
-    states = list(E)
-    if not states:
-        raise StructuralError("empty sample set")
-    space = states[0].space
-    vals = np.array([s.values for s in states], dtype=np.float64)
-    return rho.eval_batch(step, vals, space)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +186,6 @@ class MetricReport:
     argmax: int  # observation time attaining the max
     params: dict
 
-    def suffix_value(self, tau_tilde: int) -> float:
-        """Metric restricted to observation times >= tau_tilde, no re-run."""
-        vals = [d for t, d in zip(self.obs_times, self.discounted) if t >= tau_tilde]
-        if not vals:
-            raise PreconditionError(f"no observation times at or after {tau_tilde}")
-        return max(vals)
-
     def to_json_dict(self) -> dict:
         return {
             "obs_times": list(self.obs_times),
@@ -252,9 +195,6 @@ class MetricReport:
             "argmax": self.argmax,
             "params": self.params,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv(self, path, meta: dict | None = None) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -42,7 +42,6 @@ __all__ = [
     "Call",
     "tick",
     "Definitions",
-    "Effect",
     "StepDistribution",
     "pstep",
     "validate",
@@ -53,9 +52,6 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-9
-
-# An effect is an ordered tuple of (variable name, value) writes.
-Effect = tuple  # tuple[tuple[str, float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +278,13 @@ class PChoice(Process):
     __slots__ = ("branches",)
 
     def __post_init__(self):
+        # each check is written so that a NaN fails it
         total = 0.0
         for w, _ in self.branches:
-            if w < 0:
-                raise StructuralError(f"choice weight {w} is negative")
+            if not w >= 0:
+                raise StructuralError(f"choice weight {w} is not a non-negative number")
             total += w
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise StructuralError(f"choice weights sum to {total!r}, expected 1")
 
 
@@ -334,19 +331,22 @@ Definitions = Mapping[str, Process]
 
 @dataclass(frozen=True)
 class StepDistribution(_FrozenNode):
-    """Finite discrete distribution over (probability, effect, continuation)."""
+    """Finite discrete distribution over (probability, effect, continuation).
 
-    triples: tuple  # tuple[tuple[float, Effect, Process], ...]
+    An effect is an ordered tuple of (variable name, value) writes.
+    """
+
+    triples: tuple  # tuple[tuple[float, effect, Process], ...]
 
     __slots__ = ("triples",)
 
     def __post_init__(self):
         total = 0.0
         for p, _, _ in self.triples:
-            if p <= 0:
+            if not p > 0:  # NaN fails too
                 raise StructuralError(f"step probability {p} must be positive")
             total += p
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise StructuralError(f"step probabilities sum to {total!r}, expected 1")
 
     def __len__(self) -> int:
@@ -460,36 +460,39 @@ class ValidationReport:
             raise ProcessValidationError(f"invalid process: {lines}", fatal)
 
 
-def _reachable_defs(P: Process, defs: Definitions) -> list:
-    """Definition names reachable from P, in first-visit order."""
-    seen: dict = {}
+def _subterms(node: Process) -> tuple:
+    """The process operands of one node, left to right."""
+    t = type(node)
+    if t is Prefix:
+        return (node.cont,)
+    if t is If:
+        return (node.then_p, node.else_p)
+    if t is PChoice:
+        return tuple(b for _, b in node.branches)
+    if t is Interleave or t is SyncPar:
+        return (node.left, node.right)
+    return ()
 
-    def walk(node: Process):
-        t = type(node)
-        if t is Call:
-            if node.name in seen or node.name not in defs:
-                if node.name not in seen:
-                    seen[node.name] = False  # undefined, recorded once
-                return
-            seen[node.name] = True
-            walk(defs[node.name])
-        elif t is Prefix:
-            walk(node.cont)
-        elif t is If:
-            walk(node.then_p)
-            walk(node.else_p)
-        elif t is PChoice:
-            for _, b in node.branches:
-                walk(b)
-        elif t is Interleave:
-            walk(node.left)
-            walk(node.right)
-        elif t is SyncPar:
-            walk(node.left)
-            walk(node.right)
 
-    walk(P)
-    return list(seen)
+def _nodes(P: Process, defs: Definitions, called: dict | None = None):
+    """Every node syntactically reachable from P, in preorder.
+
+    The first call of a defined process variable is followed by the nodes of
+    its body; later calls of it are not.  The names called, undefined ones
+    too, become the keys of ``called`` in first-visit order.
+    """
+    called = {} if called is None else called
+    stack = [P]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is Call:
+            if node.name not in called:
+                called[node.name] = None
+                if node.name in defs:
+                    stack.append(defs[node.name])
+        else:
+            stack.extend(reversed(_subterms(node)))
 
 
 def write_set(P: Process, defs: Definitions) -> frozenset:
@@ -499,90 +502,20 @@ def write_set(P: Process, defs: Definitions) -> frozenset:
     unreachable at run time; this is the conservative reading used by the
     disjointness check on synchronous composition.
     """
-    acc: set = set()
-    seen_defs: set = set()
-
-    def walk(node: Process):
-        t = type(node)
-        if t is Prefix:
-            acc.update(node.targets)
-            walk(node.cont)
-        elif t is If:
-            walk(node.then_p)
-            walk(node.else_p)
-        elif t is PChoice:
-            for _, b in node.branches:
-                walk(b)
-        elif t is Interleave:
-            walk(node.left)
-            walk(node.right)
-        elif t is SyncPar:
-            walk(node.left)
-            walk(node.right)
-        elif t is Call:
-            if node.name not in seen_defs and node.name in defs:
-                seen_defs.add(node.name)
-                walk(defs[node.name])
-
-    walk(P)
-    return frozenset(acc)
-
-
-def _read_vars(P: Process, defs: Definitions) -> set:
-    acc: set = set()
-    seen_defs: set = set()
-
-    def walk(node: Process):
-        t = type(node)
-        if t is Prefix:
-            for e in node.exprs:
-                expr_vars(e, acc)
-            walk(node.cont)
-        elif t is If:
-            expr_vars(node.guard, acc)
-            walk(node.then_p)
-            walk(node.else_p)
-        elif t is PChoice:
-            for _, b in node.branches:
-                walk(b)
-        elif t is Interleave:
-            walk(node.left)
-            walk(node.right)
-        elif t is SyncPar:
-            walk(node.left)
-            walk(node.right)
-        elif t is Call:
-            if node.name not in seen_defs and node.name in defs:
-                seen_defs.add(node.name)
-                walk(defs[node.name])
-
-    walk(P)
-    return acc
+    return frozenset(x for node in _nodes(P, defs) if type(node) is Prefix
+                     for x in node.targets)
 
 
 def _unguarded_calls(P: Process) -> set:
     """Process variables reachable from P without crossing a prefix."""
     acc: set = set()
-
-    def walk(node: Process):
-        t = type(node)
-        if t is Call:
+    stack = [P]
+    while stack:
+        node = stack.pop()
+        if type(node) is Call:
             acc.add(node.name)
-        elif t is If:
-            walk(node.then_p)
-            walk(node.else_p)
-        elif t is PChoice:
-            for _, b in node.branches:
-                walk(b)
-        elif t is Interleave:
-            walk(node.left)
-            walk(node.right)
-        elif t is SyncPar:
-            walk(node.left)
-            walk(node.right)
-        # Prefix guards its continuation: stop.
-
-    walk(P)
+        elif type(node) is not Prefix:  # a prefix guards its continuation
+            stack.extend(_subterms(node))
     return acc
 
 
@@ -594,8 +527,16 @@ def validate(P: Process, defs: Definitions, space: DataSpace) -> ValidationRepor
     here mostly guard hand-built or deserialized trees.
     """
     issues: list = []
-    reachable = _reachable_defs(P, defs)
-    bodies = [("<root>", P)] + [(n, defs[n]) for n in reachable if n in defs]
+    called: dict = {}
+    used: set = set()  # variables read or written
+    for node in _nodes(P, defs, called):
+        if type(node) is Prefix:
+            used.update(node.targets)
+            for e in node.exprs:
+                expr_vars(e, used)
+        elif type(node) is If:
+            expr_vars(node.guard, used)
+    reachable = list(called)
 
     for name in reachable:
         if name not in defs:
@@ -626,22 +567,16 @@ def validate(P: Process, defs: Definitions, space: DataSpace) -> ValidationRepor
                 ValidationIssue("unguarded-recursion", f"definition {n!r} can recurse without a prefix")
             )
 
+    bodies = [("<root>", P)] + [(n, defs[n]) for n in reachable if n in defs]
     for where, body in bodies:
-
-        def walk(node: Process):
-            t = type(node)
-            if t is PChoice:
+        for node in _nodes(body, {}):  # the body alone, not the bodies it calls
+            if type(node) is PChoice:
                 total = sum(w for w, _ in node.branches)
-                if abs(total - 1.0) > WEIGHT_TOL:
+                if not abs(total - 1.0) <= WEIGHT_TOL:  # NaN fails too
                     issues.append(
-                        ValidationIssue(
-                            "weight-sum",
-                            f"choice weights in {where} sum to {total!r}",
-                        )
+                        ValidationIssue("weight-sum", f"choice weights in {where} sum to {total!r}")
                     )
-                for _, b in node.branches:
-                    walk(b)
-            elif t is SyncPar:
+            elif type(node) is SyncPar:
                 overlap = write_set(node.left, defs) & write_set(node.right, defs)
                 if overlap:
                     issues.append(
@@ -650,22 +585,8 @@ def validate(P: Process, defs: Definitions, space: DataSpace) -> ValidationRepor
                             f"synchronous operands in {where} both write {sorted(overlap)}",
                         )
                     )
-                walk(node.left)
-                walk(node.right)
-            elif t is Prefix:
-                walk(node.cont)
-            elif t is If:
-                walk(node.then_p)
-                walk(node.else_p)
-            elif t is Interleave:
-                walk(node.left)
-                walk(node.right)
 
-        walk(body)
-
-    used = _read_vars(P, defs) | set(write_set(P, defs))
-    unknown = sorted(n for n in used if n not in space)
-    for n in unknown:
+    for n in sorted(n for n in used if n not in space):
         issues.append(ValidationIssue("unknown-variable", f"variable {n!r} is not in the data space"))
 
     return ValidationReport(issues)

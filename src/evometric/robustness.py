@@ -38,7 +38,6 @@ from .rng import RandomStream
 __all__ = [
     "PerturbationSampler",
     "UniformResampler",
-    "IdentitySampler",
     "RobustnessSpec",
     "RobustnessReport",
     "estimate_robustness",
@@ -85,16 +84,6 @@ class UniformResampler(PerturbationSampler):
             else:
                 writes.append((name, rng.uniform(spec.lower, spec.upper)))
         return base.update(writes)
-
-
-@dataclass(frozen=True)
-class IdentitySampler(PerturbationSampler):
-    """Always returns the base state (noise-floor measurements)."""
-
-    id: str = "identity"
-
-    def sample(self, base, rng):
-        return base
 
 
 @dataclass(frozen=True)
@@ -189,9 +178,6 @@ class RobustnessReport:
             "accepted_attempts": list(self.accepted_attempts),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def to_csv(self, path, meta: dict | None = None) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             header = dict(self.spec_echo)
@@ -218,7 +204,6 @@ def estimate_robustness(
     discount: DiscountFunction | None = None,
     budget: int | None = None,
     threads: int = 1,
-    collect_curves: bool = True,
     progress=None,
 ) -> RobustnessReport:
     """Estimate the xi curve for a robustness specification.
@@ -299,8 +284,7 @@ def estimate_robustness(
             xi = list(suffix)
         else:
             xi = [max(a, b) for a, b in zip(xi, suffix)]
-        if collect_curves:
-            curves.append(tuple(suffix))
+        curves.append(tuple(suffix))
         accepted_attempts.append(attempt)
         accepted += 1
         if accepted == spec.M:
@@ -354,7 +338,6 @@ def estimate_adaptability(
     discount: DiscountFunction | None = None,
     budget: int | None = None,
     threads: int = 1,
-    collect_curves: bool = True,
     progress=None,
 ) -> RobustnessReport:
     """Adaptability: initial-state filter and a single penalty for both the
@@ -365,8 +348,7 @@ def estimate_adaptability(
     )
     return estimate_robustness(
         spec, base, sampler, obs, N, ell, seed,
-        discount=discount, budget=budget, threads=threads,
-        collect_curves=collect_curves, progress=progress,
+        discount=discount, budget=budget, threads=threads, progress=progress,
     )
 
 
@@ -384,12 +366,10 @@ def estimate_reliability(
     discount: DiscountFunction | None = None,
     budget: int | None = None,
     threads: int = 1,
-    collect_curves: bool = True,
     progress=None,
 ) -> RobustnessReport:
     """Reliability: adaptability read at the first observation time."""
     return estimate_adaptability(
         rho, obs.steps[0], eta1, base, sampler, obs, N, ell, seed,
-        eta2=eta2, M=M, discount=discount, budget=budget, threads=threads,
-        collect_curves=collect_curves, progress=progress,
+        eta2=eta2, M=M, discount=discount, budget=budget, threads=threads, progress=progress,
     )

@@ -104,7 +104,7 @@ def test_criterion_03_wasserstein_estimator_vs_lp_oracle():
         n = int(r.integers(1, 9))
         omega = r.uniform(0, 1, n)
         nu = r.uniform(0, 1, n)
-        est = compute_w_sorted(omega, nu)
+        est = compute_w_sorted(omega[:, None], nu[:, None])[0]
         # equal-size uniform empiricals: an optimal coupling is a permutation
         cost = np.maximum(nu[None, :] - omega[:, None], 0.0)
         rows, cols = linear_sum_assignment(cost)

@@ -4,21 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from evometric.dataspace import DataSpace, VarPenalty, VarSpec
+from evometric.dataspace import DataSpace, PenaltyFunction, VarPenalty, VarSpec
+from evometric.engine import Configuration
+from evometric.environment import IdentityKernel
 from evometric.errors import PreconditionError, StructuralError
 from evometric.metric import (
     _W_CHUNK,
     ObservationTimes,
-    compute_w,
     compute_w_sorted,
     constant_discount,
-    data_state_metric,
     distance,
     exponential_discount,
     report_from_pointwise,
     suffix_maxima,
 )
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
+from evometric.process import Call, tick
 
 
 def unit_space():
@@ -33,6 +34,29 @@ def assignment_oracle(omega: np.ndarray, nu: np.ndarray) -> float:
     cost = np.maximum(nu[None, :] - omega[:, None], 0.0)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
+
+
+def w1(omega, nu) -> float:
+    """The estimate between two 1-D sample sets, as a one-column block."""
+    return float(compute_w_sorted(np.asarray(omega)[:, None], np.asarray(nu)[:, None])[0])
+
+
+def data_state_metric(rho, d1, d2) -> float:
+    """The evolution metric at step 0 between two idle configurations that
+    start in d1 and d2: their step-0 distributions are Dirac, so this is the
+    ground hemimetric max(rho(d2) - rho(d1), 0)."""
+    def idle(d):
+        return Configuration(Call("L"), d, IdentityKernel(), {"L": tick(Call("L"))})
+
+    return distance(idle(d1), idle(d2), rho, constant_discount(), ObservationTimes((0,)),
+                    N=1, ell=1, seed=0).value
+
+
+class ConstPenalty(PenaltyFunction):
+    id = "const"
+
+    def raw(self, step, values, space):
+        return 0.42
 
 
 class TestObservationTimes:
@@ -72,23 +96,21 @@ class TestDataStateMetric:
     def test_identity(self):
         rho = VarPenalty("u")
         d = unit_space().state([0.4])
-        assert data_state_metric(rho, 0, d, d) == 0.0
+        assert data_state_metric(rho, d, d) == 0.0
 
     def test_asymmetry(self):
         rho = VarPenalty("u")
         d1 = unit_space().state([0.2])
         d2 = unit_space().state([0.5])
-        assert data_state_metric(rho, 0, d1, d2) == pytest.approx(0.3)
-        assert data_state_metric(rho, 0, d2, d1) == 0.0
+        assert data_state_metric(rho, d1, d2) == pytest.approx(0.3)
+        assert data_state_metric(rho, d2, d1) == 0.0
 
     def test_constant_penalty(self):
-        from evometric.dataspace import FnPenalty
-
         space = unit_space()
-        rho = FnPenalty(lambda step, d: 0.42, id="const")
+        rho = ConstPenalty()
         d1, d2 = space.state([0.3]), space.state([0.7])
-        assert data_state_metric(rho, 0, d1, d2) == 0.0
-        assert data_state_metric(rho, 0, d2, d1) == 0.0
+        assert data_state_metric(rho, d1, d2) == 0.0
+        assert data_state_metric(rho, d2, d1) == 0.0
 
     def test_hemimetric_axioms_random(self):
         r = np.random.Generator(np.random.PCG64(5))
@@ -96,9 +118,9 @@ class TestDataStateMetric:
         rho = VarPenalty("u")
         for _ in range(500):
             d1, d2, d3 = (space.state([r.uniform(0, 1)]) for _ in range(3))
-            m12 = data_state_metric(rho, 0, d1, d2)
-            m13 = data_state_metric(rho, 0, d1, d3)
-            m32 = data_state_metric(rho, 0, d3, d2)
+            m12 = data_state_metric(rho, d1, d2)
+            m13 = data_state_metric(rho, d1, d3)
+            m32 = data_state_metric(rho, d3, d2)
             assert 0.0 <= m12 <= 1.0
             assert m12 <= m13 + m32 + 1e-15
 
@@ -108,46 +130,41 @@ class TestDataStateMetricMismatch:
         a = DataSpace([VarSpec("u", 0.0, 1.0)]).state([0.1])
         b = DataSpace([VarSpec("u", 0.0, 2.0)]).state([0.1])
         with pytest.raises(StructuralError):
-            data_state_metric(rho, 0, a, b)
+            data_state_metric(rho, a, b)
 
 
 class TestComputeW:
     def test_hand_example_equal_sizes(self):
         # (max(.2-.1,0) + max(.4-.3,0)) / 2 = 0.1
-        assert compute_w_sorted(np.array([0.1, 0.3]), np.array([0.2, 0.4])) == pytest.approx(0.1)
+        assert w1([0.1, 0.3], [0.2, 0.4]) == pytest.approx(0.1)
 
     def test_hand_example_scale_two(self):
         # ceil(h/2) indexing: (0 + 0.1 + 0.1 + 0.3) / 4 = 0.125
-        w = compute_w_sorted(np.array([0.1, 0.3]), np.array([0.0, 0.2, 0.4, 0.6]))
+        w = w1([0.1, 0.3], [0.0, 0.2, 0.4, 0.6])
         assert w == pytest.approx(0.125)
 
     def test_permutation_of_same_samples_is_zero(self):
         omega = np.array([0.7, 0.1, 0.4])
         nu = np.array([0.4, 0.7, 0.1])
-        assert compute_w_sorted(omega, nu) == 0.0
+        assert w1(omega, nu) == 0.0
 
     def test_permutation_invariance(self):
         r = np.random.Generator(np.random.PCG64(8))
         omega = r.uniform(0, 1, 10)
         nu = r.uniform(0, 1, 30)
-        w = compute_w_sorted(omega, nu)
+        w = w1(omega, nu)
         for _ in range(5):
-            assert compute_w_sorted(r.permutation(omega), r.permutation(nu)) == w
+            assert w1(r.permutation(omega), r.permutation(nu)) == w
 
     def test_size_mismatch(self):
         with pytest.raises(StructuralError):
-            compute_w_sorted(np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3]))
+            compute_w_sorted(np.zeros((2, 1)), np.zeros((3, 1)))
         with pytest.raises(StructuralError):
             compute_w_sorted(np.zeros((2, 3)), np.zeros((4, 2)))
         with pytest.raises(StructuralError):
             compute_w_sorted(np.zeros((2, 1)), np.zeros(2))
-
-    def test_state_interface(self):
-        space = unit_space()
-        rho = VarPenalty("u")
-        E1 = [space.state([v]) for v in (0.1, 0.3)]
-        E2 = [space.state([v]) for v in (0.2, 0.4)]
-        assert compute_w(E1, E2, rho, 0) == pytest.approx(0.1)
+        with pytest.raises(StructuralError):
+            compute_w_sorted(np.zeros(2), np.zeros(2))
 
     def test_matches_assignment_oracle(self):
         r = np.random.Generator(np.random.PCG64(12))
@@ -155,7 +172,7 @@ class TestComputeW:
             n = int(r.integers(1, 9))
             omega = r.uniform(0, 1, n)
             nu = r.uniform(0, 1, n)
-            assert compute_w_sorted(omega, nu) == pytest.approx(
+            assert w1(omega, nu) == pytest.approx(
                 assignment_oracle(omega, nu), abs=1e-9
             )
 
@@ -180,7 +197,8 @@ def test_block_equals_column_calls_bit_for_bit(n, ell, m, pool, seed, by_column)
     before = omega.copy(), nu.copy()
     block = compute_w_sorted(omega, nu)
     assert np.array_equal(omega, before[0]) and np.array_equal(nu, before[1])
-    columns = np.array([compute_w_sorted(omega[:, j], nu[:, j]) for j in range(m)])
+    columns = np.array([compute_w_sorted(omega[:, j:j + 1], nu[:, j:j + 1])[0]
+                        for j in range(m)])
     assert block.shape == (m,)
     assert block.tobytes() == columns.tobytes()
 
@@ -229,9 +247,10 @@ class TestReports:
         obs = ObservationTimes.range(6)
         curve = [0.3, 0.1, 0.6, 0.2, 0.05, 0.4, 0.0]
         rep = report_from_pointwise(obs, curve, constant_discount(), {})
-        for tau in obs:
+        suffix = suffix_maxima(rep.discounted)
+        for i, tau in enumerate(obs):
             brute = max(v for t, v in zip(obs, curve) if t >= tau)
-            assert rep.suffix_value(tau) == pytest.approx(brute)
+            assert suffix[i] == pytest.approx(brute)
 
     def test_suffix_maxima_helper(self):
         assert suffix_maxima([1.0, 3.0, 2.0]) == [3.0, 3.0, 2.0]

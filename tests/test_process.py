@@ -67,6 +67,14 @@ def tanks_defs():
             "P_Tanks": SyncPar(Call("P_in"), Call("P_out"))}
 
 
+def hand_built_choice(branches):
+    """A choice node that skips the constructor's checks, as a tree built
+    by other means may."""
+    node = object.__new__(PChoice)
+    object.__setattr__(node, "branches", branches)
+    return node
+
+
 def one_prefix(e, values):
     """The one-prefix process writing ``e`` in the tank state ``values`` to
     an unbounded variable, so that no clamp touches the value."""
@@ -180,6 +188,36 @@ class TestValidate:
         report = validate(p, {"Loop": tick(Call("Loop"))}, tanks_space())
         assert any(i.kind == "unknown-variable" for i in report.issues)
 
+    def test_every_issue_kind_in_report_order(self):
+        # undefined names in first-call order, unguarded recursion by name,
+        # then weight sums and overlaps body by body (the root, then each
+        # definition in first-call order), then unknown variables by name
+        loop = tick(Call("Loop"))
+        defs = {
+            "A": SyncPar(Prefix((Var("l1"),), ("q1",), Call("B")),
+                         Prefix((Const(0.0),), ("q1",), Call("Ghost"))),
+            "B": If(Op(">", (Var("warp"), Const(0.0))), Call("C"), loop),
+            "C": hand_built_choice(((0.5, Call("B")), (0.4, Call("Phantom")))),
+            "Loop": loop,
+        }
+        root = hand_built_choice((
+            (0.3, Call("A")),
+            (0.3, SyncPar(Prefix((Const(1.0), Const(2.0)), ("speed", "q3"), loop),
+                          Prefix((Var("q1"),), ("q3",), loop))),
+        ))
+        report = validate(root, defs, tanks_space())
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("undefined-process", "process variable 'Phantom' has no definition"),
+            ("undefined-process", "process variable 'Ghost' has no definition"),
+            ("unguarded-recursion", "definition 'B' can recurse without a prefix"),
+            ("weight-sum", "choice weights in <root> sum to 0.6"),
+            ("write-overlap", "synchronous operands in <root> both write ['q3']"),
+            ("write-overlap", "synchronous operands in A both write ['q1']"),
+            ("weight-sum", "choice weights in C sum to 0.9"),
+            ("unknown-variable", "variable 'speed' is not in the data space"),
+            ("unknown-variable", "variable 'warp' is not in the data space"),
+        ]
+
     def test_write_set_through_definitions(self):
         assert write_set(Call("P_Tanks"), tanks_defs()) == {"q1", "q3"}
 
@@ -285,6 +323,20 @@ class TestConstructorInvariants:
             PChoice(((0.5, a), (0.6, a)))
         with pytest.raises(StructuralError):
             PChoice(((-0.1, a), (1.1, a)))
+
+    def test_a_nan_weight_is_rejected(self):
+        a = tick(Call("Loop"))
+        for branches in (((math.nan, a),), ((1.0, a), (math.nan, a))):
+            with pytest.raises(StructuralError):
+                PChoice(branches)
+        with pytest.raises(StructuralError):
+            Interleave(a, math.nan, a)
+        for triples in (((math.nan, (), a),), ((1.0, (), a), (math.nan, (), Call("B")))):
+            with pytest.raises(StructuralError):
+                StepDistribution(triples)
+        report = validate(hand_built_choice(((math.nan, a),)), {"Loop": a}, tanks_space())
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("weight-sum", "choice weights in <root> sum to nan")]
 
     def test_interleave_probability_range(self):
         a = tick(Call("Loop"))

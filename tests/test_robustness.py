@@ -15,7 +15,6 @@ from evometric.metric import (
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
 from evometric.process import Call, Const, Op, Prefix, Var
 from evometric.robustness import (
-    IdentitySampler,
     RobustnessSpec,
     UniformResampler,
     estimate_adaptability,
@@ -23,6 +22,9 @@ from evometric.robustness import (
     estimate_robustness,
 )
 from evometric.rng import RandomStream
+
+# resamples no variable, so every candidate is the base state
+IDENTITY = UniformResampler(())
 
 
 def decay_system():
@@ -65,9 +67,9 @@ class TestSamplePerturbations:
         assert rep.accepted_attempts == list(range(10))
 
     def test_identity_sampler_returns_base_copies(self):
-        c, rep = ball_adaptability(IdentitySampler(), 0.0, M=5, budget=5, seed=3)
+        c, rep = ball_adaptability(IDENTITY, 0.0, M=5, budget=5, seed=3)
         assert rep.accepted_attempts == list(range(5))
-        assert all(redraw(c, IdentitySampler(), 3, a) == c.data for a in rep.accepted_attempts)
+        assert all(redraw(c, IDENTITY, 3, a) == c.data for a in rep.accepted_attempts)
 
     def test_ball_membership(self):
         # eta1 = 0.3 accepts exactly rho(d') <= 0.8, i.e. l3 in [2, 18]
@@ -89,7 +91,7 @@ class TestSamplePerturbations:
 
     def test_budget_precondition(self):
         with pytest.raises(PreconditionError):
-            ball_adaptability(IdentitySampler(), 0.1, M=5, budget=3, seed=1)
+            ball_adaptability(IDENTITY, 0.1, M=5, budget=3, seed=1)
 
 
 class TestDeterministicDecay:
@@ -132,7 +134,7 @@ class TestEstimators:
                                   N=40, ell=2, seed=77, M=5)
         b = estimate_adaptability(rho, 10, 0.3, c, UniformResampler(None), obs,
                                   N=40, ell=2, seed=77, M=5)
-        assert a.to_json() == b.to_json()
+        assert a.to_json_dict() == b.to_json_dict()
         assert_xi_non_increasing(a)
 
     def test_monotone_in_eta1(self):
@@ -176,7 +178,7 @@ class TestEstimators:
         c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
         rho = tanks_penalties(c.env.params)["l3"]
         obs = ObservationTimes.range(30)
-        rep = estimate_adaptability(rho, 10, 0.0, c, IdentitySampler(), obs,
+        rep = estimate_adaptability(rho, 10, 0.0, c, IDENTITY, obs,
                                     N=100, ell=2, seed=17, M=5)
         # oracle: self-distance at the same sample sizes bounds the noise
         floor = max(
@@ -188,7 +190,7 @@ class TestEstimators:
     def test_verdict_shape(self):
         c, rho = decay_system()
         obs = ObservationTimes.range(4)
-        rep = estimate_reliability(rho, 0.9, c, IdentitySampler(), obs,
+        rep = estimate_reliability(rho, 0.9, c, IDENTITY, obs,
                                    N=3, ell=1, seed=1, eta2=0.1, M=2)
         v = rep.verdict(0, 0.1)
         assert v["satisfied"] is True
@@ -221,7 +223,7 @@ class TestEstimators:
     def test_csv_and_json(self, tmp_path):
         c, rho = decay_system()
         obs = ObservationTimes.range(3)
-        rep = estimate_reliability(rho, 0.9, c, IdentitySampler(), obs,
+        rep = estimate_reliability(rho, 0.9, c, IDENTITY, obs,
                                    N=2, ell=1, seed=1, M=1)
         path = tmp_path / "rob.csv"
         rep.to_csv(path)
@@ -246,7 +248,8 @@ def folded_by_hand(spec, c, sampler, obs, N, ell, seed, budget):
             continue
         pen = estimate_penalties(c.with_data(cand), obs.horizon, N * ell,
                                  stream.child(2).child(attempt), both, list(obs))
-        pointwise = [compute_w_sorted(base[1][:, j], pen[1][:, j]) for j in range(len(obs))]
+        pointwise = [float(compute_w_sorted(base[1][:, j:j + 1], pen[1][:, j:j + 1])[0])
+                     for j in range(len(obs))]
         curves.append(tuple(suffix_maxima(pointwise)))
         attempts.append(attempt)
         if len(curves) == spec.M:

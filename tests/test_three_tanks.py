@@ -124,7 +124,7 @@ class TestProgram:
 class TestConfiguration:
     def test_initial_state_defaults(self):
         c = tanks_configuration()
-        assert c.data.as_dict() == {
+        assert dict(zip(c.space.names, c.data.values)) == {
             "q1": 0.0, "q2": 0.0, "q3": 0.0, "l1": 0.0, "l2": 0.0, "l3": 0.0,
         }
 
