@@ -22,7 +22,9 @@ first that takes the configuration runs it:
   construction.  The compiler declines a probabilistic choice between two
   or more branches of non-zero weight, an interleaving with 0 < p < 1, an
   undefined process variable, unguarded recursion, a constant that is not
-  a float, and a table of more than 4096 control terms;
+  a float, a table of more than 4096 control terms, and an initial data
+  state that is not admissible (outside the domain, or -0.0 at a +0.0
+  bound);
 * the reference interpreter, which steps the process of each run as
   ``sim_step`` does, on the run's own child stream, fanned out over a
   process pool (``_fan_out``) when threads > 1.
@@ -35,7 +37,8 @@ reported alike, naming the run and the step.
 The lockstep declines when its ``start`` raises ``PreconditionError``
 because it is bound to another process term (for instance one advanced by
 ``sim_step``).  Each decline of a fast path is logged at DEBUG level with
-its reason.
+its reason, and each call of ``_run`` logs the path that served it with its
+runs and steps.
 ``use_fast_path=False`` (``--no-fast-path`` on the command line) skips both
 fast paths and forces the interpreter.
 
@@ -328,8 +331,9 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
     N = out.shape[0]
     fast = _start_fast_path(c, min(rows, N), key, run_offset, k) if use_fast_path else None
     failures = []
+    log.debug("%s path: %d runs of %d steps", "interpreter" if fast is None else fast[0], N, k)
     if fast is not None:
-        start, sim = fast
+        _, start, sim = fast
         for lo in range(0, N, rows):
             if lo:
                 sim = start(c, min(rows, N - lo), key, run_offset + lo, k)
@@ -347,12 +351,12 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
 
 
 def _start_fast_path(c, n, key, first, k):
-    """(start, the first block's run) of the first fast path that takes the
-    configuration, or None; ``start`` has the signature of
+    """(its name, start, the first block's run) of the first fast path that
+    takes the configuration, or None; ``start`` has the signature of
     ``lockstep.start``."""
     if c.lockstep is not None:
         try:
-            return c.lockstep.start, c.lockstep.start(c, n, key, first, k)
+            return "lockstep", c.lockstep.start, c.lockstep.start(c, n, key, first, k)
         except PreconditionError as exc:
             log.debug("lockstep simulator declined: %s", exc)
     # imported on first use: a lockstep-served or interpreted estimate, and
@@ -364,7 +368,7 @@ def _start_fast_path(c, n, key, first, k):
     except PreconditionError as exc:
         log.debug("process not compiled, running the interpreter: %s", exc)
         return None
-    return program.start, program.start(c, n, key, first, k)
+    return "compiled", program.start, program.start(c, n, key, first, k)
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:

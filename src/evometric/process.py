@@ -201,12 +201,21 @@ _PRECEDENCE = {"or": 1, "and": 2, "<": 3, "<=": 3, "=": 3, ">": 3, ">=": 3,
                "+": 4, "-": 4, "*": 5, "/": 5}
 
 
+def format_number(v: float) -> str:
+    """The literal of a number, which the text format reads back bit for
+    bit: -0.0 is ``-0``.  NaN and the infinities have no literal."""
+    if not math.isfinite(v):
+        raise StructuralError(f"the text format has no literal for {v!r}")
+    if v == 0.0 and math.copysign(1.0, v) < 0.0:
+        return "-0"
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
 def format_expr(e: Expr, parent_prec: int = 0) -> str:
     if type(e) is Const:
-        v = e.value
-        if v == int(v) and abs(v) < 1e15:
-            return str(int(v))
-        return repr(v)
+        return format_number(e.value)
     if type(e) is Var:
         return e.name
     name = e.name
@@ -544,28 +553,21 @@ def validate(P: Process, defs: Definitions, space: DataSpace) -> ValidationRepor
                 ValidationIssue("undefined-process", f"process variable {name!r} has no definition")
             )
 
-    # Unguarded recursion: a cycle among definitions that are mutually
-    # reachable without crossing any prefix, or a root that immediately
-    # re-enters such a cycle.
+    # Unguarded recursion: every definition that can unfold forever, on a
+    # cycle of calls that crosses no prefix or on a way into one.  Peel off
+    # the definitions whose unguarded calls all go to peeled ones until none
+    # is left; what remains unfolds forever.
     graph = {n: _unguarded_calls(defs[n]) & set(defs) for n in defs}
-    state: dict = {}
+    endless = set(graph)
+    peeled = True
+    while peeled:
+        peeled = {n for n in endless if not graph[n] & endless}
+        endless -= peeled
 
-    def has_cycle(n: str) -> bool:
-        mark = state.get(n)
-        if mark == "active":
-            return True
-        if mark == "done":
-            return False
-        state[n] = "active"
-        cyclic = any(has_cycle(m) for m in sorted(graph.get(n, ())))
-        state[n] = "done"
-        return cyclic
-
-    for n in sorted(set(reachable) & set(defs)):
-        if has_cycle(n):
-            issues.append(
-                ValidationIssue("unguarded-recursion", f"definition {n!r} can recurse without a prefix")
-            )
+    for n in sorted(set(reachable) & endless):
+        issues.append(
+            ValidationIssue("unguarded-recursion", f"definition {n!r} can recurse without a prefix")
+        )
 
     bodies = [("<root>", P)] + [(n, defs[n]) for n in reachable if n in defs]
     for where, body in bodies:

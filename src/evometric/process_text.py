@@ -6,9 +6,10 @@ Grammar (UTF-8, ASCII tokens)::
     definition := NAME ':=' process ';'
     process    := parallel
     parallel   := interleave { '|' interleave }
-    interleave := choice { '||' '[' number ']' choice }
+    interleave := choice { '||' '[' weight ']' choice }
     choice     := weighted { '+' weighted } | unary
-    weighted   := number ':' unary
+    weighted   := weight ':' unary
+    weight     := [ '-' ] number
     unary      := prefix | conditional | atom
     prefix     := '(' exprlist '->' namelist ')' '.' unary
                 | 'tick' '.' unary
@@ -19,7 +20,10 @@ Expressions use the usual precedence (or < and < comparison < additive <
 multiplicative < unary), the functions ``min(a,b)``, ``max(a,b)``,
 ``sqrt(a)``, ``abs(a)``, ``ite(c,a,b)``, and comparisons ``< <= = > >=``.
 
-``parse_process(format_process(P)) == P`` holds for every process tree.
+``parse_process(format_process(P))`` is ``P`` bit for bit, -0.0 included,
+for every process tree whose numbers are finite; the text format has no
+literal for NaN or an infinity, and printing one raises
+:class:`StructuralError`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .process import (
     SyncPar,
     Var,
     format_expr,
+    format_number,
 )
 
 __all__ = ["parse_process", "parse_definitions", "parse_expr", "format_process", "format_expr"]
@@ -193,22 +198,32 @@ def _parse_interleave(ts: _Tokens) -> Process:
     while ts.at("||"):
         ts.next()
         ts.expect("[")
-        kind, text = ts.next()
-        if kind != "num":
-            raise StructuralError(f"expected a probability, found {text!r}")
+        prob = _parse_weight(ts)
         ts.expect("]")
-        p = Interleave(p, float(text), _parse_choice(ts))
+        p = Interleave(p, prob, _parse_choice(ts))
     return p
+
+
+def _parse_weight(ts: _Tokens) -> float:
+    # a sign is read so that a weight of -0.0 prints and parses back
+    sign = -1.0 if ts.at("-") else 1.0
+    if sign < 0:
+        ts.next()
+    kind, text = ts.next()
+    if kind != "num":
+        raise StructuralError(f"expected a probability, found {text!r}")
+    return sign * float(text)
 
 
 def _parse_choice(ts: _Tokens) -> Process:
     # weighted sum 'p1: P1 + p2: P2 + ...' or a single unary process
-    if ts.peek()[0] == "num" and ts.peek(1)[1] == ":":
+    signed = int(ts.at("-"))
+    if ts.peek(signed)[0] == "num" and ts.peek(signed + 1)[1] == ":":
         branches = []
         while True:
-            _, wtext = ts.next()
+            weight = _parse_weight(ts)
             ts.expect(":")
-            branches.append((float(wtext), _parse_unary_process(ts)))
+            branches.append((weight, _parse_unary_process(ts)))
             if ts.at("+"):
                 ts.next()
                 continue
@@ -324,12 +339,6 @@ def parse_definitions(text: str) -> tuple[dict, Process | None]:
 # -- printing ----------------------------------------------------------------
 
 
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
-
-
 def format_process(P: Process) -> str:
     t = type(P)
     if t is Prefix:
@@ -341,9 +350,9 @@ def format_process(P: Process) -> str:
     if t is If:
         return f"if [{format_expr(P.guard)}] {_fmt_sub(P.then_p)} else {_fmt_sub(P.else_p)}"
     if t is PChoice:
-        return " + ".join(f"{_fmt_number(w)}: {_fmt_sub(b)}" for w, b in P.branches)
+        return " + ".join(f"{format_number(w)}: {_fmt_sub(b)}" for w, b in P.branches)
     if t is Interleave:
-        return f"{_fmt_side(P.left)} ||[{_fmt_number(P.p)}] {_fmt_side(P.right)}"
+        return f"{_fmt_side(P.left)} ||[{format_number(P.p)}] {_fmt_side(P.right)}"
     if t is SyncPar:
         # '|' parses left-associative: only the left operand may stay bare
         return f"{_fmt_par_left(P.left)} | {_fmt_par_right(P.right)}"

@@ -11,23 +11,28 @@ clamp events, or raise the same (run, step, message).
 """
 
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evometric import compiled, engine
-from evometric.dataspace import DataSpace, GoalPenalty, VarPenalty, VarSpec
+from evometric.dataspace import DataSpace, DataState, GoalPenalty, VarPenalty, VarSpec
 from evometric.engine import Configuration, estimate, estimate_penalties
 from evometric.environment import EnvironmentEvolution, FiniteKernel, IdentityKernel
-from evometric.errors import PreconditionError, SimulationError
+from evometric.errors import EvoMetricError, PreconditionError, SimulationError
 from evometric.metric import ObservationTimes, constant_discount, distance
+from evometric.models.engine_system import AttackConfig, engine_system
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
-from evometric.process import Call, Const, If, Interleave, Op, PChoice, Prefix, SyncPar, Var, tick
+from evometric.process import (
+    _ARITIES, Call, Const, If, Interleave, Op, PChoice, Prefix, SyncPar, Var, _eval, tick,
+)
 from evometric.process_text import format_definitions, parse_definitions
 
+from enumeration import enumerate_data_marginal
 from test_fast_path_differential import NO_SHRINK
 
 SPACE = DataSpace([
@@ -143,15 +148,15 @@ def roots(draw, n_defs):
 
 
 @st.composite
-def systems(draw):
+def systems(draw, space=SPACE, environments=ENVIRONMENTS):
     n_defs = draw(st.integers(2, 4))
     defs, dirac = {}, True
     for i in range(n_defs):
         defs[f"D{i}"], ok = draw(bodies(n_defs, 2))
         dirac = dirac and ok
     root, ok = draw(roots(n_defs))
-    init = [draw(st.sampled_from([spec.lower, spec.upper, 0.0, -0.0, 0.5])) for spec in SPACE.vars]
-    c = Configuration(root, SPACE.state(init), draw(st.sampled_from(ENVIRONMENTS)), defs)
+    init = [draw(st.sampled_from([spec.lower, spec.upper, 0.0, -0.0, 0.5])) for spec in space.vars]
+    c = Configuration(root, space.state(init), draw(st.sampled_from(environments)), defs)
     return c, dirac and ok
 
 
@@ -279,3 +284,180 @@ def test_a_lockstep_decline_is_logged_before_the_compiled_program_runs(caplog, m
         estimate(foreign, 5, 3, seed=2)
     assert "lockstep simulator declined: lockstep simulator is bound" in caplog.text
     assert "running the interpreter" not in caplog.text
+
+
+# -- the range analysis ------------------------------------------------------
+
+
+def _negzero(v):
+    return v == 0.0 and np.signbit(v)
+
+
+# admissible rows of SPACE: -0.0 only where no bound is +0.0 (x, and f
+# whose set holds 0), finite variables on their sets
+admissible_rows = st.tuples(
+    st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-4.0, 4.0, 0.0, -0.0, 1e-300, -1e-300])),
+    st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 10.0])),
+    st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+# every operator over variables and constants, dense in signed zeros and
+# non-finite values
+EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -4.5, 1e300, 5e-324, math.inf, -math.inf, math.nan]
+ranged = st.recursive(
+    st.one_of(st.sampled_from([Var("x"), Var("f"), Var("y"), Var("s")]),
+              st.sampled_from(EDGES).map(Const), st.floats(-6.0, 12.0).map(Const)),
+    lambda sub: st.builds(lambda op, args: Op(op, args[:_ARITIES[op]]),
+                          st.sampled_from(sorted(_ARITIES)), st.tuples(sub, sub, sub)),
+    max_leaves=5)
+# at -0.0 on the first row, and at every edge value of x on the others
+EDGE_ROWS = [(-0.0, 0.0, -0.0, 0.0)] + [(x, 10.0, 0.0, 1.0) for x in (0.0, -4.0, 4.0, 1e-300)]
+
+
+def _op(name, *args):
+    return Op(name, tuple(Var(a) if isinstance(a, str) else Const(a) for a in args))
+
+
+@example(e=_op("-", "x", "y"), rows=EDGE_ROWS)  # the bounds of a difference cross
+@example(e=_op("+", "x", -0.0), rows=EDGE_ROWS)  # -0.0 + -0.0 is -0.0
+@example(e=_op("-", "x", 0.0), rows=EDGE_ROWS)  # -0.0 - 0.0 is -0.0
+@example(e=_op("max", -1.0, "f"), rows=EDGE_ROWS)  # the -0.0 of f beats -1
+@example(e=_op("*", "x", math.inf), rows=EDGE_ROWS)  # 0 * inf is NaN
+@example(e=_op("/", "x", 1e300), rows=EDGE_ROWS)  # an underflow to -0.0
+@given(e=st.one_of(ranged, values),
+       rows=st.lists(admissible_rows, min_size=1, max_size=8).map(lambda r: EDGE_ROWS[:1] + r))
+@settings(max_examples=400, phases=NO_SHRINK)
+def test_the_range_of_an_expression_holds_on_admissible_rows(e, rows):
+    comp = compiled._Compiler({}, SPACE)
+    ins = comp.instrs[comp._instr(e)]
+    for row in rows:
+        assert all(compiled._admissible(spec, v) for spec, v in zip(SPACE.vars, row))
+        try:
+            v = float(_eval(e, row, SPACE))
+        except EvoMetricError:
+            assert ins.fails, f"{e} raises on {row}"
+            continue
+        if v != v:
+            assert ins.nan, f"{e} is NaN on {row}"
+            continue
+        assert ins.lo <= v <= ins.hi, f"{e} = {v!r} on {row}, outside [{ins.lo}, {ins.hi}]"
+        assert ins.vals is None or v in ins.vals, f"{e} = {v!r} on {row}, not in {ins.vals}"
+        assert ins.negzero or not _negzero(v), f"{e} is -0.0 on {row}"
+
+
+def test_a_write_that_can_be_negative_zero_keeps_its_clamp_at_a_zero_bound():
+    # max(x, 0) lies in y's domain [0, 10] but is -0.0 where x is (Python's
+    # max keeps its first argument on a tie); y's lower bound 0.0 turns that
+    # into +0.0 without counting a clamp
+    c = Configuration(Prefix((Op("max", (Var("x"), Const(0.0))),), ("y",), Call("Loop")),
+                      SPACE.state([-0.0, 5.0, 0.0, 0.0]), IdentityKernel(), _loop())
+    prog = compiled.program(c)
+    assert prog.lower((0,)).source.count("clamp(") == 1
+    before = SPACE.clamp_events
+    block = prog.start(c, 2, (3, 4), 0, 1).step()
+    assert block[:, 1].tobytes() == np.zeros(2).tobytes()
+    assert SPACE.clamp_events == before
+
+
+def test_an_inadmissible_initial_state_is_declined():
+    c = Configuration(tick(Call("Loop")), SPACE.state([0.0, 0.0, 0.0, 0.0]), IdentityKernel(),
+                      _loop())
+    c = replace(c, data=DataState(SPACE, (0.0, -0.0, 0.0, 0.0)))
+    with pytest.raises(PreconditionError, match="initial value -0.0 of 'y' is not admissible"):
+        compiled.program(c)
+
+
+def _lowered_after_running(c, rows, steps):
+    """The lowered steps of ``c``'s program, after a block of ``rows`` runs
+    took ``steps`` steps on it."""
+    prog = compiled.program(c)
+    sim = prog.start(c, rows, (5, 6), 0, steps)
+    for _ in range(steps):
+        sim.step()
+    return list(prog.lowered.values())
+
+
+@pytest.mark.parametrize("model", ["tanks", "engine-saw"])
+def test_the_built_in_terms_lower_without_clamps_or_checks(model):
+    if model == "tanks":
+        ref = tanks_configuration(scenario=2)
+    else:
+        ref = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),))
+        ref = ref.with_data(ref.data.update([("left_L", 5.0), ("right_L", 300.0)]))
+    c = Configuration(ref.process, ref.data, ref.env, ref.defs)
+    lowered = _lowered_after_running(c, 300, 400)
+    assert len(lowered) >= (2 if model == "tanks" else 4)  # the engine's rows drift apart
+    for step in lowered:
+        # no clamp, NaN check, failing-row bookkeeping or floating-point error state
+        for code in ("clamp(", "isnan(", "fail |=", "errstate"):
+            assert code not in step.source, step.source
+
+
+# -- finite models against exact enumeration ---------------------------------
+
+FINITE = DataSpace([
+    VarSpec("x", -4.0, 4.0, values=(-4.0, -1.0, 0.0, 2.5, 4.0)),
+    VarSpec("y", 0.0, 10.0, values=(0.0, 3.0, 10.0)),
+    VarSpec("f", -1.0, 2.0, values=(-1.0, 0.0, 0.5, 2.0)),
+    VarSpec("s", 0.0, 1.0, values=(0.0, 1.0)),
+])
+
+
+def _redraw_y(values):
+    return [(0.5, values), (0.25, values[:1] + (0.0,) + values[2:]),
+            (0.25, values[:1] + (10.0,) + values[2:])]
+
+
+FINITE_KERNELS = [FiniteKernel(_toggle_s, id="toggle-s"), FiniteKernel(_redraw_y, id="redraw-y")]
+MARGINAL_RUNS = 2000
+
+
+def _marginals(states):
+    """Per step, the share of runs in each value tuple."""
+    out = []
+    for step in np.moveaxis(states, 1, 0):
+        shares: dict = {}
+        for row in step.tolist():
+            shares[tuple(row)] = shares.get(tuple(row), 0.0) + 1.0 / len(step)
+        out.append(shares)
+    return out
+
+
+def _assert_close(sampled, exact, n):
+    # five standard errors per value tuple, seeds fixed: a tuple the
+    # enumeration does not reach is never sampled
+    for got, want in zip(sampled, exact):
+        for state in set(got) | set(want):
+            p, q = want.get(state, 0.0), got.get(state, 0.0)
+            assert abs(q - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n) + 1e-9, (state, q, p)
+
+
+@given(system=systems(FINITE, FINITE_KERNELS), k=st.integers(1, 3))
+@settings(max_examples=12, phases=NO_SHRINK)
+def test_finite_marginals_equal_the_exact_enumeration(system, k):
+    c, dirac = system
+    try:
+        exact = enumerate_data_marginal(c, k)
+    except EvoMetricError:  # some reachable row fails: nothing to compare
+        return
+    interp = estimate(c, k, MARGINAL_RUNS, seed=2024, use_fast_path=False)
+    _assert_close(_marginals(interp.states), exact, MARGINAL_RUNS)
+    if dirac:
+        fast = estimate(c, k, MARGINAL_RUNS, seed=2024)
+        assert fast.states.tobytes() == interp.states.tobytes()
+
+
+# -- the path taken ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", ["lockstep", "compiled", "interpreter"])
+def test_each_call_logs_the_path_that_served_it(path, caplog):
+    c = tanks_configuration()
+    if path == "compiled":
+        c = replace(c, lockstep=None)
+    with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
+        estimate(c, 5, 3, seed=2, use_fast_path=path != "interpreter")
+    served = [r.getMessage() for r in caplog.records if "path:" in r.getMessage()]
+    assert served == [f"{path} path: 3 runs of 5 steps"]

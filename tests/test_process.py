@@ -179,6 +179,20 @@ class TestValidate:
         report = validate(Call("A"), {"A": Call("A")}, tanks_space())
         assert any(i.kind == "unguarded-recursion" for i in report.issues)
 
+    @pytest.mark.parametrize("root, defs, named", [
+        ("A", {"A": Call("B"), "B": Call("A")}, ["A", "B"]),
+        ("Z", {"Z": Call("B"), "B": Call("Z")}, ["B", "Z"]),
+        # D enters the cycle without a prefix, so it unfolds forever too
+        ("D", {"A": Call("B"), "B": Call("A"), "D": Call("A")}, ["A", "B", "D"]),
+        # a prefix on the way in guards E; F calls a guarded loop
+        ("E", {"A": Call("B"), "B": Call("A"), "E": tick(Call("A")), "F": Call("L"),
+               "L": tick(Call("F"))}, ["A", "B"]),
+    ])
+    def test_every_definition_that_unfolds_forever_is_named(self, root, defs, named):
+        report = validate(Call(root), defs, tanks_space())
+        assert [i.message for i in report.issues if i.kind == "unguarded-recursion"] == [
+            f"definition {n!r} can recurse without a prefix" for n in named]
+
     def test_undefined_process(self):
         report = validate(Call("Ghost"), {}, tanks_space())
         assert any(i.kind == "undefined-process" for i in report.issues)
@@ -210,6 +224,7 @@ class TestValidate:
             ("undefined-process", "process variable 'Phantom' has no definition"),
             ("undefined-process", "process variable 'Ghost' has no definition"),
             ("unguarded-recursion", "definition 'B' can recurse without a prefix"),
+            ("unguarded-recursion", "definition 'C' can recurse without a prefix"),
             ("weight-sum", "choice weights in <root> sum to 0.6"),
             ("write-overlap", "synchronous operands in <root> both write ['q3']"),
             ("write-overlap", "synchronous operands in A both write ['q1']"),

@@ -128,6 +128,27 @@ class TestRoundTrip:
         for p in cases:
             assert parse_process(format_process(p)) == p
 
+    def test_numbers_round_trip_bit_for_bit(self):
+        a, b = tick(Call("A")), Call("B")
+        for v in (-0.0, 0.0, 1.0, -2.5, 0.1, 1e15, -1e-300, 5e-324):
+            e = Op("-", (Var("x"), Const(v)))
+            back = parse_expr(format_expr(e)).args[1].value
+            assert np.float64(back).tobytes() == np.float64(v).tobytes(), format_expr(e)
+        assert format_expr(Const(-0.0)) == "-0"
+        for p in (PChoice(((-0.0, a), (1.0, b))), Interleave(a, -0.0, b)):
+            weights = lambda q: [w for w, _ in q.branches] if type(q) is PChoice else [q.p]
+            back = parse_process(format_process(p))
+            assert np.array(weights(back)).tobytes() == np.array(weights(p)).tobytes()
+
+    def test_a_number_without_a_literal_raises(self):
+        for v in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(StructuralError, match="no literal"):
+                str(Prefix((Const(v),), ("x",), Call("L")))
+        choice = object.__new__(PChoice)  # past the constructor's checks
+        object.__setattr__(choice, "branches", ((float("inf"), Call("A")),))
+        with pytest.raises(StructuralError, match="no literal for inf"):
+            format_process(choice)
+
     def test_random_round_trip(self):
         space = DataSpace([VarSpec("x", 0, 1), VarSpec("y", 0, 1), VarSpec("zz", 0, 1)])
         r = np.random.Generator(np.random.PCG64(99))
