@@ -7,17 +7,43 @@ can be reached, through both arms of every ``If`` and through ``Call``,
 ``Prefix``, ``SyncPar`` and the Dirac forms of ``PChoice`` and
 ``Interleave``.  Guarded recursion keeps that table of control terms finite
 (Milner, *A complete inference system for a class of regular behaviours*,
-1984); each term gets an integer control id, and each expression its range
-over admissible rows.
+1984); each term gets an integer control id.
 
-A block holds one control id per run.  Each step runs the lowered step of
-the set of control ids present (:mod:`.lowering`: straight-line column
-selects, a per-row outcome index, and no clamp or check the range analysis
-proves idle), built on first use and kept with the program.  Writes are
-clamped by ``DataState.update``'s rules and counted in ``clamp_events``.
-The configuration's environment kernel then steps the whole block on
-``UniformTape`` draws, which are the draws the interpreter takes, since a
-Dirac step draws none.
+The step of a control term is its ``pstep`` tree made data-parallel by
+if-conversion (Allen, Kennedy, Porterfield and Warren, *Conversion of
+control dependence to data dependence*, POPL 1983).  The compiler lowers
+the steps of all its terms, once, into one straight-line Python function
+over numpy columns (generated source), and a block holds one control id
+per run:
+
+* every expression is one numpy call on the block's pre-step columns and
+  constants, evaluated once on every row, even when several terms share it;
+* every written column becomes one chain of ``where(rows, value, ...)``
+  selects, which applies the writes of every term in effect order (in a
+  synchronous composition the right operand's write wins); the terms that
+  write the same select tree share one control-id mask;
+* each row gets an outcome index (its term's offset plus the outcome of the
+  guards that decide the continuation), and one gather over it gives the
+  next control ids.
+
+A range analysis runs once per expression, when the compiler builds it
+(interval abstract interpretation, Cousot and Cousot, POPL 1977).  Every
+pre-step row is admissible: within its bounds, a member of its finite set,
+and not -0.0 where a bound is +0.0 (``VarSpec.clamp`` and
+``DataSpace.clamp_batch`` turn -0.0 into the bound there).  So each
+expression gets an interval, a finite value set where there is one, and
+whether it can be NaN or -0.0.  The lowered step then leaves out what
+cannot act: the clamp of a write that ``VarSpec.clamp`` provably leaves
+unchanged bit for bit, the NaN check of a write that cannot be NaN, the
+failing-row bookkeeping of a step with no expression that can raise, the
+clamp tally of a write that cannot leave the domain, and the
+floating-point error state where no expression can overflow or divide by
+zero.  A clamp at a zero bound or next to a zero set element turns -0.0
+into +0.0 without counting it, so a write that can be -0.0 keeps its clamp
+there.  Writes that keep their clamp are clamped by ``DataState.update``'s
+rules and counted in ``clamp_events``.  The configuration's environment
+kernel then steps the whole block on ``UniformTape`` draws, which are the
+draws the interpreter takes, since a Dirac step draws none.
 
 A step where some row fails is finished as the interpreter finishes it: the
 environment of the rows before the least failing row r is stepped, then
@@ -35,6 +61,9 @@ compared bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
@@ -42,21 +71,6 @@ import numpy as np
 
 from .dataspace import DataSpace, DataState
 from .errors import EvoMetricError, PreconditionError, SimulationError
-from .lowering import (
-    _BOOL_OPS,
-    _FAILS,
-    _admissible,
-    _analyse,
-    _Branch,
-    _const,
-    _Fail,
-    _Instr,
-    _Leaf,
-    _Lowered,
-    _Sync,
-    _var,
-    lower_step,
-)
 from .process import (
     WEIGHT_TOL,
     Call,
@@ -80,8 +94,11 @@ __all__ = ["Program", "program"]
 _MAX_TERMS = 4096
 # (process, definitions, space) triples whose program or decline is kept
 _CACHE_SIZE = 32
-# lowered steps kept per program, one per set of control ids present
-_MAX_LOWERED = 256
+# finite value sets the range analysis keeps track of
+_MAX_VALUES = 64
+
+_BOOL_OPS = ("<", "<=", "=", ">", ">=", "and", "or", "not")
+_INF = math.inf
 
 
 def program(c) -> "Program":
@@ -137,8 +154,194 @@ def _exact(x):
 
 
 # ---------------------------------------------------------------------------
+# Range analysis
+# ---------------------------------------------------------------------------
+
+
+def _admissible(spec, v: float) -> bool:
+    """A value the clamps can leave in a column: within the bounds, a member
+    of the finite set, and not -0.0 where a bound is +0.0."""
+    if not spec.lower <= v <= spec.upper or (spec.values is not None and v not in spec.values):
+        return False
+    return not (_is_negzero(v) and _zero_bound(spec))
+
+
+def _is_negzero(v: float) -> bool:
+    return v == 0.0 and math.copysign(1.0, v) < 0.0
+
+
+def _zero_bound(spec) -> bool:
+    return any(b == 0.0 and not _is_negzero(b) for b in (spec.lower, spec.upper))
+
+
+class _Instr(NamedTuple):
+    """One expression node.  ``op`` is "const" (``arg`` the value), "var"
+    (``arg`` the column), "fail" (evaluation raises on every row) or an
+    operator applied to the instructions ``args``.
+
+    The rest is the range analysis over admissible rows: every value that
+    does not raise lies in [lo, hi] and, when ``vals`` is set, in ``vals``;
+    it can be NaN only if ``nan`` and -0.0 only if ``negzero``."""
+
+    op: str
+    args: tuple = ()
+    arg: object = None
+    is_bool: bool = False  # the value is a bool array (1.0/0.0 to the interpreter)
+    fails: bool = False  # evaluation can raise on some row
+    lo: float = -_INF
+    hi: float = _INF
+    vals: frozenset | None = None
+    nan: bool = True
+    negzero: bool = True
+    quiet: bool = True  # numpy raises no floating-point warning evaluating it
+
+
+_FAILS = _Instr("fail", fails=True)
+_BOOLEAN = dict(lo=0.0, hi=1.0, vals=frozenset((0.0, 1.0)), nan=False, negzero=False)
+# scalar twins of the operators, for finite value sets
+_SCALAR = {"+": operator.add, "-": operator.sub, "*": operator.mul, "min": min, "max": max,
+           "abs": abs, "neg": operator.neg}
+
+
+def _const(v: float) -> _Instr:
+    if v != v:
+        return _Instr("const", arg=v)
+    return _Instr("const", arg=v, lo=v, hi=v, vals=frozenset((v,)), nan=False,
+                  negzero=_is_negzero(v))
+
+
+def _var(col: int, spec) -> _Instr:
+    return _Instr("var", arg=col, lo=spec.lower, hi=spec.upper,
+                  vals=None if spec.values is None else frozenset(spec.values), nan=False,
+                  negzero=spec.lower <= 0.0 <= spec.upper and not _zero_bound(spec))
+
+
+def _has_zero(k: _Instr) -> bool:
+    return k.lo <= 0.0 <= k.hi
+
+
+def _boolean(k: _Instr) -> bool:
+    """Every value is 0 or 1, so ``_as_bool`` accepts it."""
+    return k.is_bool or (not k.nan and k.vals is not None and k.vals <= {0.0, 1.0})
+
+
+def _span(*xs) -> tuple:
+    """(lo, hi, nan) of the rounded results at the corners of a box; the
+    operators are monotone in each operand, and so is rounding."""
+    if any(x != x for x in xs):
+        return -_INF, _INF, True
+    return min(xs), max(xs), False
+
+
+def _analyse(name: str, ks: list) -> tuple[dict, bool]:
+    """(range fields, whether the operator itself can raise) of an operator
+    over operands with the ranges ``ks``."""
+    a = ks[0]
+    b = ks[1] if len(ks) > 1 else None
+    if name in ("and", "or", "not"):
+        return _BOOLEAN, not all(_boolean(k) for k in ks)
+    if name in _BOOL_OPS:
+        return _BOOLEAN, False
+    if name == "ite":
+        t, f = ks[1], ks[2]
+        vals = None if t.vals is None or f.vals is None else t.vals | f.vals
+        rng = dict(lo=min(t.lo, f.lo), hi=max(t.hi, f.hi), vals=vals, nan=t.nan or f.nan,
+                   negzero=t.negzero or f.negzero)
+        return (_BOOLEAN if t.is_bool and f.is_bool else rng), not _boolean(a)
+    own = False
+    nan = a.nan or (b is not None and b.nan)
+    if name == "+":
+        lo, hi, bad = _span(a.lo + b.lo, a.hi + b.hi)
+        nan = nan or bad or (a.hi == _INF and b.lo == -_INF) or (a.lo == -_INF and b.hi == _INF)
+        negzero = a.negzero and b.negzero
+    elif name == "-":
+        lo, hi, bad = _span(a.lo - b.hi, a.hi - b.lo)
+        nan = nan or bad or (a.hi == _INF and b.hi == _INF) or (a.lo == -_INF and b.lo == -_INF)
+        negzero = a.negzero and _has_zero(b)
+    elif name in ("*", "/"):
+        own = name == "/" and _has_zero(b)
+        infinite = lambda k: k.lo == -_INF or k.hi == _INF
+        if own or (_has_zero(a) and infinite(b)) or (_has_zero(b) and infinite(a)) \
+                or (name == "/" and infinite(a) and infinite(b)):
+            lo, hi, nan = -_INF, _INF, True
+        else:
+            f = operator.mul if name == "*" else operator.truediv
+            lo, hi, bad = _span(f(a.lo, b.lo), f(a.lo, b.hi), f(a.hi, b.lo), f(a.hi, b.hi))
+            nan = nan or bad
+        # an exact zero or an underflow: either puts 0 in the rounded span
+        negzero = lo <= 0.0 <= hi
+    elif name == "min":  # where(b < a, b, a): a on ties and when either is NaN
+        lo, hi = min(a.lo, b.lo), a.hi if b.nan else min(a.hi, b.hi)
+        nan = a.nan
+        negzero = a.negzero or (b.negzero and a.hi > 0.0)
+    elif name == "max":  # where(b > a, b, a)
+        lo, hi = a.lo if b.nan else max(a.lo, b.lo), max(a.hi, b.hi)
+        nan = a.nan
+        negzero = a.negzero or (b.negzero and a.lo < 0.0)
+    elif name == "sqrt":  # rows of a negative operand raise
+        own = a.lo < 0.0
+        lo, hi = math.sqrt(max(a.lo, 0.0)), math.sqrt(max(a.hi, 0.0))
+        negzero = a.negzero
+    elif name == "abs":
+        lo = 0.0 if _has_zero(a) else min(abs(a.lo), abs(a.hi))
+        hi, negzero = max(abs(a.lo), abs(a.hi)), False
+    else:  # neg
+        lo, hi, negzero = -a.hi, -a.lo, _has_zero(a)
+    vals = None
+    scalar = _SCALAR.get(name)
+    operands = [k.vals for k in ks]
+    if scalar and None not in operands and not any(k.nan for k in ks) \
+            and math.prod(map(len, operands)) <= _MAX_VALUES:
+        vals = frozenset(scalar(*xs) for xs in itertools.product(*operands))
+        if any(v != v for v in vals):
+            vals, nan = None, True
+    quiet = name in ("min", "max", "abs", "neg") or (
+        not own and not nan and -_INF < lo and hi < _INF)
+    return dict(lo=lo, hi=hi, vals=vals, nan=nan, negzero=negzero, quiet=quiet), own
+
+
+def _clamp_idle(k: _Instr, spec) -> bool:
+    """``VarSpec.clamp`` leaves every value of ``k`` unchanged, bit for bit
+    (NaN is not clamped: it fails)."""
+    if not _within(k, spec):
+        return False
+    # a tie with a zero bound or set element gives the zero of the spec
+    zeros = [z for z in (spec.lower, spec.upper) + (spec.values or ()) if z == 0.0]
+    return not (zeros and _has_zero(k) and (k.negzero or any(map(_is_negzero, zeros))))
+
+
+def _within(k: _Instr, spec) -> bool:
+    """Every value of ``k`` is in the domain of ``spec``, so clamping it
+    changes no value (it may change the sign of a zero)."""
+    return spec.lower <= k.lo and k.hi <= spec.upper and (
+        spec.values is None or (k.vals is not None and k.vals <= set(spec.values)))
+
+
+# ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
+
+# The step of a control term is a tree of these nodes.
+
+
+class _Leaf(NamedTuple):
+    # (column or None for an unknown variable, instruction), in effect order
+    writes: tuple
+
+
+class _Branch(NamedTuple):
+    guard: int
+    then: object
+    other: object
+
+
+class _Sync(NamedTuple):
+    left: object
+    right: object
+
+
+class _Fail(NamedTuple):
+    """A guard that raises on every row that reaches it."""
 
 
 class _Step(NamedTuple):
@@ -167,10 +370,8 @@ class _Compiler:
                     raise PreconditionError(f"a step has probability {prob!r}, not 1")
             next_ids = np.array([self._term_id(cont, key) for _, cont, key in outcomes])
             steps.append(_Step(node, next_ids, route))
-        offsets = np.cumsum([0] + [len(s.next_ids) for s in steps[:-1]])
-        next_ids = np.concatenate([s.next_ids for s in steps]).astype(np.intp)
-        return Program(tuple(self.terms), tuple(steps), tuple(self.instrs), self.space,
-                       offsets, next_ids, {})
+        run, source = _Lowering(self.instrs, steps, self.space).build()
+        return Program(tuple(self.terms), run, source)
 
     def _term_id(self, term, key) -> int:
         if term is None:
@@ -297,29 +498,381 @@ def _settled(outcomes: list, route: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Lowering
+# ---------------------------------------------------------------------------
+
+
+class _Lowering:
+    """The source of the step of every control term, over a block whose
+    ``ctrl`` holds each row's control id; a local name is emitted once, at
+    its first use."""
+
+    def __init__(self, instrs: list, steps: list, space: DataSpace):
+        self.instrs, self.steps, self.space = instrs, steps, space
+        self.lines: list[str] = []
+        self.names: dict = {}
+        self.env = {"where": np.where, "logical_and": np.logical_and,
+                    "logical_or": np.logical_or, "logical_not": np.logical_not,
+                    "sqrt": np.sqrt, "absolute": np.absolute,
+                    "minimum": np.minimum, "maximum": np.maximum, "negative": np.negative,
+                    "isnan": np.isnan, "zeros": np.zeros, "float64": np.float64,
+                    "clamp": _clamp}
+        self.fail_sources: list[str] = []
+        self.tallies: list[str] = []
+        self.loud = False
+
+    def _name(self, key, prefix: str, code):
+        """The local name of ``key``, emitting ``name = code()`` at its first use."""
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"{prefix}{len(self.names)}"
+            self.lines.append(f"{name} = {code()}")
+        return name
+
+    def _global(self, value, prefix: str) -> str:
+        key = ("global", prefix, value.hex() if isinstance(value, float) else id(value))
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"{prefix}{len(self.names)}"
+            self.env[name] = value
+        return name
+
+    # -- expressions ---------------------------------------------------------
+
+    def value(self, i: int) -> str:
+        ins = self.instrs[i]
+        if ins.op == "const":
+            return self._global(ins.arg, "k")
+        if ins.op == "var":
+            return self.pre(ins.arg)
+        if ins.op == "fail":
+            return "0.0"  # never used: every row reading it fails
+        return self._name(("val", i), "x", lambda: self._compute(ins))
+
+    def num(self, i: int) -> str:
+        """The value of instruction i as a float."""
+        if not self.instrs[i].is_bool:
+            return self.value(i)
+        return self._name(("num", i), "f", lambda: f"{self.value(i)}.astype(float64)")
+
+    def truth(self, i: int) -> str:
+        """Rows where instruction i is 1 (``_as_bool`` true, or ``If`` takes
+        the then-arm)."""
+        ins = self.instrs[i]
+        if ins.is_bool:
+            return self.value(i)
+        if ins.op == "const":
+            return repr(ins.arg == 1.0)
+        return self._name(("true", i), "t", lambda: f"{self.value(i)} == 1.0")
+
+    def falsity(self, i: int) -> str:
+        """Rows where instruction i is 0."""
+        ins = self.instrs[i]
+        if ins.op == "const":
+            return repr(ins.arg == 0.0)
+        code = f"~{self.value(i)}" if ins.is_bool else f"{self.value(i)} == 0.0"
+        return self._name(("false", i), "z", lambda: code)
+
+    def _compute(self, ins: _Instr) -> str:
+        op, a = ins.op, ins.args
+        if not ins.quiet:
+            self.loud = True
+        if op in ("and", "or"):
+            return f"logical_{op}({self.truth(a[0])}, {self.truth(a[1])})"
+        if op == "not":
+            return f"logical_not({self.truth(a[0])})"
+        if op == "ite":  # all three arguments are evaluated, as in the interpreter
+            arm = self.value if ins.is_bool else self.num
+            return f"where({self.truth(a[0])}, {arm(a[1])}, {arm(a[2])})"
+        x = [self.num(j) for j in a]
+        if op in ("min", "max"):
+            k = [self.instrs[j] for j in a]
+            if not any(j.nan or j.negzero for j in k):  # no tie or NaN to tell apart
+                return f"{op}imum({x[0]}, {x[1]})"
+            # Python's min and max keep the first of equals, and of NaN
+            return f"where({x[1]} {'<' if op == 'min' else '>'} {x[0]}, {x[1]}, {x[0]})"
+        if op in ("sqrt", "neg", "abs"):
+            return f"{ {'abs': 'absolute', 'neg': 'negative'}.get(op, op)}({x[0]})"
+        return f"{x[0]} {'==' if op == '=' else op} {x[1]}"
+
+    def error(self, i: int) -> str | None:
+        """Rows where evaluating instruction i raises ("True" for all), or
+        None where no row can."""
+        ins = self.instrs[i]
+        if not ins.fails:
+            return None
+        if ins.op == "fail":
+            return "True"
+        return self._name(("err", i), "e", lambda: self._compute_error(ins))
+
+    def _compute_error(self, ins: _Instr) -> str:
+        op, a = ins.op, ins.args
+        parts = [e for e in map(self.error, a) if e is not None]
+        k = [self.instrs[j] for j in a]
+        if op == "/" and _has_zero(k[1]):
+            parts.append(f"({self.num(a[1])} == 0.0)")
+        elif op == "sqrt" and k[0].lo < 0.0:
+            parts.append(f"({self.num(a[0])} < 0.0)")
+        elif op in ("and", "or", "not", "ite"):
+            parts += [self.not_boolean(j) for j in (a if op != "ite" else a[:1])
+                      if not _boolean(self.instrs[j])]
+        return " | ".join(parts)
+
+    def not_boolean(self, i: int) -> str:
+        """Rows where instruction i is neither 0 nor 1."""
+        return f"logical_not({self.truth(i)} | {self.falsity(i)})"
+
+    # -- control -------------------------------------------------------------
+
+    def members(self, terms: tuple) -> str | None:
+        """Rows whose control id is one of ``terms``; None for every row."""
+        if len(terms) == len(self.steps):
+            return None
+        if len(terms) == 1:
+            return self._name(("ctrl", terms), "m", lambda: f"ctrl == {terms[0]}")
+        table = np.zeros(len(self.steps), dtype=bool)
+        table[list(terms)] = True
+        return self._name(("ctrl", terms), "m", lambda: f"{self._global(table, 'M')}[ctrl]")
+
+    def reach(self, terms: tuple, path: tuple) -> str | None:
+        """Rows of ``terms`` whose guards follow ``path``, (guard, taken) pairs."""
+        if not path:
+            return self.members(terms)
+        g, taken = path[-1]
+        lit = self.truth(g) if taken else self.falsity(g)
+        rest = self.reach(terms, path[:-1])
+        if rest is None:
+            return lit
+        return self._name(("reach", terms, path), "r", lambda: f"{rest} & {lit}")
+
+    def _fail_on(self, terms, path, err: str | None) -> None:
+        if err is None:
+            return
+        rows = self.reach(terms, path)
+        self.fail_sources.append(
+            err if rows is None else rows if err == "True" else f"{rows} & {err}")
+
+    def _tally(self, terms, path, changed: str | None) -> None:
+        rows = self.reach(terms, path)
+        if rows is None:
+            rows = changed
+        elif changed is not None:
+            rows = f"{rows} & {changed}"
+        self.tallies.append("None" if rows is None else rows)
+
+    def effects(self, tid: int, node, path: tuple) -> None:
+        """Emits the error checks and clamp tallies of the writes and guards
+        of ``node`` on the rows of term ``tid`` that follow ``path``."""
+        terms = (tid,)
+        t = type(node)
+        if t is _Leaf:
+            for col, i in node.writes:
+                self._write_effects(terms, path, col, i)
+        elif t is _Branch:
+            g = node.guard
+            self._fail_on(terms, path, self.error(g))
+            if not _boolean(self.instrs[g]):
+                self._fail_on(terms, path, self.not_boolean(g))
+            self.effects(tid, node.then, path + ((g, True),))
+            self.effects(tid, node.other, path + ((g, False),))
+        elif t is _Sync:
+            self.effects(tid, node.left, path)
+            self.effects(tid, node.right, path)
+        else:  # _Fail
+            self._fail_on(terms, path, "True")
+
+    def _write_effects(self, terms, path, col, i: int) -> None:
+        """One write of ``DataState.update``: NaN fails, then
+        ``VarSpec.clamp``, counted when it changes the value."""
+        ins = self.instrs[i]
+        if col is None or ins.op == "fail":  # an unknown variable, or no value
+            self._fail_on(terms, path, "True")
+            return
+        self._fail_on(terms, path, self.error(i))
+        spec = self.space.vars[col]
+        if ins.op == "const":
+            if ins.arg != ins.arg:
+                self._fail_on(terms, path, "True")
+            elif spec.clamp(ins.arg) != ins.arg:
+                self._tally(terms, path, None)
+            return
+        if ins.nan:
+            self._fail_on(terms, path, f"isnan({self.num(i)})")
+        if not _within(ins, spec):
+            self._tally(terms, path, self._name(
+                ("changed", i, col), "d", lambda: f"{self.written(i, col)} != {self.num(i)}"))
+
+    def written(self, i: int, col: int) -> str:
+        """The value instruction i writes to ``col``, clamped unless the
+        clamp provably leaves it unchanged."""
+        ins = self.instrs[i]
+        spec = self.space.vars[col]
+        if ins.op == "const":
+            return self._global(spec.clamp(ins.arg) if ins.arg == ins.arg else 0.0, "k")
+        if ins.op == "fail" or _clamp_idle(ins, spec):
+            return self.num(i)
+        return self._name(("clamp", i, col), "w",
+                          lambda: f"clamp({self.num(i)}, {self._global(spec, 'S')})")
+
+    def column(self, col: int, node):
+        """The select tree of ``col`` in one term's step: None keeps the
+        pre-step value, ("v", i) is a write, ("w", guard, then, else) a
+        select."""
+        t = type(node)
+        if t is _Leaf:
+            last = [i for c, i in node.writes if c == col]
+            return ("v", last[-1]) if last else None
+        if t is _Branch:
+            a, b = self.column(col, node.then), self.column(col, node.other)
+            return a if a == b else ("w", node.guard, a, b)
+        if t is _Sync:  # the right operand's writes win
+            return _over(self.column(col, node.right), self.column(col, node.left))
+        return None  # _Fail: the row fails
+
+    def select(self, col: int, tree) -> str:
+        if tree is None:
+            return self.pre(col)
+        if tree[0] == "v":
+            return self.written(tree[1], col)
+        _, g, a, b = tree
+        return f"where({self.truth(g)}, {self.select(col, a)}, {self.select(col, b)})"
+
+    def pre(self, col: int) -> str:
+        """The pre-step values of a column."""
+        return self._name(("col", col), "c", lambda: f"v[:, {col}]")
+
+    def route(self, r) -> str | int:
+        """The outcome index of a step's rows within its term: an int where
+        it is the same on every row."""
+        kind = r[0]
+        if kind == "c":
+            return r[1]
+        if kind == "+":
+            return _plus(self.route(r[1]), r[2])
+        if kind == "s":
+            a = self.route(r[1])
+            a = a * r[2] if isinstance(a, int) else a if r[2] == 1 else f"{a} * {r[2]}"
+            return _plus(a, self.route(r[3]))
+        return self._name(("route", r), "o", lambda: (
+            f"where({self.truth(r[1])}, {self.route(r[2])}, {self.route(r[3])})"))
+
+    # -- the step ------------------------------------------------------------
+
+    def build(self) -> tuple:
+        """(the step function, its source).  The function maps (pre-step
+        block, control ids) to (post-step block, next control ids, failing
+        rows or None, clamped rows per tally)."""
+        steps = self.steps
+        for tid, step in enumerate(steps):
+            self.effects(tid, step.root, ())
+
+        written = sorted({c for step in steps for c in _written(step.root)})
+        selects = []
+        for col in written:
+            groups: dict = {}
+            for tid, step in enumerate(steps):
+                groups.setdefault(self.column(col, step.root), []).append(tid)
+            # the group that keeps the column, else the largest, needs no mask
+            order = sorted(groups.items(), key=lambda g: (g[0] is not None, -len(g[1])))
+            if len(order) == 1 and order[0][0] is None:
+                continue
+            # one statement per group, so that many terms nest no deeper
+            selects.append(f"p = {self.select(col, order[0][0])}")
+            for tree, terms in order[1:]:
+                rows = self.members(tuple(terms))
+                selects.append(f"p = where({rows}, {self.select(col, tree)}, p)")
+            selects.append(f"post[:, {col}] = p")
+
+        offsets = np.cumsum([0] + [len(s.next_ids) for s in steps[:-1]])
+        next_ids = np.concatenate([s.next_ids for s in steps]).astype(np.intp)
+        routes = [self.route(step.route) for step in steps]
+        table = offsets + [r if isinstance(r, int) else 0 for r in routes]
+        if all(isinstance(r, int) for r in routes):
+            self.lines.append(f"nxt = {self._global(next_ids[table], 'N')}[ctrl]")
+        else:
+            self.lines.append(f"i = {self._global(table, 'O')}[ctrl]")
+            for tid, r in enumerate(routes):
+                if not isinstance(r, int):
+                    self.lines.append(f"i = i + where({self.members((tid,))}, {r}, 0)")
+            self.lines.append(f"nxt = {self._global(next_ids, 'N')}[i]")
+
+        body = self.lines
+        if self.fail_sources:
+            body += ["fail = zeros(len(v), dtype=bool)"]
+            body += [f"fail |= {s}" for s in self.fail_sources]
+            body += ["fail = fail if fail.any() else None"]
+        else:
+            body += ["fail = None"]
+        # kernels do not modify their input: a step that writes nothing passes v on
+        body += ["post = v.copy(order='K')" if selects else "post = v"] + selects
+        body.append(f"return post, nxt, fail, ({''.join(t + ', ' for t in self.tallies)})")
+        if self.loud:
+            body = ["with errstate(all='ignore'):"] + ["    " + line for line in body]
+            self.env["errstate"] = np.errstate
+        source = "def step(v, ctrl):\n" + "".join(f"    {line}\n" for line in body)
+        exec(compile(source, "<compiled step>", "exec"), self.env)
+        return self.env["step"], source
+
+
+def _plus(a, b):
+    """The outcome index ``a + b``, folded where either is an int."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    if b == 0 or a == 0:
+        return a if b == 0 else b
+    return f"({a} + {b})"
+
+
+def _over(top, under):
+    """The select tree of ``top`` with its kept rows taken from ``under``."""
+    if top is None:
+        return under
+    if top[0] == "v":
+        return top
+    return "w", top[1], _over(top[2], under), _over(top[3], under)
+
+
+def _written(node) -> set:
+    t = type(node)
+    if t is _Leaf:
+        return {c for c, _ in node.writes if c is not None}
+    if t is _Branch:
+        return _written(node.then) | _written(node.other)
+    if t is _Sync:
+        return _written(node.left) | _written(node.right)
+    return set()
+
+
+def _clamp(v: np.ndarray, spec) -> np.ndarray:
+    """``VarSpec.clamp`` of every entry: the bounds (a bound wins a tie),
+    then the nearest element of a finite set, ties downward.  A NaN entry
+    comes back different from itself."""
+    lo, hi = spec.lower, spec.upper
+    w = np.where(v <= lo, lo, v)
+    w = np.where(w >= hi, hi, w)
+    if spec.values is not None:
+        best = np.full_like(w, spec.values[0])
+        gap = np.abs(w - spec.values[0])
+        for cand in spec.values[1:]:
+            g = np.abs(w - cand)
+            closer = g < gap
+            best = np.where(closer, cand, best)
+            gap = np.where(closer, g, gap)
+        w = best
+    return w
+
+
+# ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
 
 class Program(NamedTuple):
-    """The control table of one process, its steps and their expressions."""
+    """The control table of one process and the lowered step of its terms."""
 
     terms: tuple  # control id -> process term
-    steps: tuple  # control id -> _Step
-    instrs: tuple  # the _Instr of every guard and written expression
-    space: DataSpace
-    offsets: np.ndarray  # control id -> its first outcome in next_ids
-    next_ids: np.ndarray  # outcome -> control id, over the outcomes of every term
-    lowered: dict  # tuple of the control ids present -> _Lowered
-
-    def lower(self, present: tuple) -> _Lowered:
-        """The lowered step of a block whose control ids are ``present``."""
-        got = self.lowered.get(present)
-        if got is None:
-            if len(self.lowered) >= _MAX_LOWERED:
-                self.lowered.clear()
-            got = self.lowered[present] = lower_step(self, present)
-        return got
+    run: object  # (pre-step block, control ids) -> (post, next ids, failing rows or None, clamps)
+    source: str  # the source of ``run``
 
     def start(self, c, n_runs: int, base_key, run_offset: int, horizon: int) -> "_ProgramRun":
         """A block of runs ``run_offset .. run_offset + n_runs - 1`` of ``c``,
@@ -335,8 +888,7 @@ class _ProgramRun:
         # column-major, as the lockstep runs: every column is contiguous
         self.vals = np.empty((n, len(self.space)), order="F")
         self.vals[:] = c.data.values
-        self.ctrl = 0  # the control id of every row, or one per row
-        self.present = (0,)  # the control ids of the rows
+        self.ctrl = np.zeros(n, dtype=np.intp)  # the control id of each row
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses
             self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
@@ -348,20 +900,12 @@ class _ProgramRun:
         return self.vals
 
     def step(self) -> np.ndarray:
-        lowered = self.prog.lower(self.present)
-        self.post, ctrl, fail, self.clamped = lowered.run(self.vals, self.ctrl)
+        self.post, ctrl, fail, self.clamped = self.prog.run(self.vals, self.ctrl)
         u = self.tape.next_step() if self.tape else self.no_draws
         if fail is not None:
             self._fail(int(fail.argmax()), u)
         if self.clamped:
             self._count_clamps(len(self.vals))
-        if not isinstance(ctrl, int):
-            present = np.flatnonzero(np.bincount(ctrl))
-            if len(present) == 1:
-                ctrl = int(present[0])
-            self.present = tuple(present.tolist())
-        elif ctrl != self.ctrl:
-            self.present = (ctrl,)
         self.ctrl = ctrl
         self.vals = self.env.advance(self.post, u, self.space)
         return self.vals
@@ -376,11 +920,9 @@ class _ProgramRun:
         self._count_clamps(r)
         if r:
             self.env.advance(self.post[:r], u[:r], self.space)
-        ctrl = self.ctrl if isinstance(self.ctrl, int) else int(self.ctrl[r])
         d = DataState(self.space, tuple(self.vals[r].tolist()))
         try:
-            d.update(pstep(self.prog.terms[ctrl], d, self.defs).triples[0][1])
+            d.update(pstep(self.prog.terms[int(self.ctrl[r])], d, self.defs).triples[0][1])
         except Exception as exc:
             raise SimulationError(str(exc), run=r) from exc
         raise RuntimeError(f"the compiled step fails on row {r}, the interpreter does not")
-

@@ -265,6 +265,21 @@ def test_dirac_forms_of_choice_and_interleaving_compile():
         compiled.program(c)
 
 
+def test_many_terms_that_write_apart_share_one_step():
+    # 300 terms, each writing its own constant and moving on or back by the
+    # data: the one lowered step holds a select for each, and Drift spreads
+    # the rows over many of them
+    n = 300
+    defs = {f"D{i}": If(Op(">", (Var("x"), Const(0.0))),
+                        Prefix((Const(i / 30.0),), ("y",), Call(f"D{(i + 1) % n}")),
+                        tick(Call("D0"))) for i in range(n)}
+    c = Configuration(Call("D0"), SPACE.state([0.0, 0.0, 0.0, 0.0]), Drift(), defs)
+    assert compiled.program(c).source.count("p = where(") == n
+    fast = _outcome(lambda: estimate(c, 40, 20, 3, use_fast_path=True), True)
+    slow = _outcome(lambda: estimate(c, 40, 20, 3, use_fast_path=False), True)
+    assert fast == slow
+
+
 def test_a_decline_is_logged_with_its_reason(caplog):
     c = Configuration(PChoice(((0.5, a), (0.5, b))), SPACE.state([0.0, 0.0, 0.0, 0.0]),
                       IdentityKernel(), _loop())
@@ -354,7 +369,7 @@ def test_a_write_that_can_be_negative_zero_keeps_its_clamp_at_a_zero_bound():
     c = Configuration(Prefix((Op("max", (Var("x"), Const(0.0))),), ("y",), Call("Loop")),
                       SPACE.state([-0.0, 5.0, 0.0, 0.0]), IdentityKernel(), _loop())
     prog = compiled.program(c)
-    assert prog.lower((0,)).source.count("clamp(") == 1
+    assert prog.source.count("clamp(") == 1
     before = SPACE.clamp_events
     block = prog.start(c, 2, (3, 4), 0, 1).step()
     assert block[:, 1].tobytes() == np.zeros(2).tobytes()
@@ -369,16 +384,6 @@ def test_an_inadmissible_initial_state_is_declined():
         compiled.program(c)
 
 
-def _lowered_after_running(c, rows, steps):
-    """The lowered steps of ``c``'s program, after a block of ``rows`` runs
-    took ``steps`` steps on it."""
-    prog = compiled.program(c)
-    sim = prog.start(c, rows, (5, 6), 0, steps)
-    for _ in range(steps):
-        sim.step()
-    return list(prog.lowered.values())
-
-
 @pytest.mark.parametrize("model", ["tanks", "engine-saw"])
 def test_the_built_in_terms_lower_without_clamps_or_checks(model):
     if model == "tanks":
@@ -386,13 +391,10 @@ def test_the_built_in_terms_lower_without_clamps_or_checks(model):
     else:
         ref = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),))
         ref = ref.with_data(ref.data.update([("left_L", 5.0), ("right_L", 300.0)]))
-    c = Configuration(ref.process, ref.data, ref.env, ref.defs)
-    lowered = _lowered_after_running(c, 300, 400)
-    assert len(lowered) >= (2 if model == "tanks" else 4)  # the engine's rows drift apart
-    for step in lowered:
-        # no clamp, NaN check, failing-row bookkeeping or floating-point error state
-        for code in ("clamp(", "isnan(", "fail |=", "errstate"):
-            assert code not in step.source, step.source
+    source = compiled.program(Configuration(ref.process, ref.data, ref.env, ref.defs)).source
+    # no clamp, NaN check, failing-row bookkeeping or floating-point error state
+    for code in ("clamp(", "isnan(", "fail |=", "errstate"):
+        assert code not in source, source
 
 
 # -- finite models against exact enumeration ---------------------------------
