@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataspace import DataSpace, DataState
+from .dataspace import DataSpace, DataState, clamp_array
 from .errors import EvoMetricError, PreconditionError, SimulationError
 from .process import (
     WEIGHT_TOL,
@@ -516,7 +516,7 @@ class _Lowering:
                     "sqrt": np.sqrt, "absolute": np.absolute,
                     "minimum": np.minimum, "maximum": np.maximum, "negative": np.negative,
                     "isnan": np.isnan, "zeros": np.zeros, "float64": np.float64,
-                    "clamp": _clamp}
+                    "clamp": clamp_array}
         self.fail_sources: list[str] = []
         self.tallies: list[str] = []
         self.loud = False
@@ -841,25 +841,6 @@ def _written(node) -> set:
     if t is _Sync:
         return _written(node.left) | _written(node.right)
     return set()
-
-
-def _clamp(v: np.ndarray, spec) -> np.ndarray:
-    """``VarSpec.clamp`` of every entry: the bounds (a bound wins a tie),
-    then the nearest element of a finite set, ties downward.  A NaN entry
-    comes back different from itself."""
-    lo, hi = spec.lower, spec.upper
-    w = np.where(v <= lo, lo, v)
-    w = np.where(w >= hi, hi, w)
-    if spec.values is not None:
-        best = np.full_like(w, spec.values[0])
-        gap = np.abs(w - spec.values[0])
-        for cand in spec.values[1:]:
-            g = np.abs(w - cand)
-            closer = g < gap
-            best = np.where(closer, cand, best)
-            gap = np.where(closer, g, gap)
-        w = best
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,26 @@ class VarSpec:
         return v
 
 
+def clamp_array(values: np.ndarray, spec: VarSpec) -> np.ndarray:
+    """:meth:`VarSpec.clamp` of every entry, bit for bit, as a new array: the
+    bounds (a bound wins a tie), then the nearest element of a finite set,
+    ties downward.  A NaN entry is not rejected; it comes back different
+    from itself."""
+    lo, hi = spec.lower, spec.upper
+    w = np.where(values <= lo, lo, values)
+    w = np.where(w >= hi, hi, w)
+    if spec.values is not None:
+        best = np.full_like(w, spec.values[0])
+        gap = np.abs(w - spec.values[0])
+        for cand in spec.values[1:]:
+            g = np.abs(w - cand)
+            closer = g < gap
+            best = np.where(closer, cand, best)
+            gap = np.where(closer, g, gap)
+        w = best
+    return w
+
+
 class DataSpace:
     """Ordered collection of variables; index lookup by name is a bijection."""
 
@@ -168,10 +188,9 @@ class DataSpace:
             same = np.equal(out, inputs)[:, finite].all(axis=0)
             finite = [j for j, kept in zip(finite, same.tolist()) if not kept]
         for j in finite:
-            clamp = self.vars[j].clamp
             col = out[:, j]
             rows = slice(None) if inputs is None else np.flatnonzero(col != inputs[:, j])
-            col[rows] = [clamp(v) for v in col[rows].tolist()]
+            col[rows] = clamp_array(col[rows], self.vars[j])
         return out
 
     def clamp_row(self, values: Sequence[float], inputs: Sequence[float]) -> tuple:
@@ -259,15 +278,25 @@ class DataState:
 class PenaltyFunction:
     """Time-indexed score of how far a data state is from the system objective.
 
-    Implementations must be pure -- the same (step, state) always yields the
-    same value -- and SHOULD be continuous in the state; continuity is a
-    modelling obligation that cannot be checked mechanically.  Outputs are
-    clamped into [0, 1].
+    A penalty is written once, as a batch function: a subclass implements
+    :meth:`score_batch`, the scores of an (n, v) block of data states at one
+    step, before clipping.  :meth:`eval_batch` (every estimate),
+    :meth:`eval_values` and calls (one state, as a one-row block) all clip
+    those scores into [0, 1] and reject a NaN score with
+    :class:`DataValidationError` in one place, so a state gets the same
+    penalty, bit for bit, on every path.
+
+    Implementations must be pure and row-independent -- row ``i`` of the
+    result depends only on ``step`` and row ``i`` of ``values`` -- must not
+    modify their input, and SHOULD be continuous in the state; continuity is
+    a modelling obligation that cannot be checked mechanically.
     """
 
     id: str = "penalty"
 
-    def raw(self, step: int, values: Sequence[float], space: DataSpace) -> float:
+    def score_batch(self, step: int, values: np.ndarray, space: DataSpace) -> np.ndarray:
+        """Scores (n,) of the states ``values`` (n, v) at ``step``, before
+        clipping into [0, 1]."""
         raise NotImplementedError
 
     def __call__(self, step: int, state: DataState) -> float:
@@ -277,16 +306,19 @@ class PenaltyFunction:
         return self.eval_values(step, state.values, state.space)
 
     def eval_values(self, step: int, values: Sequence[float], space: DataSpace) -> float:
-        v = self.raw(step, values, space)
-        if math.isnan(v):
-            raise DataValidationError(f"penalty {self.id} evaluated to NaN")
-        return min(1.0, max(0.0, v))
+        """The penalty of one state, given by its values in variable order:
+        its row of a one-row :meth:`eval_batch`."""
+        return float(self._clipped(step, np.array([values], dtype=np.float64), space)[0])
 
     def eval_batch(self, step: int, values: np.ndarray, space: DataSpace) -> np.ndarray:
-        """Vectorized evaluation over rows of ``values``; clamped to [0, 1]."""
-        out = np.empty(values.shape[0])
-        for i in range(values.shape[0]):
-            out[i] = self.eval_values(step, values[i], space)
+        """Penalties (n,) of the states ``values`` (n, v), in [0, 1]."""
+        return self._clipped(step, values, space)
+
+    def _clipped(self, step: int, values: np.ndarray, space: DataSpace) -> np.ndarray:
+        out = np.clip(self.score_batch(step, values, space), 0.0, 1.0)
+        if math.isnan(out.dot(out)):  # NaN iff an entry is, as the others are in [0, 1]
+            row = int(np.flatnonzero(np.isnan(out))[0])
+            raise DataValidationError(f"penalty {self.id} evaluated to NaN", row=row)
         return out
 
 
@@ -311,14 +343,9 @@ class GoalPenalty(PenaltyFunction):
         if denom <= 0:
             raise DataValidationError(f"{self.id}: degenerate goal normalisation")
 
-    def raw(self, step, values, space):
+    def score_batch(self, step, values, space):
         denom = max(self.upper - self.goal, self.goal - self.lower)
-        return abs(values[space.index(self.var)] - self.goal) / denom
-
-    def eval_batch(self, step, values, space):
-        denom = max(self.upper - self.goal, self.goal - self.lower)
-        col = values[:, space.index(self.var)]
-        return np.clip(np.abs(col - self.goal) / denom, 0.0, 1.0)
+        return np.abs(values[:, space.index(self.var)] - self.goal) / denom
 
 
 @dataclass(frozen=True)
@@ -334,12 +361,8 @@ class MaxPenalty(PenaltyFunction):
         if not self.id:
             object.__setattr__(self, "id", "max(" + ",".join(p.id for p in self.parts) + ")")
 
-    def raw(self, step, values, space):
-        return max(p.eval_values(step, values, space) for p in self.parts)
-
-    def eval_batch(self, step, values, space):
-        cols = [p.eval_batch(step, values, space) for p in self.parts]
-        return np.maximum.reduce(cols)
+    def score_batch(self, step, values, space):
+        return np.maximum.reduce([p._clipped(step, values, space) for p in self.parts])
 
 
 @dataclass(frozen=True)
@@ -357,14 +380,11 @@ class ConvexPenalty(PenaltyFunction):
             inner = "+".join(f"{w:g}*{p.id}" for w, p in self.parts)
             object.__setattr__(self, "id", f"mix({inner})")
 
-    def raw(self, step, values, space):
-        return sum(w * p.eval_values(step, values, space) for w, p in self.parts)
-
-    def eval_batch(self, step, values, space):
+    def score_batch(self, step, values, space):
         out = np.zeros(values.shape[0])
         for w, p in self.parts:
-            out += w * p.eval_batch(step, values, space)
-        return np.clip(out, 0.0, 1.0)
+            out += w * p._clipped(step, values, space)
+        return out
 
 
 @dataclass(frozen=True)
@@ -378,11 +398,8 @@ class VarPenalty(PenaltyFunction):
         if not self.id:
             object.__setattr__(self, "id", f"var[{self.var}]")
 
-    def raw(self, step, values, space):
-        return values[space.index(self.var)]
-
-    def eval_batch(self, step, values, space):
-        return np.clip(values[:, space.index(self.var)], 0.0, 1.0)
+    def score_batch(self, step, values, space):
+        return values[:, space.index(self.var)]
 
 
 @dataclass(frozen=True)
@@ -397,14 +414,7 @@ class RatioPenalty(PenaltyFunction):
         if not self.id:
             object.__setattr__(self, "id", f"ratio[{self.numerator}/{self.denominator}]")
 
-    def raw(self, step, values, space):
-        den = values[space.index(self.denominator)]
-        if den == 0:
-            return 0.0
-        return values[space.index(self.numerator)] / den
-
-    def eval_batch(self, step, values, space):
+    def score_batch(self, step, values, space):
         num = values[:, space.index(self.numerator)]
         den = values[:, space.index(self.denominator)]
-        out = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-        return np.clip(out, 0.0, 1.0)
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)

@@ -444,12 +444,9 @@ class WindowPenalty(PenaltyFunction):
         if not self.id:
             object.__setattr__(self, "id", f"window[{self.right_var}]")
 
-    def raw(self, step, values, space):
-        return (values[space.index(self.right_var)] - values[space.index(self.left_var)]) / self.awml
-
-    def eval_batch(self, step, values, space):
+    def score_batch(self, step, values, space):
         span = values[:, space.index(self.right_var)] - values[:, space.index(self.left_var)]
-        return np.clip(span / self.awml, 0.0, 1.0)
+        return span / self.awml
 
 
 @dataclass(frozen=True)

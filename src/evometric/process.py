@@ -123,7 +123,7 @@ def _as_bool(v: float, e: Expr) -> bool:
         return True
     if v == 0.0:
         return False
-    raise EvaluationError(f"boolean operand of '{e}' evaluated to {v}, expected 0 or 1")
+    raise EvaluationError(f"boolean operand of '{_shown(e)}' evaluated to {v}, expected 0 or 1")
 
 
 def _eval(e: Expr, values: Sequence[float], space: DataSpace) -> float:
@@ -143,7 +143,7 @@ def _eval(e: Expr, values: Sequence[float], space: DataSpace) -> float:
         num = _eval(a[0], values, space)
         den = _eval(a[1], values, space)
         if den == 0.0:
-            raise EvaluationError(f"division by zero in '{e}'")
+            raise EvaluationError(f"division by zero in '{_shown(e)}'")
         return num / den
     if name == "min":
         return min(_eval(a[0], values, space), _eval(a[1], values, space))
@@ -152,7 +152,7 @@ def _eval(e: Expr, values: Sequence[float], space: DataSpace) -> float:
     if name == "sqrt":
         x = _eval(a[0], values, space)
         if x < 0.0:
-            raise EvaluationError(f"sqrt of negative value {x:g} in '{e}'")
+            raise EvaluationError(f"sqrt of negative value {x:g} in '{_shown(e)}'")
         return math.sqrt(x)
     if name == "abs":
         return abs(_eval(a[0], values, space))
@@ -238,6 +238,15 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
     if prec < parent_prec:
         return f"({text})"
     return text
+
+
+def _shown(e: Expr) -> str:
+    """``e`` for an error message: its text, or its ``repr`` when a number
+    in it (NaN, an infinity) has no literal."""
+    try:
+        return format_expr(e)
+    except StructuralError:
+        return repr(e)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +402,7 @@ def _pstep(P: Process, values, space, defs) -> list:
             return _pstep(P.then_p, values, space, defs)
         if g == 0.0:
             return _pstep(P.else_p, values, space, defs)
-        raise SemanticError(f"if-guard '{P.guard}' evaluated to {g}, expected 0 or 1")
+        raise SemanticError(f"if-guard '{_shown(P.guard)}' evaluated to {g}, expected 0 or 1")
     if t is PChoice:
         out = []
         for w, branch in P.branches:
@@ -456,10 +465,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    def only(self, *kinds: str) -> bool:
-        """True if every issue is of one of the given kinds."""
-        return all(issue.kind in kinds for issue in self.issues)
 
     def raise_if_invalid(self, tolerate: Iterable[str] = ()) -> None:
         tolerated = set(tolerate)

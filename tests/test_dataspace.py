@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evometric import compiled
 from evometric.dataspace import (
     ConvexPenalty,
     DataSpace,
     GoalPenalty,
     MaxPenalty,
+    PenaltyFunction,
     RatioPenalty,
     VarPenalty,
     VarSpec,
 )
+from evometric.engine import Configuration, estimate_penalties
+from evometric.environment import IdentityKernel
 from evometric.errors import DataValidationError, PreconditionError, StructuralError
+from evometric.models.engine_system import WindowPenalty
+from evometric.process import Call, tick
 
 TANKS_VARS = [
     VarSpec("q1", 0.0, 6.0), VarSpec("q2", 0.0, 6.0), VarSpec("q3", 0.0, 6.0),
@@ -272,6 +278,84 @@ class TestPenalties:
         space = DataSpace([VarSpec("u", 0.0, 10.0)])
         rho = VarPenalty("u")
         assert rho(0, space.state([7.0])) == 1.0
+
+
+# signed ranges, so that -0.0 is admissible next to a negative bound
+SIGNED = DataSpace([
+    VarSpec("a", -1.0, 2.0),
+    VarSpec("b", -2.0, 1.0),
+    VarSpec("c", 0.0, 20.0),
+    VarSpec("n", 0.0, 300.0),
+])
+BUILT_IN = (
+    GoalPenalty("c", 10.0, 0.0, 20.0),
+    GoalPenalty("a", 0.5, -1.0, 2.0),
+    VarPenalty("a"),
+    VarPenalty("b"),
+    RatioPenalty("a", "b"),
+    RatioPenalty("n", "c"),
+    WindowPenalty("b", "a", 2),
+    WindowPenalty("c", "n", 100),
+    MaxPenalty((VarPenalty("b"), GoalPenalty("c", 10.0, 0.0, 20.0))),
+    ConvexPenalty(((0.3, VarPenalty("a")), (0.7, RatioPenalty("a", "b")))),
+)
+
+
+def _admissible(spec: VarSpec):
+    """Admissible values: the bounds, signed zeros inside the domain, and
+    any value between the bounds."""
+    points = [spec.lower, spec.upper, 0.0, 1.0] + ([-0.0] if spec.lower < 0.0 else [])
+    return st.one_of(st.sampled_from([p for p in points if spec.lower <= p <= spec.upper]),
+                     st.floats(spec.lower, spec.upper))
+
+
+class NaNPenalty(PenaltyFunction):
+    id = "nan"
+
+    def score_batch(self, step, values, space):
+        return np.where(values[:, 0] > 0.5, np.nan, values[:, 0])
+
+
+class TestPenaltyPaths:
+    @settings(max_examples=300)
+    @given(data=st.data(), step=st.integers(0, 1000))
+    def test_a_call_equals_its_row_of_the_batch(self, data, step):
+        # bit for bit: a call on one state and its row of a block agree in
+        # the sign of a zero too (VarPenalty of -0.0, RatioPenalty 0 / -1)
+        row = st.tuples(*(_admissible(spec) for spec in SIGNED.vars))
+        states = [SIGNED.state(list(r)) for r in data.draw(st.lists(row, min_size=1, max_size=6))]
+        block = np.array([d.values for d in states])
+        for rho in BUILT_IN:
+            batch = rho.eval_batch(step, block, SIGNED)
+            calls = np.array([rho(step, d) for d in states])
+            assert calls.tobytes() == batch.tobytes(), rho.id
+            assert ((batch >= 0.0) & (batch <= 1.0)).all()
+
+    def test_a_call_keeps_the_sign_of_a_zero_score(self):
+        for rho, d in ((VarPenalty("a"), SIGNED.state([-0.0, 0.0, 0.0, 0.0])),
+                       (RatioPenalty("a", "b"), SIGNED.state([0.0, -1.0, 0.0, 0.0]))):
+            assert math.copysign(1.0, rho(0, d)) == -1.0
+            assert rho(0, d) == rho.eval_batch(0, np.array([d.values]), SIGNED)[0] == 0.0
+
+    def test_a_nan_penalty_raises_alike_on_every_path(self):
+        space = DataSpace([VarSpec("x", 0.0, 1.0)])
+        d = space.state([0.75])
+        c = Configuration(Call("L"), d, IdentityKernel(), {"L": tick(Call("L"))})
+        compiled.program(c)  # the fast path is the compiled program
+        rho = NaNPenalty()
+        calls = [lambda: rho(3, d),
+                 lambda: rho.eval_batch(3, np.array([[0.25], [0.75]]), space)]
+        for fast, threads in ((True, 1), (False, 1), (False, 2)):
+            calls.append(lambda fast=fast, threads=threads: estimate_penalties(
+                c, 4, 6, 9, [VarPenalty("x"), rho], [0, 3], threads, use_fast_path=fast))
+        for call in calls:
+            with pytest.raises(DataValidationError) as err:
+                call()
+            assert type(err.value) is DataValidationError
+            assert str(err.value) == "penalty nan evaluated to NaN"
+        with pytest.raises(DataValidationError) as err:
+            rho.eval_batch(0, np.array([[0.25], [0.75], [0.9]]), space)
+        assert err.value.row == 1
 
 
 class TestSerialization:

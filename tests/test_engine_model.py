@@ -251,7 +251,7 @@ class TestValidationGate:
         c = engine_system(attacks=(AttackConfig.parse("act:L:1.8"),))
         report = validate(c.process, c.defs, c.space)
         assert not report.ok
-        assert report.only("write-overlap")
+        assert {issue.kind for issue in report.issues} == {"write-overlap"}
 
     def test_clean_attacks_fully_valid(self):
         c = engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),))

@@ -55,8 +55,8 @@ def data_state_metric(rho, d1, d2) -> float:
 class ConstPenalty(PenaltyFunction):
     id = "const"
 
-    def raw(self, step, values, space):
-        return 0.42
+    def score_batch(self, step, values, space):
+        return np.full(len(values), 0.42)
 
 
 class TestObservationTimes:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from evometric import compiled
-from evometric.dataspace import DataSpace, VarSpec
-from evometric.engine import Configuration
+from evometric.dataspace import DataSpace, VarPenalty, VarSpec
+from evometric.engine import Configuration, estimate_penalties
 from evometric.environment import IdentityKernel
 from evometric.errors import EvaluationError, SemanticError, SimulationError, StructuralError
 from evometric.process import (
@@ -161,6 +161,41 @@ class TestEvalExpr:
     def test_unknown_operator_rejected(self):
         with pytest.raises(StructuralError):
             Op("bogus", (Const(1.0),))
+
+
+NAN, INF = math.nan, math.inf
+WITHOUT_A_LITERAL = [
+    (Op("/", (Const(NAN), Var("x"))), EvaluationError,
+     "division by zero in 'Op(name='/', args=(Const(value=nan), Var(name='x')))'"),
+    (Op("sqrt", (Op("-", (Var("x"), Const(INF))),)), EvaluationError,
+     "sqrt of negative value -inf in "
+     "'Op(name='sqrt', args=(Op(name='-', args=(Var(name='x'), Const(value=inf))),))'"),
+    (Op("and", (Const(NAN), Var("x"))), EvaluationError,
+     "boolean operand of 'Op(name='and', args=(Const(value=nan), Var(name='x')))' "
+     "evaluated to nan, expected 0 or 1"),
+    (Op("+", (Var("x"), Const(-INF))), SemanticError,
+     "if-guard 'Op(name='+', args=(Var(name='x'), Const(value=-inf)))' "
+     "evaluated to -inf, expected 0 or 1"),
+]
+
+
+@pytest.mark.parametrize("e, exc, message", WITHOUT_A_LITERAL, ids=["div", "sqrt", "and", "if"])
+def test_an_error_in_a_term_without_a_literal_names_the_term(e, exc, message):
+    # the text format has no literal for NaN or an infinity, so the
+    # message prints the term's repr instead of failing on it
+    space = DataSpace([VarSpec("x", -1.0, 1.0)])
+    loop = tick(Call("L"))
+    body = If(e, loop, loop) if exc is SemanticError else Prefix((e,), ("x",), Call("L"))
+    c = Configuration(Call("L"), space.state([0.0]), IdentityKernel(), {"L": body})
+    with pytest.raises(exc) as err:
+        pstep(body, c.data, c.defs)
+    assert str(err.value) == message
+    compiled.program(c)  # the fast path is the compiled program
+    for fast in (True, False):
+        with pytest.raises(SimulationError) as err:
+            estimate_penalties(c, 2, 3, 1, [VarPenalty("x")], [0, 1, 2], use_fast_path=fast)
+        assert str(err.value) == f"run 0: step 0: {message}"
+        assert type(err.value.__cause__) is exc
 
 
 class TestValidate:
