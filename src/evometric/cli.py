@@ -4,7 +4,10 @@ Subcommands: simulate | estimate | distance | robustness | adaptability |
 reliability | stats | manifest.  All outputs are machine-clean CSV/JSON files
 with an embedded provenance header; progress goes to standard error only.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
+malformed option value (an observation-time list, interval, discount,
+perturbation spec or seed that does not parse) is a usage error: it exits 2
+with one ``error: ...`` line on standard error, not a traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .engine import Configuration, estimate, simulate
+from .engine import Configuration, estimate, simulate, write_csv, write_json
 from .errors import EvoMetricError, PreconditionError
 from .metric import (
     ObservationTimes,
@@ -61,16 +64,19 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("EVOMETRIC_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise PreconditionError(f"EVOMETRIC_SEED {env!r} is not an integer") from None
     raise PreconditionError("no seed given: pass --seed or set EVOMETRIC_SEED")
 
 
 def _discount(text: str):
     if text in ("1", "const", "none"):
         return constant_discount()
-    if text.startswith("exp:"):
-        return exponential_discount(float(text.split(":", 1)[1]))
     try:
+        if text.startswith("exp:"):
+            return exponential_discount(float(text.split(":", 1)[1]))
         return constant_discount(float(text))
     except ValueError:
         raise PreconditionError(
@@ -138,10 +144,12 @@ def _sampler(args):
     if text == "all":
         return UniformResampler(None)
     if text.startswith("saw:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise PreconditionError("saw sampler spec is 'saw:SIDE:AWML'")
-        return SawWindowSampler(side=parts[1], awml=int(parts[2]))
+        try:
+            _, side, width = text.split(":")
+            awml = int(width)
+        except ValueError:
+            raise PreconditionError("saw sampler spec is 'saw:SIDE:AWML'") from None
+        return SawWindowSampler(side=side, awml=awml)
     return UniformResampler(tuple(text.split(",")))
 
 
@@ -155,13 +163,8 @@ def _cmd_simulate(args) -> int:
     traj = simulate(c, args.steps, rng)
     out = _out_dir(args)
     path = out / "simulate.csv"
-    meta = _meta(args, seed, {"steps": args.steps})
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        names = c.space.names
-        fh.write(",".join(["step"] + list(names)) + "\n")
-        for i, conf in enumerate(traj):
-            fh.write(",".join([str(i)] + [repr(float(v)) for v in conf.data.values]) + "\n")
+    write_csv(path, _meta(args, seed, {"steps": args.steps}), ["step"] + list(c.space.names),
+              ([i, *map(float, conf.data.values)] for i, conf in enumerate(traj)))
     _log(f"wrote {path}")
     return 0
 
@@ -199,29 +202,21 @@ def _cmd_distance(args) -> int:
         "obs_times": f"{obs.steps[0]}..{obs.steps[-1]}" if len(obs) > 1 else str(obs.steps[0]),
     })
 
-    fwd_seed = (seed, args.seed2) if args.seed2 is not None else seed
+    # (file stem, log label, from, to, seed) of each direction
+    pair = args.seed2 is not None
+    directions = [("distance", "m(c1,c2)", c1, c2, (seed, args.seed2) if pair else seed)]
+    if args.both_directions:
+        directions.append(("distance_reverse", "m(c2,c1)", c2, c1,
+                           (args.seed2, seed) if pair else seed + 1))
     _log(f"sampling {args.samples} + {args.samples * args.scale} runs over "
          f"{obs.horizon} steps")
-    report = distance(c1, c2, rho, disc, obs, args.samples, args.scale,
-                      fwd_seed, threads=args.threads,
-                      use_fast_path=not args.no_fast_path)
-    report.to_csv(out / "distance.csv", meta)
-    (out / "distance.json").write_text(
-        json.dumps({"meta": meta, "report": report.to_json_dict()}, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    _log(f"m(c1,c2) = {report.value:.6f} at tau = {report.argmax}")
-    if args.both_directions:
-        rev_seed = (args.seed2, seed) if args.seed2 is not None else seed + 1
-        rev = distance(c2, c1, rho, disc, obs, args.samples, args.scale,
-                       rev_seed, threads=args.threads,
-                       use_fast_path=not args.no_fast_path)
-        rev.to_csv(out / "distance_reverse.csv", meta)
-        (out / "distance_reverse.json").write_text(
-            json.dumps({"meta": meta, "report": rev.to_json_dict()}, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        _log(f"m(c2,c1) = {rev.value:.6f} at tau = {rev.argmax}")
+    for stem, label, a, b, side_seeds in directions:
+        report = distance(a, b, rho, disc, obs, args.samples, args.scale,
+                          side_seeds, threads=args.threads,
+                          use_fast_path=not args.no_fast_path)
+        report.to_csv(out / f"{stem}.csv", meta)
+        write_json(out / f"{stem}.json", {"meta": meta, "report": report.to_json_dict()})
+        _log(f"{label} = {report.value:.6f} at tau = {report.argmax}")
     _log(f"wrote {out / 'distance.csv'}")
     return 0
 
@@ -241,7 +236,10 @@ def _robustness_common(args, mode: str) -> int:
 
     if mode == "robustness":
         rho_target = _penalty(args, "penalty_target")
-        lo, hi = (int(x) for x in args.interval.split(":"))
+        try:
+            lo, hi = (int(x) for x in args.interval.split(":"))
+        except ValueError:
+            raise PreconditionError(f"interval {args.interval!r} is not 'LO:HI'") from None
         spec = RobustnessSpec(
             rho=rho, rho_target=rho_target, interval=(lo, hi),
             tau_tilde=args.tau_tilde, eta1=args.eta1, eta2=args.eta2,
@@ -273,10 +271,8 @@ def _robustness_common(args, mode: str) -> int:
     meta = _meta(args, seed, {"mode": mode})
     report.to_csv(out / f"{mode}.csv", meta)
     verdict = report.verdict(tau_tilde, args.eta2)
-    payload = {"meta": meta, "report": report.to_json_dict(), "verdict": verdict}
-    (out / f"{mode}.json").write_text(
-        json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / f"{mode}.json",
+               {"meta": meta, "report": report.to_json_dict(), "verdict": verdict})
     _log(
         f"xi({tau_tilde}) = {verdict['xi']:.6f}  eta2 = {args.eta2}  "
         f"satisfied = {verdict['satisfied']}  ({verdict['label']})"

@@ -2,11 +2,14 @@
 
 A data state assigns one real value to every variable of a data space.  Writes
 that land outside a variable's domain are clamped, mirroring physical
-saturation; they are never rejected.  Process writes that clamp are counted
-in ``DataSpace.clamp_events``; environment steps are clamped a block at a
-time (:meth:`DataSpace.clamp_batch`, or :meth:`DataSpace.clamp_row` for a
-single state) and are not counted.  Penalty functions score a data state in
-[0, 1] at a given time step, 0 meaning "on target".
+saturation; they are never rejected.  ``DataSpace.clamp_events`` counts the
+values that clamp in :meth:`DataSpace.state` and :meth:`DataState.update`:
+in built states, in process writes (the compiled programs count theirs by
+the same rules) and in perturbation samplers' updates.  Environment steps
+are clamped a block at a time (:meth:`DataSpace.clamp_batch`, or
+:meth:`DataSpace.clamp_row` for a single state) and are not counted.
+Penalty functions score a data state in [0, 1] at a given time step, 0
+meaning "on target".
 """
 
 from __future__ import annotations
@@ -315,11 +318,33 @@ class PenaltyFunction:
         return self._clipped(step, values, space)
 
     def _clipped(self, step: int, values: np.ndarray, space: DataSpace) -> np.ndarray:
-        out = np.clip(self.score_batch(step, values, space), 0.0, 1.0)
-        if math.isnan(out.dot(out)):  # NaN iff an entry is, as the others are in [0, 1]
-            row = int(np.flatnonzero(np.isnan(out))[0])
-            raise DataValidationError(f"penalty {self.id} evaluated to NaN", row=row)
-        return out
+        return _clip(self.score_batch(step, values, space), (self,))
+
+
+def _clip(scores: np.ndarray, penalties: Sequence[PenaltyFunction]) -> np.ndarray:
+    """``scores`` clipped into [0, 1] as a new array: the (n,) scores of one
+    penalty, or a (parts, n) block, a row per penalty.  The first NaN in
+    row-major order raises, naming its penalty and its row of the states."""
+    out = scores.clip(0.0, 1.0)  # np.clip's bits, without its dispatch
+    flat = out.reshape(-1)
+    if math.isnan(flat.dot(flat)):  # NaN iff an entry is, as the others are in [0, 1]
+        part, row = divmod(int(np.flatnonzero(np.isnan(flat))[0]), out.shape[-1])
+        raise DataValidationError(f"penalty {penalties[part].id} evaluated to NaN", row=row)
+    return out
+
+
+def _part_scores(parts, step: int, values: np.ndarray, space: DataSpace) -> np.ndarray:
+    """The clipped (parts, n) block of the parts' scores of ``values``.  A
+    part that raises (a composite part rejecting a NaN of its own) does so
+    after a NaN of an earlier part, as if each part were checked in turn."""
+    block = np.empty((len(parts), values.shape[0]))
+    for i, p in enumerate(parts):
+        try:
+            block[i] = p.score_batch(step, values, space)
+        except Exception:
+            _clip(block[:i], parts)
+            raise
+    return _clip(block, parts)
 
 
 @dataclass(frozen=True)
@@ -342,15 +367,15 @@ class GoalPenalty(PenaltyFunction):
         denom = max(self.upper - self.goal, self.goal - self.lower)
         if denom <= 0:
             raise DataValidationError(f"{self.id}: degenerate goal normalisation")
+        object.__setattr__(self, "_denom", denom)
 
     def score_batch(self, step, values, space):
-        denom = max(self.upper - self.goal, self.goal - self.lower)
-        return np.abs(values[:, space.index(self.var)] - self.goal) / denom
+        return np.abs(values[:, space.index(self.var)] - self.goal) / self._denom
 
 
 @dataclass(frozen=True)
 class MaxPenalty(PenaltyFunction):
-    """Pointwise maximum of component penalties."""
+    """Pointwise maximum of component penalties, each clipped into [0, 1]."""
 
     parts: tuple[PenaltyFunction, ...]
     id: str = ""
@@ -362,12 +387,17 @@ class MaxPenalty(PenaltyFunction):
             object.__setattr__(self, "id", "max(" + ",".join(p.id for p in self.parts) + ")")
 
     def score_batch(self, step, values, space):
-        return np.maximum.reduce([p._clipped(step, values, space) for p in self.parts])
+        block = _part_scores(self.parts, step, values, space)
+        out = block[0]
+        for row in block[1:]:  # in part order, as np.maximum.reduce
+            np.maximum(out, row, out=out)
+        return out
 
 
 @dataclass(frozen=True)
 class ConvexPenalty(PenaltyFunction):
-    """Convex combination of component penalties; weights must sum to 1."""
+    """Convex combination of component penalties, each clipped into [0, 1];
+    weights must sum to 1."""
 
     parts: tuple[tuple[float, PenaltyFunction], ...]
     id: str = ""
@@ -381,9 +411,10 @@ class ConvexPenalty(PenaltyFunction):
             object.__setattr__(self, "id", f"mix({inner})")
 
     def score_batch(self, step, values, space):
+        block = _part_scores([p for _, p in self.parts], step, values, space)
         out = np.zeros(values.shape[0])
-        for w, p in self.parts:
-            out += w * p._clipped(step, values, space)
+        for (w, _), row in zip(self.parts, block):
+            out += w * row
         return out
 
 
@@ -417,4 +448,5 @@ class RatioPenalty(PenaltyFunction):
     def score_batch(self, step, values, space):
         num = values[:, space.index(self.numerator)]
         den = values[:, space.index(self.denominator)]
-        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+        with np.errstate(over="ignore"):  # a ratio that overflows to inf clips to 1
+            return np.divide(num, den, out=np.zeros_like(num), where=den != 0)

@@ -191,35 +191,44 @@ class EmpiricalEvolutionSequence:
 
     def to_csv(self, path, meta: dict | None = None) -> None:
         """One row per (run, step): run, step, then variables in space order."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _write_meta(fh, meta)
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["run", "step"] + list(self.space.names))
-            for run in range(self.runs):
-                for step in range(self.horizon + 1):
-                    w.writerow(
-                        [run, step] + [_fmt(v) for v in self.states[run, step, :]]
-                    )
+        rows = ([run, step] + self.states[run, step].tolist()
+                for run in range(self.runs) for step in range(self.horizon + 1))
+        write_csv(path, meta, ["run", "step"] + list(self.space.names), rows)
 
     def summary_to_csv(self, path, meta: dict | None = None) -> None:
         """One row per (step, variable): mean and std over runs."""
         mean, std = self.mean_std()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _write_meta(fh, meta)
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["step", "variable", "mean", "std"])
-            for step in range(self.horizon + 1):
-                for j, name in enumerate(self.space.names):
-                    w.writerow([step, name, _fmt(mean[step, j]), _fmt(std[step, j])])
+        rows = ([step, name, mean[step, j], std[step, j]]
+                for step in range(self.horizon + 1)
+                for j, name in enumerate(self.space.names))
+        write_csv(path, meta, ["step", "variable", "mean", "std"], rows)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(path, header: dict | None, columns: Sequence[str], rows) -> None:
+    """Write one result file as CSV.
+
+    The format of every result file: when ``header`` is non-empty, a first
+    line ``# `` followed by ``json.dumps(header, sort_keys=True)``; then the
+    column names and one line per row, comma-separated with ``csv`` quoting
+    and ``\\n``-terminated, in UTF-8.  A float cell (a Python or numpy float)
+    is written as ``repr(float(v))``, the shortest text that reads back to
+    the same bits, -0.0 included (numpy 2 would print a bare ``np.float64``
+    as ``np.float64(...)``); any other cell as ``str(v)``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header:
+            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                     for v in row] for row in rows)
 
 
-def _write_meta(fh, meta: dict | None) -> None:
-    if meta:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+def write_json(path, payload: dict) -> None:
+    """Write one result file as JSON: ``json.dumps(payload, sort_keys=True)``
+    and a newline, in UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

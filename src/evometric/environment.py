@@ -11,8 +11,9 @@ kernels need not clamp.
 Kernels must be pure and row-independent (row ``i`` of the result depends
 only on row ``i`` of ``values`` and ``u``) and must not modify their inputs.
 A block may be row- or column-major (the lockstep simulators and the
-compiled programs keep their blocks in Fortran order); a kernel may return either layout, and the result must
-not depend on it.  ``values.copy(order="K")`` keeps the layout it is given.
+compiled programs keep their blocks in Fortran order); a kernel may return
+either layout, and the result must not depend on it.
+``values.copy(order="K")`` keeps the layout it is given.
 Measurability of ``d -> E(d)(B)`` is a modelling obligation and is not
 checked at run time.
 """

@@ -11,15 +11,13 @@ O(lN log lN).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dataspace import PenaltyFunction
-from .engine import Configuration, estimate_penalties
+from .engine import Configuration, estimate_penalties, write_csv
 from .errors import PreconditionError, StructuralError
 from .rng import RandomStream
 
@@ -52,20 +50,23 @@ class ObservationTimes:
 
     @classmethod
     def range(cls, last: int, first: int = 0, stride: int = 1) -> "ObservationTimes":
+        if stride < 1:
+            raise PreconditionError(f"observation stride must be >= 1, got {stride}")
         return cls(tuple(range(first, last + 1, stride)))
 
     @classmethod
     def parse(cls, text: str) -> "ObservationTimes":
         """Parse '0..150', '0..150..5' (start..last..stride) or '0,10,20'."""
         text = text.strip()
-        if ".." in text:
-            parts = text.split("..")
-            if len(parts) == 2:
-                return cls.range(int(parts[1]), int(parts[0]))
-            if len(parts) == 3:
-                return cls.range(int(parts[1]), int(parts[0]), int(parts[2]))
-            raise PreconditionError(f"cannot parse observation times {text!r}")
-        return cls(tuple(int(t) for t in text.split(",")))
+        try:
+            if ".." not in text:
+                return cls(tuple(int(t) for t in text.split(",")))
+            first, last, *stride = (int(t) for t in text.split(".."))
+            if len(stride) <= 1:
+                return cls.range(last, first, *stride)
+        except ValueError:
+            pass
+        raise PreconditionError(f"cannot parse observation times {text!r}")
 
     @property
     def horizon(self) -> int:
@@ -197,15 +198,8 @@ class MetricReport:
         }
 
     def to_csv(self, path, meta: dict | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if meta or self.params:
-                merged = dict(self.params)
-                merged.update(meta or {})
-                fh.write("# " + json.dumps(merged, sort_keys=True) + "\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["tau", "w", "discounted_w"])
-            for t, wv, dv in zip(self.obs_times, self.pointwise, self.discounted):
-                w.writerow([t, repr(float(wv)), repr(float(dv))])
+        write_csv(path, {**self.params, **(meta or {})}, ["tau", "w", "discounted_w"],
+                  zip(self.obs_times, self.pointwise, self.discounted))
 
 
 def report_from_pointwise(

@@ -19,12 +19,10 @@ observation time.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 from .dataspace import DataState, PenaltyFunction
-from .engine import Configuration, estimate_penalties
+from .engine import Configuration, estimate_penalties, write_csv
 from .errors import PreconditionError, ShortfallError
 from .metric import (
     ConstantDiscount,
@@ -179,14 +177,8 @@ class RobustnessReport:
         }
 
     def to_csv(self, path, meta: dict | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            header = dict(self.spec_echo)
-            header.update(meta or {})
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["tau_tilde", "xi"])
-            for t, x in zip(self.obs_times, self.xi):
-                w.writerow([t, repr(float(x))])
+        write_csv(path, {**self.spec_echo, **(meta or {})}, ["tau_tilde", "xi"],
+                  zip(self.obs_times, self.xi))
 
 
 def _initial_distance(rho: PenaltyFunction, base: DataState, cand: DataState) -> float:

@@ -9,15 +9,13 @@ true mean is not available in closed form.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import EmpiricalEvolutionSequence
+from .engine import EmpiricalEvolutionSequence, write_csv
 from .errors import PreconditionError, StructuralError
 
 __all__ = ["ErrorReport", "error_analysis", "reference_means"]
@@ -55,25 +53,13 @@ class ErrorReport:
         return out
 
     def to_csv(self, path, meta: dict | None = None) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            header = {"reference": self.reference_tag}
-            header.update(meta or {})
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["variable", "step", "mean", "std", "stderr", "z"])
-            for i, name in enumerate(self.variables):
-                for j, step in enumerate(self.steps):
-                    zval = self.z[i, j]
-                    w.writerow(
-                        [
-                            name,
-                            step,
-                            repr(float(self.mean[i, j])),
-                            repr(float(self.std[i, j])),
-                            repr(float(self.stderr[i, j])),
-                            "" if math.isnan(zval) else repr(float(zval)),
-                        ]
-                    )
+        """One row per (variable, step); the z cell is empty where z is NaN."""
+        rows = ([name, step, self.mean[i, j], self.std[i, j], self.stderr[i, j],
+                 "" if math.isnan(self.z[i, j]) else self.z[i, j]]
+                for i, name in enumerate(self.variables)
+                for j, step in enumerate(self.steps))
+        write_csv(path, {"reference": self.reference_tag, **(meta or {})},
+                  ["variable", "step", "mean", "std", "stderr", "z"], rows)
 
 
 def reference_means(E: EmpiricalEvolutionSequence, variables: Sequence[str]) -> dict:

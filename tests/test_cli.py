@@ -190,3 +190,33 @@ class TestDeterminism:
                         "--samples", "9", "--seed", "31", "--threads", threads,
                         "--no-fast-path", "--emit-samples", "--out", str(out)]) == 0
         assert (a / "estimate_samples.csv").read_bytes() == (b / "estimate_samples.csv").read_bytes()
+
+
+DISTANCE = ["distance", "--model", "three-tanks", "--penalty", "l3",
+            "--samples", "4", "--scale", "1", "--seed", "3"]
+ROBUSTNESS = ["robustness", "--model", "engine", "--params", '{"attacks": ["saw:L:0.5:1000"]}',
+              "--penalty", "window_L", "--penalty-target", "fn_L", "--tau-tilde", "0",
+              "--eta1", "0.1", "--obs-times", "0..10", "--samples", "4", "--seed", "3"]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("argv", [
+        DISTANCE + ["--obs-times", "0..10..0"],
+        DISTANCE + ["--obs-times", "0..x"],
+        DISTANCE + ["--obs-times", "0,a"],
+        DISTANCE + ["--obs-times", "0..5", "--discount", "exp:abc"],
+        ROBUSTNESS + ["--interval", "a:b"],
+        ROBUSTNESS + ["--interval", "3"],
+        ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:L:x"],
+    ], ids=["zero-stride", "obs-word", "obs-list-word", "discount", "interval",
+            "interval-one-end", "saw-awml"])
+    def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_a_seed_variable_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("EVOMETRIC_SEED", "seven")
+        assert run(["simulate", "--model", "three-tanks", "--steps", "3",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: EVOMETRIC_SEED 'seven'")

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -262,6 +264,13 @@ class TestPenalties:
         assert rho(0, space.state([5, 0])) == 0.0
         assert rho(0, space.state([5, 10])) == 0.5
 
+    def test_ratio_penalty_tiny_denominator_is_one_without_a_warning(self):
+        space = DataSpace([VarSpec("n", 0.0, 300.0), VarSpec("d", 0.0, 1.0)])
+        rho = RatioPenalty("n", "d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ratio overflows to inf
+            assert rho(0, space.state([300.0, 5e-324])) == 1.0
+
     @given(
         l1=st.floats(0, 20), l2=st.floats(0, 20), l3=st.floats(0, 20),
         step=st.integers(0, 1000),
@@ -316,7 +325,58 @@ class NaNPenalty(PenaltyFunction):
         return np.where(values[:, 0] > 0.5, np.nan, values[:, 0])
 
 
+@dataclass(frozen=True)
+class Column(PenaltyFunction):
+    """A custom part that scores one column as it is, so a score can lie
+    below 0 or above 1, or be -0.0 or NaN."""
+
+    var: str
+    id: str = "column"
+
+    def score_batch(self, step, values, space):
+        return values[:, space.index(self.var)]
+
+
+RAW = DataSpace([VarSpec(v, -2.0, 2.0) for v in "xyz"])
+RAW_SCORE = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -0.5, 1.5, 5e-324, math.nan]),
+                      st.floats(-2.0, 2.0))
+
+
 class TestPenaltyPaths:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_a_composite_folds_its_parts_own_batches(self, data):
+        # bit for bit: Max is the clipped np.maximum.reduce of its parts'
+        # eval_batch, Convex the clipped weighted sum from zeros; a NaN
+        # names the first part and row that hold it, as the parts do
+        n = data.draw(st.integers(1, 5))
+        block = np.array(data.draw(st.lists(st.tuples(*[RAW_SCORE] * 3),
+                                            min_size=n, max_size=n)))
+        # a part is a column, or a composite of two (its NaN is its own)
+        cols = data.draw(st.lists(st.sampled_from(["x", "y", "z", "xy", "zx"]),
+                                  min_size=1, max_size=4))
+        parts = tuple(Column(v, id=f"part{i}[{v}]") if len(v) == 1 else
+                      MaxPenalty(tuple(Column(u, id=f"part{i}[{u}]") for u in v))
+                      for i, v in enumerate(cols))
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=len(parts),
+                                    max_size=len(parts)).filter(any))
+        weights = [c / sum(counts) for c in counts]
+        composites = (MaxPenalty(parts), ConvexPenalty(tuple(zip(weights, parts))))
+        try:
+            own = [p.eval_batch(0, block, RAW) for p in parts]
+        except DataValidationError as exc:
+            for rho in composites:
+                with pytest.raises(DataValidationError) as err:
+                    rho.eval_batch(0, block, RAW)
+                assert (str(err.value), err.value.row) == (str(exc), exc.row)
+            return
+        mixed = np.zeros(n)
+        for w, scores in zip(weights, own):
+            mixed += w * scores
+        for rho, want in zip(composites, (np.maximum.reduce(own), mixed)):
+            got = rho.eval_batch(0, block, RAW)
+            assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes(), rho.id
+
     @settings(max_examples=300)
     @given(data=st.data(), step=st.integers(0, 1000))
     def test_a_call_equals_its_row_of_the_batch(self, data, step):
