@@ -139,7 +139,9 @@ def _obs(args) -> ObservationTimes:
     return ObservationTimes.range(args.steps)
 
 
-def _sampler(args):
+def _sampler(args, space):
+    """The sampler of ``--perturb``; every variable it writes must be one of
+    ``space``."""
     text = args.perturb
     if text == "all":
         return UniformResampler(None)
@@ -149,8 +151,14 @@ def _sampler(args):
             awml = int(width)
         except ValueError:
             raise PreconditionError("saw sampler spec is 'saw:SIDE:AWML'") from None
-        return SawWindowSampler(side=side, awml=awml)
-    return UniformResampler(tuple(text.split(",")))
+        sampler, names = SawWindowSampler(side=side, awml=awml), (f"left_{side}", f"right_{side}")
+    else:
+        names = tuple(text.split(","))
+        sampler = UniformResampler(names)
+    unknown = [name for name in names if name not in space]
+    if unknown:
+        raise PreconditionError(f"--perturb {text!r} names unknown variables {unknown}")
+    return sampler
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -227,7 +235,7 @@ def _robustness_common(args, mode: str) -> int:
     rho = _penalty(args)
     disc = _discount(args.discount)
     obs = _obs(args)
-    sampler = _sampler(args)
+    sampler = _sampler(args, base.space)
     out = _out_dir(args)
 
     def progress(accepted, attempts, M):
@@ -248,7 +256,7 @@ def _robustness_common(args, mode: str) -> int:
         report = estimate_robustness(
             spec, base, sampler, obs, args.samples, args.scale, seed,
             discount=disc, budget=args.budget, threads=args.threads,
-            progress=progress,
+            progress=progress, use_fast_path=not args.no_fast_path,
         )
         tau_tilde = args.tau_tilde
     elif mode == "adaptability":
@@ -256,7 +264,7 @@ def _robustness_common(args, mode: str) -> int:
             rho, args.tau_tilde, args.eta1, base, sampler, obs,
             args.samples, args.scale, seed, eta2=args.eta2,
             M=args.variations, discount=disc, budget=args.budget,
-            threads=args.threads, progress=progress,
+            threads=args.threads, progress=progress, use_fast_path=not args.no_fast_path,
         )
         tau_tilde = args.tau_tilde
     else:
@@ -264,7 +272,7 @@ def _robustness_common(args, mode: str) -> int:
             rho, args.eta1, base, sampler, obs,
             args.samples, args.scale, seed, eta2=args.eta2,
             M=args.variations, discount=disc, budget=args.budget,
-            threads=args.threads, progress=progress,
+            threads=args.threads, progress=progress, use_fast_path=not args.no_fast_path,
         )
         tau_tilde = obs.steps[0]
 

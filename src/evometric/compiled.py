@@ -53,9 +53,9 @@ report the same run, step and message.
 The compiler declines with :class:`PreconditionError` and a reason when a
 reachable step is not a Dirac by construction, when a ``Call`` is undefined
 or recursion is unguarded, when a constant is not a float, when the table
-or one step outgrows ``_MAX_TERMS``, or when the initial data state is not
-admissible.  Programs are cached per (process, definitions, data space),
-compared bit for bit.
+or one step outgrows ``_MAX_TERMS``, or when an initial data state of the
+block is not admissible.  Programs are cached per (process, definitions,
+data space), compared bit for bit.
 """
 
 from __future__ import annotations
@@ -101,17 +101,19 @@ _BOOL_OPS = ("<", "<=", "=", ">", ">=", "and", "or", "not")
 _INF = math.inf
 
 
-def program(c) -> "Program":
+def program(c, data=None) -> "Program":
     """The compiled program of a configuration's process, definitions and
     data space; raises :class:`PreconditionError` with the reason when the
-    process cannot be compiled or its initial data state is not
-    admissible."""
+    process cannot be compiled or an initial data state is not admissible.
+    The initial data states are ``data``, by default ``c.data`` alone."""
     got = _compile(_Source(c.process, c.defs, c.space))
     if isinstance(got, str):
         raise PreconditionError(got)
-    for spec, v in zip(c.space.vars, c.data.values):
-        if not _admissible(spec, v):
-            raise PreconditionError(f"the initial value {v!r} of {spec.name!r} is not admissible")
+    for d in (c.data,) if data is None else data:
+        for spec, v in zip(c.space.vars, d.values):
+            if not _admissible(spec, v):
+                raise PreconditionError(
+                    f"the initial value {v!r} of {spec.name!r} is not admissible")
     return got
 
 
@@ -855,20 +857,25 @@ class Program(NamedTuple):
     run: object  # (pre-step block, control ids) -> (post, next ids, failing rows or None, clamps)
     source: str  # the source of ``run``
 
-    def start(self, c, n_runs: int, base_key, run_offset: int, horizon: int) -> "_ProgramRun":
+    def start(self, c, n_runs: int, base_key, run_offset: int, horizon: int,
+              initial=None) -> "_ProgramRun":
         """A block of runs ``run_offset .. run_offset + n_runs - 1`` of ``c``,
         whose process, definitions and space are this program's, to be
         stepped up to ``horizon`` times; same protocol as the models'
-        lockstep simulators."""
-        return _ProgramRun(self, c, n_runs, base_key, run_offset, horizon)
+        lockstep simulators.  Each run draws from key ``run_offset + i`` of
+        ``base_key`` (see ``UniformTape``) and starts from ``c.data``, or from
+        row ``run_offset + i`` of ``initial``, an (N, nvars) array, when
+        given."""
+        return _ProgramRun(self, c, n_runs, base_key, run_offset, horizon, initial)
 
 
 class _ProgramRun:
-    def __init__(self, prog: Program, c, n: int, base_key, run_offset: int, horizon: int):
+    def __init__(self, prog: Program, c, n: int, base_key, run_offset: int, horizon: int,
+                 initial):
         self.prog, self.env, self.space, self.defs = prog, c.env, c.space, c.defs
         # column-major, as the lockstep runs: every column is contiguous
         self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = c.data.values
+        self.vals[:] = c.data.values if initial is None else initial[run_offset:run_offset + n]
         self.ctrl = np.zeros(n, dtype=np.intp)  # the control id of each row
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses

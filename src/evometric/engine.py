@@ -42,6 +42,15 @@ runs and steps.
 ``use_fast_path=False`` (``--no-fast-path`` on the command line) skips both
 fast paths and forces the interpreter.
 
+``estimate_penalties`` can also stack several estimates of one process,
+each from its own data state and seed, as segments of one call.  A fast
+path that takes every segment then runs them as one set of rows, each row
+on its own stream key and from its own initial values, which is cheaper
+where a step's cost is mostly fixed.  The interpreter, a fast path that
+declines a segment, and a shared block that fails estimate the segments
+one by one, in order, so a failure is reported as the first failing
+segment reports it alone.
+
 Per-run randomness depends only on (master seed, run index), so results do
 not depend on worker count or execution path.
 """
@@ -63,7 +72,7 @@ from .dataspace import DataSpace, DataState, PenaltyFunction
 from .environment import EnvironmentEvolution
 from .errors import PreconditionError, SimulationError, StructuralError
 from .process import Process, pstep, validate
-from .rng import RandomStream
+from .rng import RandomStream, run_keys
 
 __all__ = [
     "Configuration",
@@ -278,6 +287,8 @@ def estimate_penalties(
     threads: int = 1,
     use_fast_path: bool = True,
     run_offset: int = 0,
+    *,
+    segments: Sequence[tuple] | None = None,
 ) -> np.ndarray:
     """Streaming estimate: per-run penalty values at the observation times.
 
@@ -285,6 +296,17 @@ def estimate_penalties(
     are never materialised across the horizon, so this scales to long runs.
     ``run_offset`` shifts the child-stream indices (run i uses seed child
     run_offset + i), letting callers draw disjoint sample sets from one seed.
+
+    ``segments``, a list of (data state, seed, runs) triples whose runs add
+    up to N, stacks several estimates of ``c``'s process in one call: the
+    rows of a segment are those of the estimate of ``c.with_data(data)``
+    on its seed, and ``c.data`` and ``seed`` are not read.  When a fast
+    path takes every segment, its blocks hold the rows of all of them,
+    which is cheaper than one estimate after another where a step's cost
+    is mostly fixed, as it is for short segments.  Otherwise each segment
+    is estimated on its own, in order.  So is each again when a run of a
+    shared block fails: the failure raised is then the one the segments
+    raise when estimated in order, the first failing segment's.
     """
     _check_counts(k, N)
     obs = list(obs_times)
@@ -292,13 +314,26 @@ def estimate_penalties(
         raise PreconditionError("observation times must lie in [0, k]")
     if len(set(obs)) < len(obs):
         raise PreconditionError("observation times must be distinct")
+    if segments is None:
+        parts = [(c, RandomStream.resolve(seed).key, N)]
+    else:
+        parts = [(c.with_data(d), RandomStream.resolve(s).key, n) for d, s, n in segments]
+        for *_, n in parts:
+            _check_counts(k, n)
+        if sum(n for *_, n in parts) != N:
+            raise PreconditionError(f"the segments' runs do not add up to {N}")
     out = np.empty((len(penalties), N, len(obs)), dtype=np.float64)
     # lockstep blocks of runs keep the transient per-block state small
     rows = max(64, int(2e8 / ((k + 1) * 16)))
     fill = partial(_store_penalties, tuple(penalties), obs, c.space)
-    key = RandomStream.resolve(seed).key
-    _run(c, k, key, run_offset, threads, use_fast_path, rows=rows, fill=fill,
-         out=np.moveaxis(out, 1, 0))
+    dest = np.moveaxis(out, 1, 0)
+    if len(parts) > 1 and use_fast_path and _run_shared(parts, k, run_offset, rows, fill, dest):
+        return out
+    lo = 0
+    for part, key, n in parts:
+        _run(part, k, key, run_offset, threads, use_fast_path, rows=rows, fill=fill,
+             out=dest[lo:lo + n])
+        lo += n
     return out
 
 
@@ -359,13 +394,49 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
         raise min(failures, key=lambda f: (f.step, f.run))
 
 
-def _start_fast_path(c, n, key, first, k):
+def _run_shared(parts, k, run_offset, rows, fill, out) -> bool:
+    """Runs the segments ``parts``, (configuration, key, runs) triples that
+    differ only in their data, as one set of rows on a fast path, in blocks
+    of at most ``rows`` runs filled as ``_run`` fills them.
+
+    Returns False, with ``out`` left to be filled again, when no fast path
+    takes every segment or when the block raises anything: which failure
+    comes first depends on the rows a block holds (a penalty NaN names the
+    first row of its step), so only the segments estimated one by one
+    raise the failure of an estimate.
+    """
+    c = parts[0][0]
+    keys = run_keys([(key, run_offset, n) for _, key, n in parts])
+    initial = np.repeat([part.data.values for part, _, _ in parts],
+                        [n for *_, n in parts], axis=0)
+    N = len(initial)
+    fast = _start_fast_path(c, min(rows, N), keys, 0, k, initial,
+                            [part.data for part, _, _ in parts])
+    if fast is None:
+        return False
+    name, start, sim = fast
+    log.debug("%s path: %d runs of %d steps in %d segments", name, N, k, len(parts))
+    try:
+        for lo in range(0, N, rows):
+            if lo:
+                sim = start(c, min(rows, N - lo), keys, lo, k, initial)
+            fill(_lockstep_steps(sim, k, lo), out[lo:lo + rows])
+    except Exception as exc:
+        log.debug("a shared block failed, running its segments one by one: %s", exc)
+        return False
+    return True
+
+
+def _start_fast_path(c, n, key, first, k, initial=None, data=None):
     """(its name, start, the first block's run) of the first fast path that
     takes the configuration, or None; ``start`` has the signature of
-    ``lockstep.start``."""
+    ``lockstep.start``.  ``initial`` and ``data`` describe a block of rows
+    with their own initial values: ``initial`` holds them, and ``data`` is
+    their data states, each of which the compiled path must admit.  The
+    lockstep's binding reads the process and definitions alone."""
     if c.lockstep is not None:
         try:
-            return "lockstep", c.lockstep.start, c.lockstep.start(c, n, key, first, k)
+            return "lockstep", c.lockstep.start, c.lockstep.start(c, n, key, first, k, initial)
         except PreconditionError as exc:
             log.debug("lockstep simulator declined: %s", exc)
     # imported on first use: a lockstep-served or interpreted estimate, and
@@ -373,11 +444,11 @@ def _start_fast_path(c, n, key, first, k):
     from . import compiled
 
     try:
-        program = compiled.program(c)
+        program = compiled.program(c, data)
     except PreconditionError as exc:
         log.debug("process not compiled, running the interpreter: %s", exc)
         return None
-    return "compiled", program.start, program.start(c, n, key, first, k)
+    return "compiled", program.start, program.start(c, n, key, first, k, initial)
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:

@@ -524,13 +524,14 @@ class EngineLockstep:
     expected_process: Process
     expected_defs: tuple = ()  # sorted (name, body) pairs of the bound system
 
-    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int):
+    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int,
+              initial=None):
         defs_now = tuple(sorted(c.defs.items()))
         if c.process != self.expected_process or defs_now != self.expected_defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the initial engine process"
             )
-        return _EngineRun(self, c, n_runs, base_key, run_offset, steps)
+        return _EngineRun(self, c, n_runs, base_key, run_offset, steps, initial)
 
 
 class _EngineRun:
@@ -539,14 +540,14 @@ class _EngineRun:
     # column-major (Fortran order): every step reads and writes whole
     # columns, which are then contiguous.
     def __init__(self, cfg: EngineLockstep, c: Configuration, n: int, base_key,
-                 run_offset: int, steps: int):
+                 run_offset: int, steps: int, initial):
         self.cfg = cfg
         self.p = cfg.params
         self.sides = ("L", "R") if cfg.dual else ("L",)
         self.env, self.space = c.env, c.space
         self.ix = {name: i for i, name in enumerate(self.space.names)}
         self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = c.data.values
+        self.vals[:] = c.data.values if initial is None else initial[run_offset:run_offset + n]
         self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
         self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
         self.t = 0

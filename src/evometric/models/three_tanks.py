@@ -233,24 +233,25 @@ class TanksLockstep:
 
     params: ThreeTanksParams
 
-    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int):
+    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int,
+              initial=None):
         expected, defs = tanks_program(self.params)
         stepped = SyncPar(Call("Tanks_in"), Call("Tanks_out"))
         if (c.process not in (expected, stepped)) or dict(c.defs) != defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the built-in tank controller"
             )
-        return _TanksRun(self.params, c, n_runs, base_key, run_offset, steps)
+        return _TanksRun(self.params, c, n_runs, base_key, run_offset, steps, initial)
 
 
 class _TanksRun:
     def __init__(self, params: ThreeTanksParams, c: Configuration, n: int,
-                 base_key, run_offset: int, steps: int):
+                 base_key, run_offset: int, steps: int, initial):
         self.p = params
         self.env, self.space = c.env, c.space
         # column-major, as the engine's run: each column is contiguous
         self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = c.data.values
+        self.vals[:] = c.data.values if initial is None else initial[run_offset:run_offset + n]
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses
             self.tape = UniformTape(base_key, n, run_offset, self.env.draws,

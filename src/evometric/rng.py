@@ -5,7 +5,8 @@ Every stream is a counter-based Philox4x64-10 generator identified by a
 (splitmix64 chain, :func:`_fold_in`), so the stream used by run ``i`` of an
 experiment depends only on the experiment seed and ``i`` -- never on
 scheduling or worker count.  :class:`UniformTape` derives the keys of all its
-runs in one vectorized fold (:func:`_fold_in_many`) with the same arithmetic.
+runs in one vectorized fold (:func:`_fold_in_many`) with the same arithmetic,
+or reads them from :func:`run_keys`, which concatenates such folds.
 
 A stream is a pure function of (key, counter): word ``j`` of the stream is
 word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  The numpy
@@ -72,6 +73,14 @@ def _fold_in_many(key: tuple[int, int], first: int, n: int) -> tuple[np.ndarray,
     k1 = np.uint64(key[1] & _MASK64)
     h = _splitmix64_many(k0 ^ _splitmix64_many(index + np.uint64(1)))
     return _splitmix64_many(h ^ k1), _splitmix64_many(k1 + h + index)
+
+
+def run_keys(segments) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the runs of consecutive ``(key, first, n)`` segments, in
+    order: ``_fold_in(key, i)`` for ``i`` in ``first .. first + n - 1`` of
+    each segment, as two uint64 arrays."""
+    k0, k1 = zip(*(_fold_in_many(key, first, n) for key, first, n in segments))
+    return np.concatenate(k0), np.concatenate(k1)
 
 
 @functools.cache
@@ -162,7 +171,10 @@ class RandomStream:
 class UniformTape:
     """Chunked per-run uniform draws for lockstep simulation.
 
-    Run ``run_offset + i`` reads the same (0, 1] sequence its scalar
+    Run ``i`` of the tape reads the stream with key number ``run_offset + i``:
+    the child of ``base_key`` at that index, or, when ``base_key`` is a pair
+    of uint64 arrays of per-run keys (:func:`run_keys`), the key at that
+    position.  Each run reads the same (0, 1] sequence its scalar
     RandomStream would produce, ``draws_per_step`` values per step, laid out
     as one contiguous (n_runs, draws_per_step) array per call to
     :meth:`next_step`.
@@ -178,7 +190,10 @@ class UniformTape:
                  chunk_steps: int = TAPE_CHUNK_STEPS):
         if draws_per_step < 1 or chunk_steps < 1:
             raise ValueError("a tape needs draws_per_step >= 1 and chunk_steps >= 1")
-        k0, k1 = _fold_in_many(base_key, run_offset, n_runs)
+        if isinstance(base_key[0], np.ndarray):
+            k0, k1 = (k[run_offset:run_offset + n_runs] for k in base_key)
+        else:
+            k0, k1 = _fold_in_many(base_key, run_offset, n_runs)
         self._keys = list(zip(k0.tolist(), k1.tolist()))
         self._bitgen = _philox((0, 0))
         self._draws = draws_per_step

@@ -33,6 +33,11 @@ from .metric import (
 )
 from .rng import RandomStream
 
+# a base estimate of fewer runs is simulated in the blocks of the first
+# candidate's estimate; a larger base adds enough rows to cost time and
+# memory of its own
+_SHARED_BASE_RUNS = 256
+
 __all__ = [
     "PerturbationSampler",
     "UniformResampler",
@@ -181,6 +186,13 @@ class RobustnessReport:
                   zip(self.obs_times, self.xi))
 
 
+def _check_sizes(N: int, ell: int) -> None:
+    if N < 1:
+        raise PreconditionError(f"sample count must be >= 1, got {N}")
+    if ell < 1 or int(ell) != ell:
+        raise PreconditionError(f"scale factor must be a positive integer, got {ell}")
+
+
 def _initial_distance(rho: PenaltyFunction, base: DataState, cand: DataState) -> float:
     return max(rho(0, cand) - rho(0, base), 0.0)
 
@@ -197,6 +209,7 @@ def estimate_robustness(
     budget: int | None = None,
     threads: int = 1,
     progress=None,
+    use_fast_path: bool = True,
 ) -> RobustnessReport:
     """Estimate the xi curve for a robustness specification.
 
@@ -204,10 +217,16 @@ def estimate_robustness(
     costs one fresh estimate (l*N runs) that serves both the evolution
     filter and the target-penalty measurement.  Candidates whose filter
     window is {0} are pre-filtered without simulation, since step-0
-    distributions are Dirac on the initial states.  ``progress``, when
-    given, is called as progress(accepted, attempts, M) after every attempt.
+    distributions are Dirac on the initial states.  A base of fewer than
+    ``_SHARED_BASE_RUNS`` runs is simulated in the first simulated
+    candidate's estimate, as one more segment of its blocks, where its
+    runs cost next to nothing: a step's cost is mostly fixed.  The result
+    and every error are those of the base estimated first.  ``progress``,
+    when given, is called as progress(accepted, attempts, M) after every
+    attempt.
     """
     spec.check_against(obs)
+    _check_sizes(N, ell)
     discount = discount or ConstantDiscount()
     budget = budget if budget is not None else 20 * spec.M
     if budget < spec.M:
@@ -227,9 +246,13 @@ def estimate_robustness(
     evolution_filter = spec.filter_mode == "evolution" and not trivial_window
     penalties = [spec.rho, spec.rho_target] if evolution_filter else [spec.rho_target]
 
-    base_pen = estimate_penalties(
-        base, k, N, stream.child(0), penalties, list(obs), threads
-    )
+    def estimate(*segments):
+        runs = sum(n for *_, n in segments)
+        return estimate_penalties(base, k, runs, None, penalties, list(obs), threads,
+                                  use_fast_path, segments=segments)
+
+    base_segment = (base.data, stream.child(0), N)
+    base_pen = None if N < _SHARED_BASE_RUNS else estimate(base_segment)
 
     sampler_stream = stream.child(1)
     cand_stream = stream.child(2)
@@ -241,25 +264,33 @@ def estimate_robustness(
 
     for attempt in range(budget):
         attempts = attempt + 1
-        cand = sampler.sample(base.data, sampler_stream.child(attempt))
-
-        if progress is not None:
-            progress(accepted, attempts, spec.M)
-
-        if not evolution_filter:
+        try:
+            cand = sampler.sample(base.data, sampler_stream.child(attempt))
+            if progress is not None:
+                progress(accepted, attempts, spec.M)
             # step-0 distributions are Dirac: the evolution filter over {0}
             # equals the data-state hemimetric, no simulation needed
-            d0 = _initial_distance(spec.rho, base.data, cand)
+            d0 = None if evolution_filter else _initial_distance(spec.rho, base.data, cand)
+        except Exception:
+            if base_pen is None:
+                estimate(base_segment)  # in order, the base would have failed first
+            raise
+        if d0 is not None:
             if spec.filter_mode == "evolution":
                 d0 *= discount(0)
             if d0 > spec.eta1:
                 rejected += 1
                 continue
 
-        cand_pen = estimate_penalties(
-            base.with_data(cand), k, N * ell,
-            cand_stream.child(attempt), penalties, list(obs), threads,
-        )
+        cand_segment = (cand, cand_stream.child(attempt), N * ell)
+        if base_pen is None:
+            both = estimate(base_segment, cand_segment)
+            base_pen, cand_pen = both[:, :N], both[:, N:]
+        else:
+            if base_pen.base is not None:
+                # keep the base's rows, not the whole block they were simulated in
+                base_pen = base_pen.copy()
+            cand_pen = estimate(cand_segment)
 
         if evolution_filter:
             window = slice(filter_cols[0], filter_cols[-1] + 1)
@@ -283,6 +314,8 @@ def estimate_robustness(
             break
 
     if accepted < spec.M:
+        if base_pen is None:
+            estimate(base_segment)  # in order, the base would have failed first
         raise ShortfallError(
             f"accepted only {accepted} of {spec.M} variations in {budget} attempts",
             accepted=accepted, requested=spec.M, attempts=attempts,
@@ -331,6 +364,7 @@ def estimate_adaptability(
     budget: int | None = None,
     threads: int = 1,
     progress=None,
+    use_fast_path: bool = True,
 ) -> RobustnessReport:
     """Adaptability: initial-state filter and a single penalty for both the
     filter and the measured divergence; the verdict reads xi at tau_tilde."""
@@ -341,6 +375,7 @@ def estimate_adaptability(
     return estimate_robustness(
         spec, base, sampler, obs, N, ell, seed,
         discount=discount, budget=budget, threads=threads, progress=progress,
+        use_fast_path=use_fast_path,
     )
 
 
@@ -359,9 +394,11 @@ def estimate_reliability(
     budget: int | None = None,
     threads: int = 1,
     progress=None,
+    use_fast_path: bool = True,
 ) -> RobustnessReport:
     """Reliability: adaptability read at the first observation time."""
     return estimate_adaptability(
         rho, obs.steps[0], eta1, base, sampler, obs, N, ell, seed,
         eta2=eta2, M=M, discount=discount, budget=budget, threads=threads, progress=progress,
+        use_fast_path=use_fast_path,
     )

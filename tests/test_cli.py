@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -208,15 +209,51 @@ class TestMalformedValues:
         ROBUSTNESS + ["--interval", "a:b"],
         ROBUSTNESS + ["--interval", "3"],
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:L:x"],
+        ROBUSTNESS + ["--interval", "0:0", "--perturb", "nosuch"],
+        ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:X:5"],
     ], ids=["zero-stride", "obs-word", "obs-list-word", "discount", "interval",
-            "interval-one-end", "saw-awml"])
+            "interval-one-end", "saw-awml", "perturb-variable", "saw-side"])
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_a_zero_scale_is_named(self, tmp_path, capsys):
+        assert run(ROBUSTNESS + ["--scale", "0", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: scale factor must be a positive integer, got 0"]
 
     def test_a_seed_variable_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EVOMETRIC_SEED", "seven")
         assert run(["simulate", "--model", "three-tanks", "--steps", "3",
                     "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: EVOMETRIC_SEED 'seven'")
+
+
+ADAPTABILITY = ["adaptability", "--model", "three-tanks", "--init", '{"l1": 5, "l2": 5, "l3": 5}',
+                "--penalty", "l3", "--tau-tilde", "2", "--eta1", "0.3", "--obs-times", "0..8",
+                "--samples", "20", "--scale", "2", "--variations", "3", "--seed", "4"]
+
+
+class TestNoFastPath:
+    """--no-fast-path runs the interpreter, and the files it writes are those
+    of the fast path, whose base shares the first candidate's block here
+    (--samples is below 256), at any thread count."""
+
+    @pytest.mark.parametrize("argv", [
+        ROBUSTNESS + ["--perturb", "saw:L:20", "--variations", "2", "--scale", "2"],
+        ADAPTABILITY,
+    ], ids=["robustness", "adaptability"])
+    def test_files_do_not_depend_on_the_path_or_threads(self, argv, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="evometric.engine")
+        files = []
+        for threads in ("1", "2"):
+            for flags in ([], ["--no-fast-path"]):
+                out = tmp_path / f"{threads}{''.join(flags)}"
+                caplog.clear()
+                assert run(argv + ["--threads", threads, "--out", str(out)] + flags) == 0
+                paths = {r.getMessage().split(" path")[0] for r in caplog.records
+                         if " path: " in r.getMessage()}
+                assert paths == ({"interpreter"} if flags else {"lockstep"})
+                files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(files[0]) == 2 and all(f == files[0] for f in files[1:])

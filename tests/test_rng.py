@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evometric.rng import _TAPE_ROWS, RandomStream, UniformTape, _fold_in, _fold_in_many
+from evometric.rng import (
+    _TAPE_ROWS,
+    RandomStream,
+    UniformTape,
+    _fold_in,
+    _fold_in_many,
+    run_keys,
+)
 
 words64 = st.integers(0, 2**64 - 1)
 
@@ -104,6 +111,16 @@ class TestStreamEquivalence:
             s = base.child(11 + i)
             want = np.array([s.uniform01() for _ in range(steps * draws)])
             assert np.array_equal(got[:, i, :], want.reshape(steps, draws))
+
+    def test_a_tape_over_run_keys_reads_each_segments_streams(self):
+        # the tape starts at row 1 of the key table: run 4 of a, then runs
+        # 0..2 of b
+        a, b = RandomStream.from_seed(1).key, RandomStream.from_seed(2).key
+        joint = UniformTape(run_keys([(a, 3, 2), (b, 0, 3)]), 4, 1, 2, chunk_steps=7)
+        alone = UniformTape(a, 1, 4, 2, chunk_steps=7), UniformTape(b, 3, 0, 2, chunk_steps=7)
+        for _ in range(20):
+            want = np.concatenate([tape.next_step() for tape in alone])
+            assert np.array_equal(joint.next_step(), want)
 
     def test_tape_without_draws_rejected(self):
         with pytest.raises(ValueError):

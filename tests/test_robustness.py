@@ -1,20 +1,32 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometric import robustness
 from evometric.dataspace import DataSpace, GoalPenalty, VarSpec
 from evometric.engine import Configuration, estimate_penalties
 from evometric.environment import IdentityKernel
-from evometric.errors import PreconditionError, ShortfallError
+from evometric.errors import PreconditionError, ShortfallError, SimulationError
 from evometric.metric import (
     ObservationTimes,
     compute_w_sorted,
     constant_discount,
     distance,
+    exponential_discount,
     suffix_maxima,
+)
+from evometric.models.engine_system import (
+    AttackConfig,
+    SawWindowSampler,
+    engine_penalties,
+    engine_system,
 )
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
 from evometric.process import Call, Const, Op, Prefix, Var
 from evometric.robustness import (
+    PerturbationSampler,
     RobustnessSpec,
     UniformResampler,
     estimate_adaptability,
@@ -88,6 +100,15 @@ class TestSamplePerturbations:
         assert err.value.accepted < 50
         assert err.value.requested == 50
         assert err.value.attempts == 55
+
+    def test_sizes_are_checked_before_any_draw(self):
+        c, rho = decay_system()
+        for N, ell, message in ((5, 0, "scale factor must be a positive integer, got 0"),
+                                (0, 1, "sample count must be >= 1, got 0")):
+            with pytest.raises(PreconditionError) as err:
+                estimate_reliability(rho, 0.9, c, Broken(), ObservationTimes.range(3),
+                                     N=N, ell=ell, seed=1, M=1)
+            assert str(err.value) == message
 
     def test_budget_precondition(self):
         with pytest.raises(PreconditionError):
@@ -278,7 +299,7 @@ class TestOnlyTheTargetPenaltyIsSimulated:
         rep = estimate_robustness(spec, c, sampler, obs, N=30, ell=2, seed=8, budget=60)
         xi, curves, attempts = folded_by_hand(spec, c, sampler, obs, 30, 2, 8, 60)
         assert (rep.xi, rep.variation_curves, rep.accepted_attempts) == (xi, curves, attempts)
-        assert penalty_counts == [1] * (1 + len(attempts))
+        assert penalty_counts == [1] * len(attempts)  # the base shares the first call
 
     def test_adaptability_equals_the_hand_fold(self, penalty_counts):
         c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
@@ -291,4 +312,209 @@ class TestOnlyTheTargetPenaltyIsSimulated:
                               eta1=0.3, eta2=0.0, M=3, filter_mode="initial")
         xi, curves, attempts = folded_by_hand(spec, c, sampler, obs, 30, 3, 9, 60)
         assert (rep.xi, rep.variation_curves, rep.accepted_attempts) == (xi, curves, attempts)
-        assert penalty_counts == [1] * (1 + len(attempts))
+        assert penalty_counts == [1] * len(attempts)  # the base shares the first call
+
+
+def estimated_in_order(spec, c, sampler, obs, N, ell, seed, budget, discount, progress):
+    """The estimator written as one estimate after another: the base first,
+    then each candidate that passes the initial filter, each through its
+    own estimate_penalties call with both penalties, folded as
+    ``folded_by_hand`` folds them.  Returns the report's fields, or the
+    ShortfallError's counts."""
+    stream = RandomStream.from_seed(seed)
+    k, both = obs.horizon, [spec.rho, spec.rho_target]
+    lo, hi = spec.interval
+    window = [j for j, t in enumerate(obs) if lo <= t <= hi]
+    simulated = spec.filter_mode == "evolution" and [obs.steps[j] for j in window] != [0]
+    base = estimate_penalties(c, k, N, stream.child(0), both, list(obs))
+    curves, accepted_attempts, rejected = [], [], 0
+    for attempt in range(budget):
+        cand = sampler.sample(c.data, stream.child(1).child(attempt))
+        progress(len(curves), attempt + 1, spec.M)
+        if not simulated:
+            d0 = max(spec.rho(0, cand) - spec.rho(0, c.data), 0.0)
+            if spec.filter_mode == "evolution":
+                d0 *= discount(0)
+            if d0 > spec.eta1:
+                rejected += 1
+                continue
+        pen = estimate_penalties(c.with_data(cand), k, N * ell,
+                                 stream.child(2).child(attempt), both, list(obs))
+        if simulated:
+            w = compute_w_sorted(base[0][:, window], pen[0][:, window]).tolist()
+            if max(discount(obs.steps[j]) * wj for j, wj in zip(window, w)) > spec.eta1:
+                rejected += 1
+                continue
+        w = compute_w_sorted(base[1], pen[1]).tolist()
+        curves.append(tuple(suffix_maxima([discount(t) * wj for t, wj in zip(obs, w)])))
+        accepted_attempts.append(attempt)
+        if len(curves) == spec.M:
+            break
+    if len(curves) < spec.M:
+        return ("shortfall", len(curves), attempt + 1)
+    xi = tuple(max(column) for column in zip(*curves))
+    return (xi, curves, accepted_attempts, len(curves), rejected, attempt + 1)
+
+
+def fields_of(run):
+    try:
+        rep = run()
+    except ShortfallError as err:
+        return ("shortfall", err.accepted, err.attempts)
+    return (rep.xi, rep.variation_curves, rep.accepted_attempts, rep.accepted,
+            rep.rejected, rep.attempts)
+
+
+def engine_saw():
+    c = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),))
+    pens = engine_penalties(False, awml=1000)
+    return c, pens["window_L"], pens["fn_L"], SawWindowSampler("L", 20)
+
+
+TANK_VARS = ("q1", "q2", "q3", "l1", "l2", "l3")
+
+
+@st.composite
+def robustness_questions(draw):
+    """A model on one of the three fast paths (tanks twin, tanks compiled,
+    engine twin), its penalties and sampler, and a filter of each kind."""
+    model = draw(st.sampled_from(["tanks", "tanks-compiled", "engine"]))
+    if model == "engine":
+        c, rho, target, sampler = engine_saw()
+    else:
+        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+        if model == "tanks-compiled":
+            c = replace(c, lockstep=None)
+        pens = tanks_penalties(c.env.params)
+        rho, target = pens["l3"], pens[draw(st.sampled_from(["l1", "mean_l1_l2"]))]
+        names = draw(st.lists(st.sampled_from(TANK_VARS), min_size=1, max_size=3, unique=True))
+        sampler = UniformResampler(tuple(names))
+    k = draw(st.integers(1, 6))
+    obs = ObservationTimes.range(k)
+    mode = draw(st.sampled_from(["initial", "window-0", "wider"]))
+    interval = (0, draw(st.integers(1, k))) if mode == "wider" else (0, 0)
+    M = draw(st.integers(1, 3))
+    spec = RobustnessSpec(rho=rho, rho_target=target, interval=interval, tau_tilde=0,
+                          eta1=draw(st.floats(0.0, 0.5)), eta2=0.5, M=M,
+                          filter_mode="initial" if mode == "initial" else "evolution")
+    discount = draw(st.sampled_from([constant_discount(), exponential_discount(0.9)]))
+    return spec, c, sampler, obs, discount, draw(st.integers(M, M + 8))
+
+
+class TestSharedBaseBlock:
+    """A base of fewer than _SHARED_BASE_RUNS runs is simulated in the first
+    simulated candidate's estimate; the report and the progress calls must
+    be those of the base estimated first."""
+
+    @given(question=robustness_questions(),
+           N=st.sampled_from([1, 5, robustness._SHARED_BASE_RUNS - 1,
+                              robustness._SHARED_BASE_RUNS]),
+           ell=st.integers(1, 2), seed=st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_estimates_in_order(self, question, N, ell, seed):
+        spec, c, sampler, obs, discount, budget = question
+        calls, want_calls = [], []
+        got = fields_of(lambda: estimate_robustness(
+            spec, c, sampler, obs, N, ell, seed, discount=discount, budget=budget,
+            progress=lambda *a: calls.append(a)))
+        want = estimated_in_order(spec, c, sampler, obs, N, ell, seed, budget, discount,
+                                  lambda *a: want_calls.append(a))
+        assert got == want
+        assert calls == want_calls
+
+    @pytest.mark.parametrize("N", [robustness._SHARED_BASE_RUNS - 1,
+                                   robustness._SHARED_BASE_RUNS])
+    def test_a_base_of_256_runs_or_more_is_estimated_alone(self, monkeypatch, N):
+        calls = []
+
+        def counting(c, k, N, seed, penalties, *args, **kwargs):
+            calls.append((N, len(kwargs["segments"])))
+            return estimate_penalties(c, k, N, seed, penalties, *args, **kwargs)
+        monkeypatch.setattr(robustness, "estimate_penalties", counting)
+        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+        rho = tanks_penalties(c.env.params)["l3"]
+        estimate_adaptability(rho, 0, 0.9, c, IDENTITY, ObservationTimes.range(2),
+                              N=N, ell=1, seed=3, M=2)
+        if N < robustness._SHARED_BASE_RUNS:
+            assert calls == [(2 * N, 2), (N, 1)]
+        else:
+            assert calls == [(N, 1)] * 3
+
+
+class Values(PerturbationSampler):
+    """The n-th candidate is the base with x set to the n-th of ``xs``, or
+    to the last one."""
+
+    def __init__(self, *xs):
+        self.xs = list(xs)
+
+    def sample(self, base, rng):
+        return base.update([("x", self.xs.pop(0) if len(self.xs) > 1 else self.xs[0])])
+
+
+class Broken(PerturbationSampler):
+    def sample(self, base, rng):
+        raise ValueError("no candidate")
+
+
+def failing_system(lockstep_free=True):
+    """x counts the steps up from its initial value; the process takes
+    sqrt(5.5 - x), which fails at the first step where x exceeds 5.5, so a
+    run from x = 0 fails at step 6 and one from x = 3 at step 3."""
+    space = DataSpace([VarSpec("x", 0.0, 100.0), VarSpec("y", 0.0, 100.0)])
+    proc = Prefix((Op("+", (Var("x"), Const(1.0))),
+                   Op("sqrt", (Op("-", (Const(5.5), Var("x"))),))),
+                  ("x", "y"), Call("Count"))
+    c = Configuration(Call("Count"), space.state([0.0, 0.0]), IdentityKernel(),
+                      {"Count": proc}).validated()
+    rho = GoalPenalty("x", 0.0, 0.0, 100.0, id="x-gap")
+    return c, rho
+
+
+def raised(run):
+    with pytest.raises(Exception) as err:
+        run()
+    e = err.value
+    return type(e), str(e), getattr(e, "run", None), getattr(e, "step", None)
+
+
+class TestFailuresOfASharedBlock:
+    """Each failure is the one the base estimated first raises."""
+
+    def adaptability(self, sampler, k, M=1, budget=None, fast=True):
+        c, rho = failing_system()
+        return lambda: estimate_adaptability(
+            rho, 0, 0.9, c, sampler, ObservationTimes.range(k), N=10, ell=2, seed=5,
+            M=M, budget=budget, use_fast_path=fast)
+
+    def base_failure(self, k):
+        c, rho = failing_system()
+        return raised(lambda: estimate_penalties(
+            c, k, 10, RandomStream.from_seed(5).child(0), [rho], list(range(k + 1))))
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_the_base_fails_later_than_the_candidate(self, fast):
+        want = self.base_failure(8)
+        assert want[3] == 6 and "sqrt" in want[1]
+        assert raised(self.adaptability(Values(3.0), 8, fast=fast)) == want
+
+    def test_the_candidate_fails_alone(self):
+        got = raised(self.adaptability(Values(3.0), 4))
+        assert got[0] is SimulationError and (got[2], got[3]) == (0, 3)
+
+    def test_the_sampler_raises_while_the_base_would_fail(self):
+        assert raised(self.adaptability(Broken(), 8)) == self.base_failure(8)
+        assert raised(self.adaptability(Broken(), 4)) == (ValueError, "no candidate", None,
+                                                          None)
+
+    def test_a_shortfall_raises_once_the_accepted_candidates_ran(self):
+        # x = 1 passes the filter and runs cleanly, x = 95 is rejected
+        got = raised(self.adaptability(Values(1.0, 95.0), 4, M=2, budget=3))
+        assert got == (ShortfallError, "accepted only 1 of 2 variations in 3 attempts",
+                       None, None)
+        # x = 4 is accepted and fails at step 2, before the shortfall
+        got = raised(self.adaptability(Values(4.0, 95.0), 4, M=2, budget=3))
+        assert got[0] is SimulationError and (got[2], got[3]) == (0, 2)
+        # with no candidate accepted, the base still fails first
+        assert raised(self.adaptability(Values(95.0), 8, M=2, budget=4)) == \
+            self.base_failure(8)
