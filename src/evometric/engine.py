@@ -7,7 +7,9 @@ d, then samples the environment on the result.  ``estimate`` runs N
 independent trajectories on child random streams and collects, per time step,
 the N sampled data states (the empirical evolution sequence);
 ``estimate_penalties`` reads the same runs through penalties at the
-observation times without keeping the states.
+observation times without keeping the states; its (P, N, T) result is
+step-major in memory, the N penalties of a step adjacent, so copy it
+(``np.ascontiguousarray``) where C order is needed.
 
 Both estimators share one run loop (``_run``).  It simulates blocks of runs
 and hands each block's (n, nvars) values at steps 0..k to the estimator.
@@ -292,8 +294,12 @@ def estimate_penalties(
 ) -> np.ndarray:
     """Streaming estimate: per-run penalty values at the observation times.
 
-    Returns an array of shape (len(penalties), N, len(obs_times)).  States
-    are never materialised across the horizon, so this scales to long runs.
+    Returns an array of shape (len(penalties), N, len(obs_times)), laid
+    out step-major: memory holds (len(penalties), len(obs_times), N), so
+    ``out[p, :, j]`` is contiguous, each step writes one row and the W fold
+    reads it back without a transpose.  Copy it where C order is needed.
+    States are never materialised across the horizon, so this scales to
+    long runs.
     ``run_offset`` shifts the child-stream indices (run i uses seed child
     run_offset + i), letting callers draw disjoint sample sets from one seed.
 
@@ -322,7 +328,7 @@ def estimate_penalties(
             _check_counts(k, n)
         if sum(n for *_, n in parts) != N:
             raise PreconditionError(f"the segments' runs do not add up to {N}")
-    out = np.empty((len(penalties), N, len(obs)), dtype=np.float64)
+    out = np.empty((len(penalties), len(obs), N), dtype=np.float64).transpose(0, 2, 1)
     # lockstep blocks of runs keep the transient per-block state small
     rows = max(64, int(2e8 / ((k + 1) * 16)))
     fill = partial(_store_penalties, tuple(penalties), obs, c.space)
@@ -387,7 +393,7 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
         blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
         tasks = [(c, k, key, run_offset + b.start, len(b), fill, out.shape[1:]) for b in blocks]
         for b, (part, failure) in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
-            out[b.start:b.stop] = part
+            out[b.start:b.stop] = np.moveaxis(part, -1, 0)
             failures.append(failure)
     failures = [f for f in failures if f is not None]
     if failures:
@@ -471,9 +477,13 @@ def _lockstep_steps(sim, k: int, first: int):
 
 
 def _interpret_block(task) -> tuple[np.ndarray, SimulationError | None]:
+    """Runs one block on the interpreter.  Returns the block's values, C
+    ordered with the run axis last, so that a pool worker pickles them back
+    in the step-major layout of the penalties, and its first failing run."""
     c, k, key, first, n, fill, shape = task
-    part = np.empty((n,) + shape, dtype=np.float64)
-    return part, _reduce_block(fill, _interpret_steps(c, k, key, first, n), part)
+    part = np.empty(shape + (n,), dtype=np.float64)
+    return part, _reduce_block(fill, _interpret_steps(c, k, key, first, n),
+                               np.moveaxis(part, -1, 0))
 
 
 def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):

@@ -158,7 +158,9 @@ def compute_w_sorted(omega: np.ndarray, nu: np.ndarray) -> np.ndarray:
     ell = ln // n
     out = np.empty(omega.shape[1])
     for lo in range(0, len(out), _W_CHUNK):
-        # row-major copies, one row per column, sorted in place
+        # one row per column, sorted in place in a copy, so the input is
+        # never modified; a plain contiguous copy of the step-major blocks
+        # estimate_penalties returns, a transposing one of a C-ordered block
         om = omega[:, lo:lo + _W_CHUNK].T.copy(order="C")
         nv = nu[:, lo:lo + _W_CHUNK].T.copy(order="C")
         om.sort(axis=1)

@@ -253,6 +253,7 @@ def estimate_robustness(
 
     base_segment = (base.data, stream.child(0), N)
     base_pen = None if N < _SHARED_BASE_RUNS else estimate(base_segment)
+    base_in_block = False  # the base's rows are a slice of a shared block
 
     sampler_stream = stream.child(1)
     cand_stream = stream.child(2)
@@ -286,10 +287,13 @@ def estimate_robustness(
         if base_pen is None:
             both = estimate(base_segment, cand_segment)
             base_pen, cand_pen = both[:, :N], both[:, N:]
+            base_in_block = True
         else:
-            if base_pen.base is not None:
-                # keep the base's rows, not the whole block they were simulated in
-                base_pen = base_pen.copy()
+            if base_in_block:
+                # keep the base's rows, not the whole block they were simulated
+                # in, and keep them step-major
+                base_pen = base_pen.copy(order="K")
+                base_in_block = False
             cand_pen = estimate(cand_segment)
 
         if evolution_filter:

@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +365,45 @@ class TestEstimatePenalties:
         a = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=1, run_offset=4)
         b = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=3, run_offset=4)
         assert np.array_equal(a, b)
+
+
+class TestStepMajorPenalties:
+    """Every path fills the (P, N, T) result step-major: the N penalties of
+    one step are adjacent, and the values are the same bits on each path."""
+
+    def test_each_step_is_contiguous_on_every_path(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="evometric.engine")
+        c = tanks_configuration(init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
+        pens = tanks_penalties(c.env.params)
+        rhos, obs = [pens["l3"], pens["l1"]], [0, 3, 8, 12]
+        other = c.data.update([("l3", 6.0)])
+        calls = {
+            "lockstep": lambda: estimate_penalties(c, 12, 7, 41, rhos, obs),
+            "compiled": lambda: estimate_penalties(replace(c, lockstep=None), 12, 7, 41,
+                                                   rhos, obs),
+            "interpreter": lambda: estimate_penalties(c, 12, 7, 41, rhos, obs,
+                                                      use_fast_path=False),
+            "interpreter, 2 workers": lambda: estimate_penalties(
+                c, 12, 7, 41, rhos, obs, threads=2, use_fast_path=False),
+            "lockstep, 2 segments": lambda: estimate_penalties(
+                c, 12, 10, None, rhos, obs, segments=[(c.data, 41, 7), (other, 43, 3)]),
+        }
+        outs = {}
+        for name, call in calls.items():
+            caplog.clear()
+            outs[name] = call()
+            served = [r.getMessage() for r in caplog.records if " path: " in r.getMessage()]
+            assert served[0].split(" path")[0] == name.split(",")[0], served
+            assert served[0].endswith("in 2 segments") == name.endswith("segments"), served
+        shared = outs.pop("lockstep, 2 segments")
+        outs["segments"] = shared[:, :7]
+        for name, out in outs.items():
+            assert out.shape == (2, 7, 4), name
+            assert out.strides[1] == 8, name
+            assert out.tobytes() == outs["lockstep"].tobytes(), name
+        assert shared.strides[1] == 8
+        alone = estimate_penalties(c.with_data(other), 12, 3, 43, rhos, obs)
+        assert shared[:, 7:].tobytes() == alone.tobytes()
 
 
 class TestDeclinedFastPath:

@@ -203,6 +203,29 @@ def test_block_equals_column_calls_bit_for_bit(n, ell, m, pool, seed, by_column)
     assert block.tobytes() == columns.tobytes()
 
 
+@settings(max_examples=60)
+@given(n=st.integers(1, 12), ell=st.sampled_from([1, 3, 10]),
+       m=st.sampled_from([1, 2, _W_CHUNK, _W_CHUNK + 1, 2 * _W_CHUNK + 3]),
+       extra=st.integers(0, 3), pool=SAMPLE_VALUES, seed=st.integers(0, 2**32))
+def test_step_major_blocks_equal_c_ordered_ones_bit_for_bit(n, ell, m, extra, pool, seed):
+    """The blocks estimate_penalties returns are step-major, and robustness
+    folds row slices of one such (P, N + lN, T) block; the estimate must not
+    depend on the layout, nor write to either input."""
+    r = np.random.default_rng(seed)
+    omega = r.choice(np.array(pool), size=(n, m))
+    nu = r.choice(np.array(pool), size=(n * ell, m))
+    block = r.random((1 + extra, m, n + n * ell)).transpose(0, 2, 1)
+    block[-1, :n], block[-1, n:] = omega, nu
+    step_major = block[-1, :n], block[-1, n:]
+    assert step_major[0].strides[0] == step_major[1].strides[0] == 8
+    before = block.tobytes()
+    got = compute_w_sorted(*step_major)
+    assert block.tobytes() == before
+    assert got.tobytes() == compute_w_sorted(omega, nu).tobytes()
+    assert omega.tobytes() == block[-1, :n].tobytes()
+    assert nu.tobytes() == block[-1, n:].tobytes()
+
+
 class TestDistance:
     def test_same_configuration_same_seed_lineage_is_zero(self):
         c = tanks_configuration()

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -439,6 +440,31 @@ class TestSharedBaseBlock:
             assert calls == [(2 * N, 2), (N, 1)]
         else:
             assert calls == [(N, 1)] * 3
+
+
+    def test_the_kept_base_does_not_alias_the_shared_block(self, monkeypatch):
+        folds = []
+
+        def recording(omega, nu):
+            folds.append((omega, nu))
+            return compute_w_sorted(omega, nu)
+        monkeypatch.setattr(robustness, "compute_w_sorted", recording)
+        c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+        rho = tanks_penalties(c.env.params)["l3"]
+        obs = ObservationTimes.range(4)
+        spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, 0), tau_tilde=0,
+                              eta1=0.9, eta2=0.0, M=3, filter_mode="initial")
+        rep = estimate_robustness(spec, c, IDENTITY, obs, 6, 2, 3)
+        (first_base, block_rows), *later = folds
+        assert first_base.base is block_rows.base  # rows of one shared block
+        for kept, _ in later:
+            assert not np.shares_memory(kept, block_rows.base)
+            assert kept.strides[0] == 8  # still step-major
+            assert kept.tobytes() == first_base.tobytes()
+        assert len(later) == 2
+        want = estimated_in_order(spec, c, IDENTITY, obs, 6, 2, 3, 3, constant_discount(),
+                                  lambda *a: None)
+        assert fields_of(lambda: rep) == want
 
 
 class Values(PerturbationSampler):
