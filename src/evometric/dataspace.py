@@ -15,6 +15,7 @@ meaning "on target".
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -116,8 +117,8 @@ def clamp_array(values: np.ndarray, spec: VarSpec) -> np.ndarray:
 class DataSpace:
     """Ordered collection of variables; index lookup by name is a bijection."""
 
-    __slots__ = ("vars", "names", "_index", "lowers", "uppers", "_finite_idx", "_bounds",
-                 "clamp_events")
+    __slots__ = ("vars", "names", "_index", "lowers", "uppers", "_lower_list", "_upper_list",
+                 "_finite_idx", "_bounds", "clamp_events")
 
     def __init__(self, vars: Iterable[VarSpec]):
         self.vars: tuple[VarSpec, ...] = tuple(vars)
@@ -127,6 +128,8 @@ class DataSpace:
         self._index = {name: i for i, name in enumerate(self.names)}
         self.lowers = np.array([v.lower for v in self.vars], dtype=np.float64)
         self.uppers = np.array([v.upper for v in self.vars], dtype=np.float64)
+        self._lower_list = [v.lower for v in self.vars]
+        self._upper_list = [v.upper for v in self.vars]
         self._finite_idx = [i for i, v in enumerate(self.vars) if v.is_finite]
         # (n, v) copies of the bounds in the layout of the last block
         # clamped; a broadcast (v,) operand costs about three times as much
@@ -153,14 +156,24 @@ class DataSpace:
         return name in self._index
 
     def clamp_values(self, values: Sequence[float]) -> tuple[list[float], int]:
-        """Clamp a full vector into the domain; returns (clamped, clamp count)."""
-        out = []
-        clamps = 0
-        for spec, v in zip(self.vars, values):
-            w = spec.clamp(float(v))
-            if w != v:
-                clamps += 1
-            out.append(w)
+        """Clamp a full vector into the domain; returns (clamped, clamp count).
+
+        The row is compared with the bounds once; :meth:`VarSpec.clamp`
+        runs only on the entries that are not strictly inside them (a bound
+        itself, outside, or NaN, which it rejects) and on finite-set
+        variables.  An entry strictly inside is its own float already.
+        """
+        row = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        out = [float(v) for v in row]
+        if all(map(operator.lt, self._lower_list, out)) and \
+                all(map(operator.lt, out, self._upper_list)):
+            check = self._finite_idx
+        else:
+            check = [j for j, (lo, v, hi) in enumerate(zip(self._lower_list, out, self._upper_list))
+                     if not lo < v < hi or self.vars[j].is_finite]
+        for j in check:
+            out[j] = self.vars[j].clamp(out[j])
+        clamps = int(sum(map(operator.ne, out, row)))
         self.clamp_events += clamps
         return out, clamps
 

@@ -9,7 +9,11 @@ the N sampled data states (the empirical evolution sequence);
 ``estimate_penalties`` reads the same runs through penalties at the
 observation times without keeping the states; its (P, N, T) result is
 step-major in memory, the N penalties of a step adjacent, so copy it
-(``np.ascontiguousarray``) where C order is needed.
+(``np.ascontiguousarray``) where C order is needed.  Given a consumer, it
+hands each observed step's (P, N) penalties to it instead.  When one
+fast-path block holds every run, a step is handed over as soon as it is
+simulated, so a caller that folds the steps (the robustness estimators
+fold W a chunk of steps at a time) never holds the (P, N, T) block.
 
 Both estimators share one run loop (``_run``).  It simulates blocks of runs
 and hands each block's (n, nvars) values at steps 0..k to the estimator.
@@ -46,12 +50,12 @@ fast paths and forces the interpreter.
 
 ``estimate_penalties`` can also stack several estimates of one process,
 each from its own data state and seed, as segments of one call.  A fast
-path that takes every segment then runs them as one set of rows, each row
-on its own stream key and from its own initial values, which is cheaper
-where a step's cost is mostly fixed.  The interpreter, a fast path that
-declines a segment, and a shared block that fails estimate the segments
-one by one, in order, so a failure is reported as the first failing
-segment reports it alone.
+path that takes every segment in one block then runs them as one set of
+rows, each row on its own stream key and from its own initial values,
+which is cheaper where a step's cost is mostly fixed.  The interpreter, a
+fast path that declines a segment, more rows than one block holds, and a
+shared block that fails estimate the segments one by one, in order, so a
+failure is reported as the first failing segment reports it alone.
 
 Per-run randomness depends only on (master seed, run index), so results do
 not depend on worker count or execution path.
@@ -250,6 +254,9 @@ def write_json(path, payload: dict) -> None:
 _MAX_STATE_BYTES = 2e9
 # interpreter runs advanced together (each holds a stream and its buffer)
 _INTERP_ROWS = 256
+# bytes of (k + 1)-step state a fast-path block of estimate_penalties may
+# hold, at 16 per run-step: more runs are split over several blocks
+_BLOCK_BYTES = 2e8
 
 
 def estimate(
@@ -291,7 +298,8 @@ def estimate_penalties(
     run_offset: int = 0,
     *,
     segments: Sequence[tuple] | None = None,
-) -> np.ndarray:
+    consumer=None,
+) -> np.ndarray | None:
     """Streaming estimate: per-run penalty values at the observation times.
 
     Returns an array of shape (len(penalties), N, len(obs_times)), laid
@@ -307,12 +315,24 @@ def estimate_penalties(
     up to N, stacks several estimates of ``c``'s process in one call: the
     rows of a segment are those of the estimate of ``c.with_data(data)``
     on its seed, and ``c.data`` and ``seed`` are not read.  When a fast
-    path takes every segment, its blocks hold the rows of all of them,
-    which is cheaper than one estimate after another where a step's cost
-    is mostly fixed, as it is for short segments.  Otherwise each segment
-    is estimated on its own, in order.  So is each again when a run of a
-    shared block fails: the failure raised is then the one the segments
-    raise when estimated in order, the first failing segment's.
+    path takes every segment in one block of rows, that block holds the
+    rows of all of them, which is cheaper than one estimate after another
+    where a step's cost is mostly fixed, as it is for short segments.
+    Otherwise each segment is estimated on its own, in order.  So is each
+    again when a run of a shared block fails: the failure raised is then
+    the one the segments raise when estimated in order, the first failing
+    segment's.
+
+    ``consumer``, when given, is called as ``consumer(j, row)`` for each
+    observation time ``obs_times[j]``, in order, with the (len(penalties),
+    N) penalties of that step (valid during the call only), and the call
+    returns None.  When a fast path takes all N runs in one block, the
+    rows go to the consumer as their steps are simulated, so no array of
+    the whole horizon is held.  Otherwise (the interpreter, or more runs
+    than one block holds) the array is filled first and then handed over
+    a column at a time.  The consumer sees column 0 again when a shared
+    block failed after some of its steps were handed over and its
+    segments are estimated again.
     """
     _check_counts(k, N)
     obs = list(obs_times)
@@ -328,19 +348,34 @@ def estimate_penalties(
             _check_counts(k, n)
         if sum(n for *_, n in parts) != N:
             raise PreconditionError(f"the segments' runs do not add up to {N}")
-    out = np.empty((len(penalties), len(obs), N), dtype=np.float64).transpose(0, 2, 1)
+    out = None
+    if consumer is None:
+        out = _penalty_array(len(penalties), N, len(obs))
+        consumer = partial(_write_column, out)
     # lockstep blocks of runs keep the transient per-block state small
-    rows = max(64, int(2e8 / ((k + 1) * 16)))
+    rows = max(64, int(_BLOCK_BYTES / ((k + 1) * 16)))
     fill = partial(_store_penalties, tuple(penalties), obs, c.space)
-    dest = np.moveaxis(out, 1, 0)
-    if len(parts) > 1 and use_fast_path and _run_shared(parts, k, run_offset, rows, fill, dest):
+    if use_fast_path and N <= rows and (out is None or len(parts) > 1) \
+            and _run_block(parts, k, run_offset, fill, consumer):
         return out
+    # the interpreter's blocks, and more runs than one block holds, are
+    # stored whole, then handed to the consumer
+    held = _penalty_array(len(penalties), N, len(obs)) if out is None else out
+    dest = np.moveaxis(held, 1, 0)
     lo = 0
     for part, key, n in parts:
         _run(part, k, key, run_offset, threads, use_fast_path, rows=rows, fill=fill,
              out=dest[lo:lo + n])
         lo += n
+    if out is None:
+        for j in range(len(obs)):
+            consumer(j, held[:, :, j])
     return out
+
+
+def _penalty_array(P: int, N: int, T: int) -> np.ndarray:
+    """An empty (P, N, T) array laid out step-major, (P, T, N) in memory."""
+    return np.empty((P, T, N), dtype=np.float64).transpose(0, 2, 1)
 
 
 def _check_counts(k: int, N: int) -> None:
@@ -355,12 +390,25 @@ def _store_steps(steps, dest: np.ndarray) -> None:
         dest[:, i, :] = vals
 
 
-def _store_penalties(penalties, obs, space, steps, dest: np.ndarray) -> None:
+def _store_penalties(penalties, obs, space, steps, dest) -> None:
+    """The fill of ``estimate_penalties``: hands the (P, n) penalties of a
+    block's observed step to ``dest(j, row)``, j its observation index.
+    An (n, P, T) array ``dest`` gets each row written to its column j."""
+    if isinstance(dest, np.ndarray):
+        dest = partial(_write_column, np.moveaxis(dest, 0, 1))
     col = {t: j for j, t in enumerate(obs)}
+    row = None
     for i, vals in enumerate(steps):
         if i in col:
+            if row is None:
+                row = np.empty((len(penalties), len(vals)))
             for p, rho in enumerate(penalties):
-                dest[:, p, col[i]] = rho.eval_batch(i, vals, space)
+                row[p] = rho.eval_batch(i, vals, space)
+            dest(col[i], row)
+
+
+def _write_column(out: np.ndarray, j: int, row: np.ndarray) -> None:
+    out[:, :, j] = row
 
 
 def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None:
@@ -400,35 +448,33 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
         raise min(failures, key=lambda f: (f.step, f.run))
 
 
-def _run_shared(parts, k, run_offset, rows, fill, out) -> bool:
+def _run_block(parts, k, run_offset, fill, dest) -> bool:
     """Runs the segments ``parts``, (configuration, key, runs) triples that
-    differ only in their data, as one set of rows on a fast path, in blocks
-    of at most ``rows`` runs filled as ``_run`` fills them.
+    differ only in their data, as one block of rows on a fast path, filled
+    by ``fill(steps, dest)`` as ``_run`` fills a block.
 
-    Returns False, with ``out`` left to be filled again, when no fast path
+    Returns False, with ``dest`` left to be filled again, when no fast path
     takes every segment or when the block raises anything: which failure
     comes first depends on the rows a block holds (a penalty NaN names the
-    first row of its step), so only the segments estimated one by one
-    raise the failure of an estimate.
+    first row of its step), and its runs are numbered from 0, not from
+    ``run_offset``, so only the segments estimated by ``_run`` raise the
+    failure of an estimate.
     """
     c = parts[0][0]
     keys = run_keys([(key, run_offset, n) for _, key, n in parts])
     initial = np.repeat([part.data.values for part, _, _ in parts],
                         [n for *_, n in parts], axis=0)
-    N = len(initial)
-    fast = _start_fast_path(c, min(rows, N), keys, 0, k, initial,
+    fast = _start_fast_path(c, len(initial), keys, 0, k, initial,
                             [part.data for part, _, _ in parts])
     if fast is None:
         return False
-    name, start, sim = fast
-    log.debug("%s path: %d runs of %d steps in %d segments", name, N, k, len(parts))
+    name, _, sim = fast
+    log.debug("%s path: %d runs of %d steps%s", name, len(initial), k,
+              f" in {len(parts)} segments" if len(parts) > 1 else "")
     try:
-        for lo in range(0, N, rows):
-            if lo:
-                sim = start(c, min(rows, N - lo), keys, lo, k, initial)
-            fill(_lockstep_steps(sim, k, lo), out[lo:lo + rows])
+        fill(_lockstep_steps(sim, k, 0), dest)
     except Exception as exc:
-        log.debug("a shared block failed, running its segments one by one: %s", exc)
+        log.debug("a block failed, running its segments one by one: %s", exc)
         return False
     return True
 

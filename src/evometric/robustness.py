@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataspace import DataState, PenaltyFunction
 from .engine import Configuration, estimate_penalties, write_csv
 from .errors import PreconditionError, ShortfallError
@@ -28,6 +30,7 @@ from .metric import (
     ConstantDiscount,
     DiscountFunction,
     ObservationTimes,
+    _W_CHUNK,
     compute_w_sorted,
     suffix_maxima,
 )
@@ -197,6 +200,72 @@ def _initial_distance(rho: PenaltyFunction, base: DataState, cand: DataState) ->
     return max(rho(0, cand) - rho(0, base), 0.0)
 
 
+class _Fold:
+    """Folds each candidate's W against the base while its steps are simulated.
+
+    The consumer that ``estimate_robustness`` hands to ``estimate_penalties``
+    for every candidate.  It buffers ``_W_CHUNK`` observed steps of a
+    candidate's penalties, then folds them against the same columns of the
+    base through ``compute_w_sorted``, so no candidate's (P, l*N, T) block
+    is ever held.  Each column of ``compute_w_sorted`` equals the call on
+    that column alone, so every W has the bits of one call over the whole
+    horizon.  ``w`` is the target penalty's W (the last row) per
+    observation time.  With a ``window``, a (first, stop) range of columns,
+    the filter penalty (row 0) is folded there too, and once its last
+    column is, ``rejected`` tells whether the discounted maximum, weighted
+    by ``weights``, exceeds ``eta1``; the target of a rejected candidate is
+    not folded further.
+
+    With no ``base``, the base shares the first candidate's block: while
+    ``head`` is N, the first N runs of each step are the base's, and are
+    kept in ``base``, a (P, N, T) array laid out step-major as
+    ``estimate_penalties`` returns it.  The caller sets ``head`` to 0 once
+    that estimate has returned.
+
+    Column 0 starts a fold over, both for the next candidate and when a
+    shared block failed and its segments run again.  The buffers are made
+    once for all candidates: one made per candidate lands in the memory the
+    previous candidate's draws were freed from, and the next draws then
+    take fresh memory (``tanks-adapt`` peak RSS 75.3 MiB, against 66.6
+    with one buffer, on a 2-core x86 machine).
+    """
+
+    def __init__(self, base, N: int, ell_N: int, T: int, window, weights, eta1: float):
+        P = 1 if window is None else 2
+        self.head = N if base is None else 0  # the base's rows at the head of each step
+        self.base = np.empty((P, T, N)).transpose(0, 2, 1) if base is None else base
+        self.ell_N = ell_N
+        self.window, self.weights, self.eta1 = window, weights, eta1
+        self.buf = np.empty((P, _W_CHUNK, self.head + ell_N))
+        self.w = np.empty(T)
+        self.filter_w = np.empty(len(weights))
+        self.rejected = False
+
+    def __call__(self, j: int, row: np.ndarray) -> None:
+        i = j % _W_CHUNK
+        width = self.head + self.ell_N
+        self.buf[:, i, :width] = row
+        if j == 0:
+            self.rejected = False
+        if i == _W_CHUNK - 1 or j == len(self.w) - 1:
+            lo, hi = j - i, j + 1
+            chunk = self.buf[:, :hi - lo, :width]
+            if self.head:
+                self.base[:, :, lo:hi] = chunk[:, :, :self.head].transpose(0, 2, 1)
+            cand = chunk[:, :, self.head:]
+            if self.window is not None:
+                first, stop = self.window
+                a, b = max(lo, first), min(hi, stop)
+                if a < b:
+                    self.filter_w[a - first:b - first] = compute_w_sorted(
+                        self.base[0][:, a:b], cand[0, a - lo:b - lo].T)
+                    if b == stop:
+                        self.rejected = max(wt * wj for wt, wj in zip(
+                            self.weights, self.filter_w.tolist())) > self.eta1
+            if not self.rejected:
+                self.w[lo:hi] = compute_w_sorted(self.base[-1][:, lo:hi], cand[-1].T)
+
+
 def estimate_robustness(
     spec: RobustnessSpec,
     base: Configuration,
@@ -221,8 +290,14 @@ def estimate_robustness(
     ``_SHARED_BASE_RUNS`` runs is simulated in the first simulated
     candidate's estimate, as one more segment of its blocks, where its
     runs cost next to nothing: a step's cost is mostly fixed.  The result
-    and every error are those of the base estimated first.  ``progress``,
-    when given, is called as progress(accepted, attempts, M) after every
+    and every error are those of the base estimated first.
+
+    A candidate's W is folded ``_W_CHUNK`` observed steps at a time while
+    its estimate runs (:class:`_Fold`), so no candidate's penalties are
+    held across the horizon: only the base's (P, N, T) block is kept.
+    Rejected candidates are still simulated to the horizon, so that the
+    failures raised are those of whole estimates.  ``progress``, when
+    given, is called as progress(accepted, attempts, M) after every
     attempt.
     """
     spec.check_against(obs)
@@ -246,14 +321,17 @@ def estimate_robustness(
     evolution_filter = spec.filter_mode == "evolution" and not trivial_window
     penalties = [spec.rho, spec.rho_target] if evolution_filter else [spec.rho_target]
 
-    def estimate(*segments):
+    def estimate(*segments, consumer=None):
         runs = sum(n for *_, n in segments)
         return estimate_penalties(base, k, runs, None, penalties, list(obs), threads,
-                                  use_fast_path, segments=segments)
+                                  use_fast_path, segments=segments, consumer=consumer)
 
     base_segment = (base.data, stream.child(0), N)
-    base_pen = None if N < _SHARED_BASE_RUNS else estimate(base_segment)
-    base_in_block = False  # the base's rows are a slice of a shared block
+    # the evolution filter's columns and discounts, applied as it is folded
+    window = (filter_cols[0], filter_cols[-1] + 1) if evolution_filter else None
+    weights = [discount(obs.steps[j]) for j in filter_cols] if evolution_filter else []
+    fold = _Fold(None if N < _SHARED_BASE_RUNS else estimate(base_segment), N, N * ell,
+                 len(obs), window, weights, spec.eta1)
 
     sampler_stream = stream.child(1)
     cand_stream = stream.child(2)
@@ -273,7 +351,7 @@ def estimate_robustness(
             # equals the data-state hemimetric, no simulation needed
             d0 = None if evolution_filter else _initial_distance(spec.rho, base.data, cand)
         except Exception:
-            if base_pen is None:
+            if fold.head:
                 estimate(base_segment)  # in order, the base would have failed first
             raise
         if d0 is not None:
@@ -284,28 +362,14 @@ def estimate_robustness(
                 continue
 
         cand_segment = (cand, cand_stream.child(attempt), N * ell)
-        if base_pen is None:
-            both = estimate(base_segment, cand_segment)
-            base_pen, cand_pen = both[:, :N], both[:, N:]
-            base_in_block = True
-        else:
-            if base_in_block:
-                # keep the base's rows, not the whole block they were simulated
-                # in, and keep them step-major
-                base_pen = base_pen.copy(order="K")
-                base_in_block = False
-            cand_pen = estimate(cand_segment)
+        shared = (base_segment,) if fold.head else ()
+        estimate(*shared, cand_segment, consumer=fold)
+        fold.head = 0  # the base's rows are all kept
+        if fold.rejected:
+            rejected += 1
+            continue
 
-        if evolution_filter:
-            window = slice(filter_cols[0], filter_cols[-1] + 1)
-            w = compute_w_sorted(base_pen[0][:, window], cand_pen[0][:, window])
-            value = max(discount(obs.steps[j]) * wj for j, wj in zip(filter_cols, w.tolist()))
-            if value > spec.eta1:
-                rejected += 1
-                continue
-
-        w = compute_w_sorted(base_pen[-1], cand_pen[-1])
-        pointwise = [discount(t) * wj for t, wj in zip(obs, w.tolist())]
+        pointwise = [discount(t) * wj for t, wj in zip(obs, fold.w.tolist())]
         suffix = suffix_maxima(pointwise)
         if xi is None:
             xi = list(suffix)
@@ -318,7 +382,7 @@ def estimate_robustness(
             break
 
     if accepted < spec.M:
-        if base_pen is None:
+        if fold.head:
             estimate(base_segment)  # in order, the base would have failed first
         raise ShortfallError(
             f"accepted only {accepted} of {spec.M} variations in {budget} attempts",

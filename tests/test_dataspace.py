@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evometric import compiled
@@ -115,6 +115,61 @@ def _interesting(spec: VarSpec):
     return st.one_of(st.sampled_from(points + near),
                      st.floats(spec.lower - 5.0, spec.upper + 5.0),
                      st.sampled_from([-math.inf, math.inf]))
+
+
+CONTINUOUS = DataSpace([
+    VarSpec("a", 0.0, 10.0), VarSpec("b", -1.0, -0.0), VarSpec("z", -1.0, 1.0),
+])
+
+
+def clamped_one_by_one(space, values):
+    """``DataSpace.clamp_values`` written as a loop of ``VarSpec.clamp``."""
+    out, clamps = [], 0
+    for spec, v in zip(space.vars, values):
+        w = spec.clamp(float(v))
+        if w != v:
+            clamps += 1
+        out.append(w)
+    space.clamp_events += clamps
+    return out, clamps
+
+
+def outcome(space, clamp, values):
+    """Bits of the clamped row, its clamp count and the change of
+    ``clamp_events``, or the error raised."""
+    before = space.clamp_events
+    try:
+        out, clamps = clamp(space, values)
+    except Exception as exc:
+        return type(exc), str(exc), space.clamp_events - before
+    return (np.array(out, dtype=np.float64).tobytes(), clamps, type(clamps),
+            space.clamp_events - before)
+
+
+class TestClampValues:
+    """The row is compared with its bounds once, and only the entries that
+    need it are clamped one by one: the values, errors and counts are
+    those of ``VarSpec.clamp`` on every entry."""
+
+    @settings(max_examples=300)
+    @given(values=st.data(), space=st.sampled_from([MIXED, CONTINUOUS]),
+           form=st.sampled_from(["list", "array", "numpy scalars", "ints"]))
+    @example(values=[-0.0, -0.5, 0.5], space=CONTINUOUS, form="list")  # -0.0 at 0.0
+    @example(values=[0.5, 0.0, 0.5], space=CONTINUOUS, form="array")  # 0.0 at -0.0
+    @example(values=[0.5, -0.5, math.nan], space=CONTINUOUS, form="list")
+    def test_equals_clamp_entry_by_entry(self, values, space, form):
+        if not isinstance(values, list):
+            entries = (st.one_of(_interesting(spec), st.floats(spec.lower, spec.upper),
+                                 st.just(math.nan)) for spec in space.vars)
+            values = values.draw(st.tuples(*entries).map(list))
+        if form == "array":
+            values = np.array(values, dtype=np.float64)
+        elif form == "numpy scalars":
+            values = list(np.array(values, dtype=np.float64))
+        elif form == "ints":
+            values = [int(v) if math.isfinite(v) else v for v in values]
+        want = outcome(space, clamped_one_by_one, values)
+        assert outcome(space, DataSpace.clamp_values, values) == want
 
 
 class TestClampBatch:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evometric import engine
 from evometric.engine import (
     Configuration,
     estimate,
@@ -404,6 +405,39 @@ class TestStepMajorPenalties:
         assert shared.strides[1] == 8
         alone = estimate_penalties(c.with_data(other), 12, 3, 43, rhos, obs)
         assert shared[:, 7:].tobytes() == alone.tobytes()
+
+
+class TestPenaltyConsumer:
+    """With a consumer, ``estimate_penalties`` hands each observation
+    time's (P, N) penalties over once, in order, and returns None: they are
+    the columns of the array the call returns without one, on every path."""
+
+    @pytest.mark.parametrize("name", [
+        "lockstep", "compiled", "interpreter", "interpreter, 2 workers", "2 segments",
+        "lockstep in blocks", "2 segments in blocks"])
+    def test_rows_are_the_columns_of_the_array(self, name, monkeypatch):
+        c = tanks_configuration(init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
+        if name == "compiled":
+            c = replace(c, lockstep=None)
+        pens = tanks_penalties(c.env.params)
+        rhos, obs = [pens["l3"], pens["l1"]], [0, 3, 8, 12]
+        N = 100 if name.endswith("blocks") else 10
+        if name.endswith("blocks"):
+            monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # blocks of 64 runs
+        other = c.data.update([("l3", 6.0)])
+        kwargs = {"threads": 2 if name.endswith("workers") else 1,
+                  "use_fast_path": not name.startswith("interpreter")}
+        if "segments" in name:
+            kwargs["segments"] = [(c.data, 41, N - 3), (other, 43, 3)]
+
+        rows = []
+        assert estimate_penalties(c, 12, N, 41, rhos, obs, **kwargs,
+                                  consumer=lambda j, row: rows.append((j, row.copy()))) is None
+        out = estimate_penalties(c, 12, N, 41, rhos, obs, **kwargs)
+        assert [j for j, _ in rows] == list(range(len(obs)))
+        assert all(row.shape == (2, N) for _, row in rows)
+        held = np.stack([row for _, row in rows], axis=-1)
+        assert held.tobytes() == np.ascontiguousarray(out).tobytes()
 
 
 class TestDeclinedFastPath:

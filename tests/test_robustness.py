@@ -1,16 +1,18 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evometric import robustness
+from evometric import engine, robustness
 from evometric.dataspace import DataSpace, GoalPenalty, VarSpec
 from evometric.engine import Configuration, estimate_penalties
 from evometric.environment import IdentityKernel
 from evometric.errors import PreconditionError, ShortfallError, SimulationError
 from evometric.metric import (
+    _W_CHUNK,
     ObservationTimes,
     compute_w_sorted,
     constant_discount,
@@ -443,6 +445,9 @@ class TestSharedBaseBlock:
 
 
     def test_the_kept_base_does_not_alias_the_shared_block(self, monkeypatch):
+        """The base simulated in the first candidate's block is kept as a
+        (N, T) step-major block of its own, which every fold reads and no
+        candidate's buffer shares."""
         folds = []
 
         def recording(omega, nu):
@@ -451,20 +456,125 @@ class TestSharedBaseBlock:
         monkeypatch.setattr(robustness, "compute_w_sorted", recording)
         c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
         rho = tanks_penalties(c.env.params)["l3"]
-        obs = ObservationTimes.range(4)
+        obs = ObservationTimes.range(40)  # two chunks of columns per candidate
         spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, 0), tau_tilde=0,
                               eta1=0.9, eta2=0.0, M=3, filter_mode="initial")
         rep = estimate_robustness(spec, c, IDENTITY, obs, 6, 2, 3)
-        (first_base, block_rows), *later = folds
-        assert first_base.base is block_rows.base  # rows of one shared block
-        for kept, _ in later:
-            assert not np.shares_memory(kept, block_rows.base)
-            assert kept.strides[0] == 8  # still step-major
-            assert kept.tobytes() == first_base.tobytes()
-        assert len(later) == 2
+        assert len(folds) == 3 * 2
+        kept = folds[0][0].base
+        assert kept.shape == (1, 41, 6)  # (P, T, N) in memory: (P, N, T) step-major
+        for omega, nu in folds:
+            assert omega.base is kept
+            assert omega.shape[0] == 6 and omega.strides[0] == 8
+            assert nu.shape[0] == 12 and nu.strides[0] == 8
+            assert not any(np.shares_memory(omega, other) for _, other in folds)
+        assert [o.tobytes() for o, _ in folds[:2]] * 3 == [o.tobytes() for o, _ in folds]
         want = estimated_in_order(spec, c, IDENTITY, obs, 6, 2, 3, 3, constant_discount(),
                                   lambda *a: None)
         assert fields_of(lambda: rep) == want
+
+
+def streamed_question(path, k, mode, hi, eta1, M, N, ell, small_blocks):
+    """A tanks question on one execution path: the filter and target
+    penalties, a filter window (0, hi), and blocks of the normal size or of
+    64 runs, which splits a candidate of more runs into several blocks."""
+    c = tanks_configuration(init={"l1": 5, "l2": 5, "l3": 5})
+    if path == "compiled":
+        c = replace(c, lockstep=None)
+    pens = tanks_penalties(c.env.params)
+    spec = RobustnessSpec(rho=pens["l3"], rho_target=pens["l1"], interval=(0, hi),
+                          tau_tilde=0, eta1=eta1, eta2=0.5, M=M, filter_mode=mode)
+    return (spec, c, UniformResampler(("l2", "l3")), ObservationTimes.range(k), N, ell,
+            path, small_blocks)
+
+
+@st.composite
+def streamed_questions(draw):
+    """Questions over up to 70 steps, so the filter window and the horizon
+    may straddle a _W_CHUNK boundary; the interpreter's are smaller."""
+    path = draw(st.sampled_from(["lockstep", "compiled", "interpreter",
+                                 "interpreter, 2 workers"]))
+    interpreted = path.startswith("interpreter")
+    k = draw(st.integers(1, 40 if interpreted else 70))
+    return streamed_question(
+        path, k, draw(st.sampled_from(["initial", "evolution"])), draw(st.integers(0, k)),
+        draw(st.floats(0.0, 0.5)), draw(st.integers(1, 3)),
+        draw(st.sampled_from([1, 5] if interpreted else [1, 5, 40])),
+        draw(st.integers(1, 2)), draw(st.booleans()))
+
+
+class TestStreamedFold:
+    """Each candidate's W is folded a chunk of steps at a time while it is
+    simulated: the reports are those of the estimates materialised first,
+    on every path, and no candidate's penalties are held."""
+
+    @given(question=streamed_questions(), seed=st.integers(0, 2**31))
+    @example(question=streamed_question("lockstep", 70, "evolution", 40, 0.5, 3, 40, 2, True),
+             seed=1)  # a candidate of two blocks, a window over two chunks
+    @example(question=streamed_question("compiled", 65, "evolution", 33, 0.5, 2, 5, 2, False),
+             seed=2)
+    @example(question=streamed_question("interpreter, 2 workers", 40, "evolution", 35, 0.5,
+                                        2, 5, 2, False), seed=3)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_materialised_estimates(self, question, seed):
+        spec, c, sampler, obs, N, ell, path, small_blocks = question
+        budget = spec.M + 4
+        with pytest.MonkeyPatch.context() as mp:
+            if small_blocks:
+                mp.setattr(engine, "_BLOCK_BYTES", 1)  # blocks of 64 runs
+            got = fields_of(lambda: estimate_robustness(
+                spec, c, sampler, obs, N, ell, seed, budget=budget,
+                threads=2 if path.endswith("2 workers") else 1,
+                use_fast_path=not path.startswith("interpreter")))
+        want = estimated_in_order(spec, c, sampler, obs, N, ell, seed, budget,
+                                  constant_discount(), lambda *a: None)
+        assert got == want
+
+    def test_a_rejected_candidate_folds_no_more_of_its_target(self, monkeypatch):
+        """The filter window ends in the first chunk: each candidate folds
+        it once, and only an accepted one folds its target, in three
+        chunks of the 71 observation times."""
+        folds = []
+
+        def recording(omega, nu):
+            folds.append(omega.shape[1])
+            return compute_w_sorted(omega, nu)
+        monkeypatch.setattr(robustness, "compute_w_sorted", recording)
+        spec, c, sampler, obs, *_ = streamed_question("lockstep", 70, "evolution", 5, 0.01,
+                                                       2, 5, 2, False)
+        got = fields_of(lambda: estimate_robustness(spec, c, sampler, obs, 5, 2, 4, budget=12))
+        accepted, attempts = got[1:] if got[0] == "shortfall" else (got[3], got[5])
+        assert 0 < accepted < attempts
+        assert sorted(folds) == sorted([6] * attempts + [_W_CHUNK, _W_CHUNK, 7] * accepted)
+
+    def test_only_the_base_and_one_chunk_are_held(self):
+        """A tracemalloc bound on a call with a shared base, a wider window,
+        three accepted candidates and a rejected one: the base, one chunk
+        buffer and the report's lists of floats, far less than one
+        candidate's (2, l*N, T) penalties."""
+        c, rho = decay_system()
+        spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, 10), tau_tilde=0,
+                              eta1=0.2, eta2=0.5, M=3)
+        N, ell, k = 20, 5, 3000
+
+        def run(k):
+            return estimate_robustness(spec, c, UniformResampler(("x",)),
+                                       ObservationTimes.range(k), N, ell, seed=4, budget=30)
+        run(40)  # imports and compiles outside the measurement
+        tracemalloc.start()
+        try:
+            rep = run(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.accepted, rep.rejected) == (3, 1)
+        T = k + 1
+        base, chunk = 2 * N * T * 8, 2 * _W_CHUNK * ell * N * 8
+        floats = (spec.M + 3) * T * 32  # curves, pointwise, suffix and xi lists
+        candidate = 2 * ell * N * T * 8
+        bound = base + chunk + floats + 2**19
+        assert bound < candidate / 2
+        assert peak < bound, (peak, bound)
 
 
 class Values(PerturbationSampler):
@@ -478,18 +588,36 @@ class Values(PerturbationSampler):
         return base.update([("x", self.xs.pop(0) if len(self.xs) > 1 else self.xs[0])])
 
 
+class Picky(GoalPenalty):
+    """A goal penalty that raises at one step on a block of more than
+    ``rows`` rows, recording the size of each block it refused."""
+
+    def __init__(self, *args, step, rows, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "failed", [])
+
+    def score_batch(self, step, values, space):
+        if step == self.step and len(values) > self.rows:
+            self.failed.append(len(values))
+            raise ValueError("a block of too many rows")
+        return super().score_batch(step, values, space)
+
+
 class Broken(PerturbationSampler):
     def sample(self, base, rng):
         raise ValueError("no candidate")
 
 
-def failing_system(lockstep_free=True):
+def failing_system(lockstep_free=True, limit=5.5):
     """x counts the steps up from its initial value; the process takes
-    sqrt(5.5 - x), which fails at the first step where x exceeds 5.5, so a
-    run from x = 0 fails at step 6 and one from x = 3 at step 3."""
+    sqrt(limit - x), which fails at the first step where x exceeds the
+    limit, so at the default 5.5 a run from x = 0 fails at step 6 and one
+    from x = 3 at step 3."""
     space = DataSpace([VarSpec("x", 0.0, 100.0), VarSpec("y", 0.0, 100.0)])
     proc = Prefix((Op("+", (Var("x"), Const(1.0))),
-                   Op("sqrt", (Op("-", (Const(5.5), Var("x"))),))),
+                   Op("sqrt", (Op("-", (Const(limit), Var("x"))),))),
                   ("x", "y"), Call("Count"))
     c = Configuration(Call("Count"), space.state([0.0, 0.0]), IdentityKernel(),
                       {"Count": proc}).validated()
@@ -532,6 +660,46 @@ class TestFailuresOfASharedBlock:
         assert raised(self.adaptability(Broken(), 8)) == self.base_failure(8)
         assert raised(self.adaptability(Broken(), 4)) == (ValueError, "no candidate", None,
                                                           None)
+
+    def test_a_failure_after_a_folded_chunk(self, monkeypatch):
+        """Both runs fail past the first chunk of steps, the candidate's
+        earlier: the base's failure is raised, after a chunk was folded."""
+        folds = []
+
+        def recording(omega, nu):
+            folds.append(omega.shape[1])
+            return compute_w_sorted(omega, nu)
+        monkeypatch.setattr(robustness, "compute_w_sorted", recording)
+        c, rho = failing_system(limit=40.5)
+        k = 2 * _W_CHUNK + 3
+        want = raised(lambda: estimate_penalties(
+            c, k, 10, RandomStream.from_seed(5).child(0), [rho], list(range(k + 1))))
+        assert want[3] == 41
+        for fast in (True, False):
+            folds.clear()
+            got = raised(lambda: estimate_adaptability(
+                rho, 0, 0.9, c, Values(3.0), ObservationTimes.range(k), N=10, ell=2,
+                seed=5, M=1, use_fast_path=fast))
+            assert got == want
+            assert folds == ([_W_CHUNK] if fast else [])
+
+    def test_a_shared_block_that_fails_alone_starts_the_fold_over(self):
+        """A penalty that fails only on a block of more rows than a
+        candidate's, at a step past the first chunk: the shared block fails
+        after a chunk was folded, the segments run alone, and the report is
+        that of the estimates in order."""
+        c, _ = decay_system()
+        k = 2 * _W_CHUNK + 3
+        rho = Picky("x", 0.0, 0.0, 10.0, id="picky", step=_W_CHUNK + 5, rows=2 * 5)
+        spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, _W_CHUNK + 2),
+                              tau_tilde=0, eta1=0.5, eta2=0.5, M=2)
+        sampler = UniformResampler(("x",))
+        got = fields_of(lambda: estimate_robustness(spec, c, sampler,
+                                                    ObservationTimes.range(k), 5, 2, 9))
+        want = estimated_in_order(spec, c, sampler, ObservationTimes.range(k), 5, 2, 9, 40,
+                                  constant_discount(), lambda *a: None)
+        assert got == want and got[3] == 2
+        assert rho.failed == [3 * 5]  # the shared block, once
 
     def test_a_shortfall_raises_once_the_accepted_candidates_ran(self):
         # x = 1 passes the filter and runs cleanly, x = 95 is rejected
