@@ -101,18 +101,23 @@ _BOOL_OPS = ("<", "<=", "=", ">", ">=", "and", "or", "not")
 _INF = math.inf
 
 
+class InadmissibleState(PreconditionError):
+    """An initial data state that a compiled program does not admit."""
+
+
 def program(c, data=None) -> "Program":
     """The compiled program of a configuration's process, definitions and
     data space; raises :class:`PreconditionError` with the reason when the
-    process cannot be compiled or an initial data state is not admissible.
-    The initial data states are ``data``, by default ``c.data`` alone."""
+    process cannot be compiled, and :class:`InadmissibleState` when an
+    initial data state is not admissible.  The initial data states are
+    ``data``, by default ``c.data`` alone."""
     got = _compile(_Source(c.process, c.defs, c.space))
     if isinstance(got, str):
         raise PreconditionError(got)
     for d in (c.data,) if data is None else data:
         for spec, v in zip(c.space.vars, d.values):
             if not _admissible(spec, v):
-                raise PreconditionError(
+                raise InadmissibleState(
                     f"the initial value {v!r} of {spec.name!r} is not admissible")
     return got
 

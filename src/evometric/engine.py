@@ -355,9 +355,12 @@ def estimate_penalties(
     # lockstep blocks of runs keep the transient per-block state small
     rows = max(64, int(_BLOCK_BYTES / ((k + 1) * 16)))
     fill = partial(_store_penalties, tuple(penalties), obs, c.space)
-    if use_fast_path and N <= rows and (out is None or len(parts) > 1) \
-            and _run_block(parts, k, run_offset, fill, consumer):
-        return out
+    if use_fast_path and N <= rows and (out is None or len(parts) > 1):
+        ran = _run_block(parts, k, run_offset, fill, consumer)
+        if ran:
+            return out
+        # None: no fast path takes the process, so no segment alone is taken
+        use_fast_path = ran is not None
     # the interpreter's blocks, and more runs than one block holds, are
     # stored whole, then handed to the consumer
     held = _penalty_array(len(penalties), N, len(obs)) if out is None else out
@@ -429,8 +432,8 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
     N = out.shape[0]
     fast = _start_fast_path(c, min(rows, N), key, run_offset, k) if use_fast_path else None
     failures = []
-    log.debug("%s path: %d runs of %d steps", "interpreter" if fast is None else fast[0], N, k)
-    if fast is not None:
+    log.debug("%s path: %d runs of %d steps", fast[0] if fast else "interpreter", N, k)
+    if fast:
         _, start, sim = fast
         for lo in range(0, N, rows):
             if lo:
@@ -448,15 +451,18 @@ def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None
         raise min(failures, key=lambda f: (f.step, f.run))
 
 
-def _run_block(parts, k, run_offset, fill, dest) -> bool:
+def _run_block(parts, k, run_offset, fill, dest) -> bool | None:
     """Runs the segments ``parts``, (configuration, key, runs) triples that
     differ only in their data, as one block of rows on a fast path, filled
     by ``fill(steps, dest)`` as ``_run`` fills a block.
 
-    Returns False, with ``dest`` left to be filled again, when no fast path
-    takes every segment or when the block raises anything: which failure
-    comes first depends on the rows a block holds (a penalty NaN names the
-    first row of its step), and its runs are numbered from 0, not from
+    Returns True when the block ran.  Otherwise ``dest`` is left to be
+    filled again, one segment at a time: the result is None when no fast
+    path takes the process, whatever the segments' data, and False when a
+    segment alone may yet be taken, because the compiled program declined
+    an initial state or the block raised anything.  Which failure comes
+    first depends on the rows a block holds (a penalty NaN names the first
+    row of its step), and its runs are numbered from 0, not from
     ``run_offset``, so only the segments estimated by ``_run`` raise the
     failure of an estimate.
     """
@@ -466,8 +472,8 @@ def _run_block(parts, k, run_offset, fill, dest) -> bool:
                         [n for *_, n in parts], axis=0)
     fast = _start_fast_path(c, len(initial), keys, 0, k, initial,
                             [part.data for part, _, _ in parts])
-    if fast is None:
-        return False
+    if not fast:
+        return fast
     name, _, sim = fast
     log.debug("%s path: %d runs of %d steps%s", name, len(initial), k,
               f" in {len(parts)} segments" if len(parts) > 1 else "")
@@ -481,11 +487,13 @@ def _run_block(parts, k, run_offset, fill, dest) -> bool:
 
 def _start_fast_path(c, n, key, first, k, initial=None, data=None):
     """(its name, start, the first block's run) of the first fast path that
-    takes the configuration, or None; ``start`` has the signature of
-    ``lockstep.start``.  ``initial`` and ``data`` describe a block of rows
-    with their own initial values: ``initial`` holds them, and ``data`` is
-    their data states, each of which the compiled path must admit.  The
-    lockstep's binding reads the process and definitions alone."""
+    takes the configuration; ``start`` has the signature of
+    ``lockstep.start``.  Else None, or False when the compiled program
+    declined only an initial data state.  ``initial`` and ``data``
+    describe a block of rows with their own initial values: ``initial``
+    holds them, and ``data`` is their data states, each of which the
+    compiled path must admit.  The lockstep's binding reads the process
+    and definitions alone."""
     if c.lockstep is not None:
         try:
             return "lockstep", c.lockstep.start, c.lockstep.start(c, n, key, first, k, initial)
@@ -499,7 +507,7 @@ def _start_fast_path(c, n, key, first, k, initial=None, data=None):
         program = compiled.program(c, data)
     except PreconditionError as exc:
         log.debug("process not compiled, running the interpreter: %s", exc)
-        return None
+        return False if isinstance(exc, compiled.InadmissibleState) else None
     return "compiled", program.start, program.start(c, n, key, first, k, initial)
 
 

@@ -69,10 +69,10 @@ NONE, LEFT, RIGHT, BOTH = 0.0, 1.0, 2.0, 3.0
 _COUNTER_MAX = 1e15
 _TEMP_MIN, _TEMP_MAX = -50.0, 500.0  # domain of temp and of its history p1..p6
 _TF_MAX = 10.0  # temp_fake lies in [-_TF_MAX, _TF_MAX]
-# temperature delta per step, uniform on [low, low + width): coolant on,
-# else by speed slow, half, full
-_DELTA_LOW = np.array([-1.2, 0.1, 0.3, 0.7])
-_DELTA_WIDTH = np.array([-0.8, 0.3, 0.7, 1.2]) - _DELTA_LOW
+# temperature delta per step, uniform on [low, low + width), in the entry
+# cool * 3 + speed: coolant off at speed slow, half, full (0..2), else on
+_DELTA_LOW = np.array([0.1, 0.3, 0.7, -1.2, -1.2, -1.2])
+_DELTA_WIDTH = np.array([0.3, 0.7, 1.2, -0.8, -0.8, -0.8]) - _DELTA_LOW
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,10 @@ class EngineEnv(EnvironmentEvolution):
     """Temperature drift, history shift, stress accumulation, step counting,
     and false-negative / false-positive running averages.
 
-    One uniform per engine side per step draws that side's temperature delta.
+    One uniform per engine side per step draws that side's temperature
+    delta, uniform on the interval that the coolant and the speed select.
+    Every updated column is computed in place in its column of the result,
+    a copy of the block in its own layout.
     """
 
     params: EngineParams
@@ -380,18 +383,27 @@ class EngineEnv(EnvironmentEvolution):
         return {s: {name: self.space.index(_sv(name, s)) for name in _SIDE_VARS}
                 for s in (("L", "R") if self.dual else ("L",))}
 
+    @functools.cached_property
+    def _cs_ix(self) -> int:
+        return self.space.index("cs")
+
     def sample_batch(self, values, u):
         p, index = self.params, self.space.index
         out = values.copy(order="K")  # column writes stay contiguous in an F block
-        cs = values[:, index("cs")]
-        cs1 = cs + 1.0
+        cs = values[:, self._cs_ix]
+        cs1 = np.add(cs, 1.0, out=out[:, self._cs_ix])
+        f = np.empty(len(values))  # scratch
+        pick = np.empty(len(values), dtype=np.intp)
         for j, ix in enumerate(self._side_ix.values()):
-            # delta interval: coolant on, else by speed slow, half, full (0, 1, 2)
-            interval = np.where(values[:, ix["cool"]] == ON, 0,
-                                values[:, ix["speed"]].astype(np.intp) + 1)
-            delta = _DELTA_LOW[interval] + _DELTA_WIDTH[interval] * (1.0 - u[:, j])
+            # delta: low + width * (1 - u) of the interval cool * 3 + speed
+            np.multiply(values[:, ix["cool"]], 3.0, out=f)
+            np.add(f, values[:, ix["speed"]], out=f)
+            np.copyto(pick, f, casting="unsafe")
+            np.subtract(1.0, u[:, j], out=f)
+            np.multiply(_DELTA_WIDTH[pick], f, out=f)
+            np.add(_DELTA_LOW[pick], f, out=f)
             temp = values[:, ix["temp"]]
-            out[:, ix["temp"]] = temp + delta
+            np.add(temp, f, out=out[:, ix["temp"]])
 
             # history: p1 <- temp, p2..p6 <- p1..p5 (p1..p6 are contiguous)
             p1 = ix["p1"]
@@ -405,14 +417,19 @@ class EngineEnv(EnvironmentEvolution):
             hot_rows = np.greater_equal(history.T, p.max_temp, order="C")
             hot = np.add.reduce(hot_rows, axis=0, dtype=np.int8) > 3
             stress = values[:, ix["stress"]]
-            out[:, ix["stress"]] = np.where(hot, np.minimum(1.0, stress + p.stress_incr), stress)
-            out[:, ix["sc"]] = values[:, ix["sc"]] + hot
+            np.add(stress, p.stress_incr, out=f)
+            np.minimum(1.0, f, out=f)
+            np.copyto(out[:, ix["stress"]], f, where=hot)
+            sc = out[:, ix["sc"]]
+            np.add(sc, hot, out=sc)
 
             warn = values[:, ix["ch_warning"]]
-            fn = values[:, ix["fn"]]
-            fp = values[:, ix["fp"]]
-            out[:, ix["fn"]] = (cs * fn + np.maximum(0.0, stress - warn)) / cs1
-            out[:, ix["fp"]] = (cs * fp + np.maximum(0.0, warn - stress)) / cs1
+            np.subtract(stress, warn, out=f)
+            np.maximum(0.0, f, out=f)
+            _average(out[:, ix["fn"]], cs, f, cs1)
+            np.subtract(warn, stress, out=f)
+            np.maximum(0.0, f, out=f)
+            _average(out[:, ix["fp"]], cs, f, cs1)
 
         if self.dual:
             alarm = values[:, index("ch_alarm")]
@@ -423,12 +440,16 @@ class EngineEnv(EnvironmentEvolution):
             w = p.clearance
             inc_fn = np.minimum(1.0, w * np.maximum(0.0, sl - al) + w * np.maximum(0.0, sr - ar))
             inc_fp = np.minimum(1.0, w * np.maximum(0.0, al - sl) + w * np.maximum(0.0, ar - sr))
-            fn, fp = index("fn"), index("fp")
-            out[:, fn] = (cs * values[:, fn] + inc_fn) / cs1
-            out[:, fp] = (cs * values[:, fp] + inc_fp) / cs1
-
-        out[:, index("cs")] = cs1
+            _average(out[:, index("fn")], cs, inc_fn, cs1)
+            _average(out[:, index("fp")], cs, inc_fp, cs1)
         return out
+
+
+def _average(mean, cs, inc, cs1) -> None:
+    """The running average (cs * mean + inc) / cs1, in place in ``mean``."""
+    np.multiply(cs, mean, out=mean)
+    np.add(mean, inc, out=mean)
+    np.divide(mean, cs1, out=mean)
 
 
 @dataclass(frozen=True)

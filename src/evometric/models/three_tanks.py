@@ -15,6 +15,7 @@ Variable order: q1, q2, q3, l1, l2, l3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,28 +104,76 @@ class ThreeTanksEnv(EnvironmentEvolution):
     """One environment step of the tanks: inflow draw, Torricelli flows,
     level integration.  q1 and q3 are left to the program.
 
-    Two uniforms per step make one Box-Muller normal for the inflow draw.
+    Two uniforms per step make one Box-Muller normal z for the inflow
+    draw, x = clamp(q_med + sigma_q z) in scenario 1 and clamp(q2 + z) in
+    scenario 2.  The flows are q12 = sign(l1 - l2) pipe12 sqrt|l1 - l2|
+    and likewise q23, and the levels move by dt times their net inflow.
+    The step is computed in place in its (6, n) result, whose transpose is
+    returned: a column-major (n, 6) block.
     """
 
     params: ThreeTanksParams
     id: str = "three-tanks"
     draws = 2
 
-    def sample_batch(self, values, u):
+    @functools.cached_property
+    def _coefficients(self) -> tuple[float, float, float]:
         p = self.params
+        return p.sigma_q, p.pipe12, p.pipe23
+
+    def sample_batch(self, values, u):
+        p, dt = self.params, self.params.dt
+        sigma_q, pipe12, pipe23 = self._coefficients
         q1, q2, q3, l1, l2, l3 = values.T
-        z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
-        x = p.q_med + p.sigma_q * z if p.scenario == 1 else q2 + z
-        x = np.minimum(np.maximum(x, 0.0), p.q_max)
-        # signed inter-tank flow rates by Torricelli's law
-        d12 = l1 - l2
-        q12 = np.where(d12 >= 0, 1.0, -1.0) * (p.pipe12 * np.sqrt(np.abs(d12)))
-        d23 = l2 - l3
-        q23 = np.where(d23 >= 0, 1.0, -1.0) * (p.pipe23 * np.sqrt(np.abs(d23)))
-        dt = p.dt
-        # the transposed (6, n) stack is a column-major (n, 6) block
-        return np.array((q1, x, q3, l1 + dt * (q1 - q12), l2 + dt * (q12 - q23),
-                         l3 + dt * (x + q23 - q3))).T
+        out = np.empty((6, len(values)))
+        # rows 0 and 2 are scratch until q1 and q3 are copied in at the end
+        a, x, b, new1, new2, new3 = out
+        # inflow: z = sqrt(-2 log u0) cos(2 pi u1), in a
+        np.log(u[:, 0], out=a)
+        np.multiply(-2.0, a, out=a)
+        np.sqrt(a, out=a)
+        np.multiply(2.0 * math.pi, u[:, 1], out=b)
+        np.cos(b, out=b)
+        np.multiply(a, b, out=a)
+        if p.scenario == 1:
+            np.multiply(sigma_q, a, out=a)
+            np.add(p.q_med, a, out=a)
+        else:
+            np.add(q2, a, out=a)
+        np.maximum(a, 0.0, out=a)
+        np.minimum(a, p.q_max, out=x)
+        # levels: l1 + dt (q1 - q12), l2 + dt (q12 - q23), l3 + dt (x + q23 - q3)
+        _flow(l1, l2, pipe12, b, new1)
+        np.subtract(q1, b, out=new1)
+        np.multiply(dt, new1, out=new1)
+        np.add(l1, new1, out=new1)
+        _flow(l2, l3, pipe23, a, new2)
+        np.subtract(b, a, out=new2)
+        np.multiply(dt, new2, out=new2)
+        np.add(l2, new2, out=new2)
+        np.add(x, a, out=a)
+        np.subtract(a, q3, out=a)
+        np.multiply(dt, a, out=a)
+        np.add(l3, a, out=new3)
+        out[0] = q1
+        out[2] = q3
+        return out.T
+
+
+def _flow(upper, lower, pipe: float, q, scratch) -> None:
+    """The signed flow rate copysign(pipe sqrt|d|, d) of d = upper - lower,
+    by Torricelli's law, into ``q``; ``scratch`` is overwritten.
+
+    It equals ``where(d >= 0, 1, -1) * (pipe * sqrt(|d|))`` except at
+    d = -0.0 (upper -0.0, lower +0.0), where it is -0.0 for +0.0.  In the
+    levels that sign shows only in q1 - q12 at q1 = -0.0, which no
+    admissible state holds: q1's lower bound +0.0 wins the clamp's tie.
+    """
+    d = np.subtract(upper, lower, out=scratch)
+    np.absolute(d, out=q)
+    np.sqrt(q, out=q)
+    np.multiply(pipe, q, out=q)
+    np.copysign(q, d, out=q)
 
 
 def _goal_band(params: ThreeTanksParams) -> tuple[float, float]:

@@ -19,7 +19,8 @@ from evometric.errors import (
     ProcessValidationError,
     SimulationError,
 )
-from evometric.dataspace import VarPenalty
+from evometric.dataspace import DataState, VarPenalty
+from evometric.metric import ObservationTimes
 from evometric.models.three_tanks import (
     ThreeTanksParams,
     tanks_configuration,
@@ -28,6 +29,7 @@ from evometric.models.three_tanks import (
 )
 from evometric.process import Call, Const, Op, PChoice, Prefix, Var, tick
 from evometric.rng import RandomStream
+from evometric.robustness import RobustnessSpec, UniformResampler, estimate_robustness
 
 from conftest import toy_kernel, toy_process
 from enumeration import enumerate_data_marginal
@@ -454,6 +456,55 @@ class TestDeclinedFastPath:
         fast = estimate_penalties(foreign, 12, 5, 3, [rho], [0, 6, 12], use_fast_path=True)
         slow = estimate_penalties(foreign, 12, 5, 3, [rho], [0, 6, 12], use_fast_path=False)
         assert np.array_equal(fast, slow)
+
+
+    def test_a_declined_block_probes_the_fast_paths_once(self, toy_space, caplog):
+        # neither fast path takes a probabilistic choice, whatever the data:
+        # the segments of a declined block go straight to the interpreter
+        c = toy_configuration(toy_space)
+        rho = VarPenalty("y")
+        spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, 0), tau_tilde=0,
+                              eta1=0.9, eta2=0.5, M=2, filter_mode="initial")
+
+        def report(use_fast_path):
+            return estimate_robustness(spec, c, UniformResampler(("x",)),
+                                       ObservationTimes.range(5), N=4, ell=2, seed=3,
+                                       use_fast_path=use_fast_path)
+
+        with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
+            rep = report(True)
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum(m.startswith("process not compiled") for m in messages) == 2, messages
+        served = [m for m in messages if " path: " in m]
+        assert served == ["interpreter path: 4 runs of 5 steps",
+                          "interpreter path: 8 runs of 5 steps",
+                          "interpreter path: 8 runs of 5 steps"]
+        assert rep == report(False)
+
+    def test_an_inadmissible_segment_leaves_the_others_to_the_fast_path(self, caplog):
+        # the compiled program declines the block for one segment's initial
+        # state (-0.0 at the lower bound 0.0 of q1); each segment then tries alone
+        c = replace(tanks_configuration(init={"l1": 5.0}), lockstep=None)
+        odd = DataState(c.space, (-0.0,) + c.data.values[1:])
+        rho = tanks_penalties(c.env.params)["l1"]
+        segments = [(c.data, 41, 4), (odd, 43, 3)]
+
+        def rows(use_fast_path):
+            got = []
+            estimate_penalties(c, 6, 7, None, [rho], [0, 3, 6], segments=segments,
+                               use_fast_path=use_fast_path,
+                               consumer=lambda j, row: got.append(row.copy()))
+            return np.stack(got)
+
+        with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
+            fast = rows(True)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "not compiled" in m] == [
+            "process not compiled, running the interpreter: "
+            "the initial value -0.0 of 'q1' is not admissible"] * 2
+        assert [m for m in messages if " path: " in m] == [
+            "compiled path: 4 runs of 6 steps", "interpreter path: 3 runs of 6 steps"]
+        assert fast.tobytes() == rows(False).tobytes()
 
 
 class TestEnumerationOracle:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,20 @@ from hypothesis import strategies as st
 from evometric.dataspace import DataSpace, DataState, VarSpec
 from evometric.environment import EnvironmentEvolution, FiniteKernel, IdentityKernel
 from evometric.errors import DataValidationError, SimulationError, StructuralError
-from evometric.models.engine_system import EngineEnv, EngineParams, engine_system
+from evometric.models.engine_system import (
+    BOTH,
+    LEFT,
+    ON,
+    RIGHT,
+    EngineEnv,
+    EngineParams,
+    engine_system,
+)
 from evometric.models.three_tanks import ThreeTanksEnv, ThreeTanksParams, tanks_space
 from evometric.rng import RandomStream
 
 from conftest import toy_kernel
+from test_fast_path_differential import NO_SHRINK
 
 
 def uniforms(seed: int, n: int, draws: int) -> np.ndarray:
@@ -184,9 +194,12 @@ def test_block_equals_one_row_calls(kernel, rows, data):
     u = np.array(data.draw(st.lists(st.lists(unit, min_size=kernel.draws, max_size=kernel.draws),
                                     min_size=len(values), max_size=len(values))),
                  dtype=np.float64).reshape(len(values), kernel.draws)
-    before = values.copy()
+    before, u_before = values.copy(), u.copy()
     block = kernel.sample_batch(values, u)
-    assert np.array_equal(values, before)  # inputs are not modified
+    # inputs are not modified: they may be views of a run's block and of the
+    # draw tape, or the interpreter's reused buffers
+    assert values.tobytes() == before.tobytes()
+    assert u.tobytes() == u_before.tobytes()
     for r in range(len(values)):
         one = kernel.sample_batch(values[r:r + 1], u[r:r + 1])
         assert np.array_equal(block[r:r + 1], one, equal_nan=True)
@@ -239,3 +252,172 @@ def test_sample_equals_a_one_row_advance(kernel, space, rows, data):
     u = uniforms(seed, 1, kernel.draws)
     want = kernel.advance(np.array([row], dtype=np.float64), u, space)[0]
     assert np.array(got.values).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The built-in kernels, bit for bit against the formulas they replace
+# ---------------------------------------------------------------------------
+#
+# Both kernels are computed in place, with ``out=``; each value keeps the
+# operations, operands and order of these array expressions, so every bit
+# of every admissible block is the same.
+
+
+def tanks_formula(p, values, u):
+    q1, q2, q3, l1, l2, l3 = values.T
+    z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1])
+    x = p.q_med + p.sigma_q * z if p.scenario == 1 else q2 + z
+    x = np.minimum(np.maximum(x, 0.0), p.q_max)
+    d12 = l1 - l2
+    q12 = np.where(d12 >= 0, 1.0, -1.0) * (p.pipe12 * np.sqrt(np.abs(d12)))
+    d23 = l2 - l3
+    q23 = np.where(d23 >= 0, 1.0, -1.0) * (p.pipe23 * np.sqrt(np.abs(d23)))
+    dt = p.dt
+    return np.array((q1, x, q3, l1 + dt * (q1 - q12), l2 + dt * (q12 - q23),
+                     l3 + dt * (x + q23 - q3))).T
+
+
+_DELTA_LOW = np.array([-1.2, 0.1, 0.3, 0.7])
+_DELTA_WIDTH = np.array([-0.8, 0.3, 0.7, 1.2]) - _DELTA_LOW
+
+
+def engine_formula(env, values, u):
+    p, index = env.params, env.space.index
+    sides = ("L", "R") if env.dual else ("L",)
+    out = values.copy(order="K")
+    cs = values[:, index("cs")]
+    cs1 = cs + 1.0
+    for j, s in enumerate(sides):
+        ix = {name: index(f"{name}_{s}") for name in
+              ("temp", "cool", "speed", "stress", "p1", "sc", "ch_warning", "fn", "fp")}
+        interval = np.where(values[:, ix["cool"]] == ON, 0,
+                            values[:, ix["speed"]].astype(np.intp) + 1)
+        delta = _DELTA_LOW[interval] + _DELTA_WIDTH[interval] * (1.0 - u[:, j])
+        temp = values[:, ix["temp"]]
+        out[:, ix["temp"]] = temp + delta
+        p1 = ix["p1"]
+        history = values[:, p1:p1 + 6]
+        out[:, p1 + 1:p1 + 6] = history[:, :5]
+        out[:, p1] = temp
+        hot_rows = np.greater_equal(history.T, p.max_temp, order="C")
+        hot = np.add.reduce(hot_rows, axis=0, dtype=np.int8) > 3
+        stress = values[:, ix["stress"]]
+        out[:, ix["stress"]] = np.where(hot, np.minimum(1.0, stress + p.stress_incr), stress)
+        out[:, ix["sc"]] = values[:, ix["sc"]] + hot
+        warn = values[:, ix["ch_warning"]]
+        fn = values[:, ix["fn"]]
+        fp = values[:, ix["fp"]]
+        out[:, ix["fn"]] = (cs * fn + np.maximum(0.0, stress - warn)) / cs1
+        out[:, ix["fp"]] = (cs * fp + np.maximum(0.0, warn - stress)) / cs1
+    if env.dual:
+        alarm = values[:, index("ch_alarm")]
+        al = ((alarm == LEFT) | (alarm == BOTH)).astype(np.float64)
+        ar = ((alarm == RIGHT) | (alarm == BOTH)).astype(np.float64)
+        sl = values[:, index("stress_L")]
+        sr = values[:, index("stress_R")]
+        w = p.clearance
+        inc_fn = np.minimum(1.0, w * np.maximum(0.0, sl - al) + w * np.maximum(0.0, sr - ar))
+        inc_fp = np.minimum(1.0, w * np.maximum(0.0, al - sl) + w * np.maximum(0.0, ar - sr))
+        fn, fp = index("fn"), index("fp")
+        out[:, fn] = (cs * values[:, fn] + inc_fn) / cs1
+        out[:, fp] = (cs * values[:, fp] + inc_fp) / cs1
+    out[:, index("cs")] = cs1
+    return out
+
+
+TINY = 5e-324  # the least subnormal
+EDGES = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -2.2250738585072014e-308]
+
+
+def admissible(lo: float, hi: float):
+    """Floats a column on [lo, hi] can hold: its edges, signed zeros and
+    subnormals inside it, but no -0.0 where a bound is +0.0 (the bound wins
+    the clamp's tie)."""
+    zero_bound = any(b == 0.0 and math.copysign(1.0, b) > 0 for b in (lo, hi))
+    edges = [v for v in [lo, hi] + EDGES if lo <= v <= hi
+             and not (zero_bound and v == 0.0 and math.copysign(1.0, v) < 0)]
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+def uniform_block(n: int, draws: int):
+    unit = st.one_of(st.sampled_from([1.0, TINY, 0.25, 0.5, 0.75]),
+                     st.floats(0.0, 1.0, exclude_min=True))
+    return st.lists(st.lists(unit, min_size=draws, max_size=draws), min_size=n, max_size=n)
+
+
+def block(rows, order):
+    values = np.array(rows, dtype=np.float64)
+    return np.asfortranarray(values) if order == "F" else values
+
+
+tanks_params = st.builds(
+    ThreeTanksParams,
+    scenario=st.sampled_from([1, 2]),
+    l_min=st.sampled_from([0.0, -5.0, -TINY]),
+    delta_q=st.one_of(st.just(0.5), st.floats(1e-3, 4.0)),
+    dt=st.one_of(st.sampled_from([0.1, 0.4]), st.floats(1e-3, 1.0)),
+)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), params=tanks_params, orders=st.sampled_from(["CC", "CF", "FC", "FF"]))
+def test_tanks_kernel_equals_its_formula(data, params, orders):
+    q = admissible(0.0, params.q_max)
+    level = admissible(params.l_min, params.l_max)
+    rows = data.draw(st.lists(st.tuples(q, q, q, level, level, level), min_size=1, max_size=12))
+    values = block(rows, orders[0])
+    u = block(data.draw(uniform_block(len(rows), 2)), orders[1])
+    got = ThreeTanksEnv(params).sample_batch(values, u)
+    want = tanks_formula(params, values, u)
+    assert got.shape == want.shape
+    assert got.tobytes(order="C") == want.tobytes(order="C")
+
+
+engine_params = st.builds(
+    EngineParams,
+    max_temp=st.sampled_from([100.0, 99.0]),
+    stress_incr=st.one_of(st.sampled_from([0.02, 0.3, 1.0]), st.floats(1e-6, 1.0)),
+    threshold=st.just(98.0),
+    clearance=st.one_of(st.just(0.7), st.floats(0.0, 1.0)),
+)
+
+
+def _engine_state(env):
+    """An admissible engine row, temperatures dense around max_temp."""
+    space = env.space
+    near = st.sampled_from([env.params.max_temp, np.nextafter(env.params.max_temp, 0.0),
+                            -50.0, 500.0, 0.0, -0.0])
+    columns = []
+    for spec in space.vars:
+        name = spec.name
+        if spec.is_finite:
+            columns.append(st.sampled_from(spec.values))
+        elif name.startswith(("temp_", "p")) and not name.startswith("temp_fake"):
+            columns.append(st.one_of(near, admissible(spec.lower, spec.upper)))
+        elif name == "cs":
+            columns.append(st.one_of(st.sampled_from([0.0, 1e6]),
+                                     st.integers(0, 10**6).map(float)))
+        else:
+            columns.append(admissible(spec.lower, min(spec.upper, 1e6)))
+    return st.tuples(*columns).map(list)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["single", "dual"])
+@settings(max_examples=40, phases=NO_SHRINK)  # shrinking 60-column rows takes minutes
+@given(data=st.data(), params=engine_params, orders=st.sampled_from(["CC", "CF", "FC", "FF"]))
+def test_engine_kernel_equals_its_formula(dual, data, params, orders):
+    env = EngineEnv(params, dual)
+    rows = data.draw(st.lists(_engine_state(env), min_size=6, max_size=9))
+    # every pair of coolant and speed on each side, in every block
+    pairs = list(itertools.product((0.0, 1.0), (0.0, 1.0, 2.0)))
+    for r, row in enumerate(rows):
+        for shift, side in enumerate(("L", "R") if dual else ("L",)):
+            cool, speed = pairs[(r + shift) % len(pairs)]
+            row[env.space.index(f"cool_{side}")] = cool
+            row[env.space.index(f"speed_{side}")] = speed
+    values = block(rows, orders[0])
+    u = block(data.draw(uniform_block(len(rows), env.draws)), orders[1])
+    got = env.sample_batch(values, u)
+    want = engine_formula(env, values, u)
+    assert got.shape == want.shape
+    assert got.tobytes(order="C") == want.tobytes(order="C")
