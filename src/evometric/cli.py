@@ -207,7 +207,7 @@ def _cmd_distance(args) -> int:
         "params2": params2,
         "N": args.samples, "l": args.scale,
         "penalty": args.penalty, "discount": args.discount,
-        "obs_times": f"{obs.steps[0]}..{obs.steps[-1]}" if len(obs) > 1 else str(obs.steps[0]),
+        "obs_times": str(obs),
     })
 
     # (file stem, log label, from, to, seed) of each direction

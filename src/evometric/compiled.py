@@ -101,23 +101,18 @@ _BOOL_OPS = ("<", "<=", "=", ">", ">=", "and", "or", "not")
 _INF = math.inf
 
 
-class InadmissibleState(PreconditionError):
-    """An initial data state that a compiled program does not admit."""
-
-
 def program(c, data=None) -> "Program":
     """The compiled program of a configuration's process, definitions and
     data space; raises :class:`PreconditionError` with the reason when the
-    process cannot be compiled, and :class:`InadmissibleState` when an
-    initial data state is not admissible.  The initial data states are
-    ``data``, by default ``c.data`` alone."""
+    process cannot be compiled or an initial data state is not admissible.
+    The initial data states are ``data``, by default ``c.data`` alone."""
     got = _compile(_Source(c.process, c.defs, c.space))
     if isinstance(got, str):
         raise PreconditionError(got)
     for d in (c.data,) if data is None else data:
         for spec, v in zip(c.space.vars, d.values):
             if not _admissible(spec, v):
-                raise InadmissibleState(
+                raise PreconditionError(
                     f"the initial value {v!r} of {spec.name!r} is not admissible")
     return got
 
@@ -862,29 +857,24 @@ class Program(NamedTuple):
     run: object  # (pre-step block, control ids) -> (post, next ids, failing rows or None, clamps)
     source: str  # the source of ``run``
 
-    def start(self, c, n_runs: int, base_key, run_offset: int, horizon: int,
-              initial=None) -> "_ProgramRun":
-        """A block of runs ``run_offset .. run_offset + n_runs - 1`` of ``c``,
-        whose process, definitions and space are this program's, to be
-        stepped up to ``horizon`` times; same protocol as the models'
-        lockstep simulators.  Each run draws from key ``run_offset + i`` of
-        ``base_key`` (see ``UniformTape``) and starts from ``c.data``, or from
-        row ``run_offset + i`` of ``initial``, an (N, nvars) array, when
-        given."""
-        return _ProgramRun(self, c, n_runs, base_key, run_offset, horizon, initial)
+    def start(self, c, n_runs: int, keys, first: int, horizon: int, initial) -> "_ProgramRun":
+        """A block of rows ``first .. first + n_runs - 1`` of a row table of
+        ``c``, to be stepped up to ``horizon`` times; same protocol as the
+        models' lockstep simulators.  A row draws from its key in ``keys``
+        (see ``UniformTape``) and starts from its row of ``initial``."""
+        return _ProgramRun(self, c, n_runs, keys, first, horizon, initial)
 
 
 class _ProgramRun:
-    def __init__(self, prog: Program, c, n: int, base_key, run_offset: int, horizon: int,
-                 initial):
+    def __init__(self, prog: Program, c, n: int, keys, first: int, horizon: int, initial):
         self.prog, self.env, self.space, self.defs = prog, c.env, c.space, c.defs
         # column-major, as the lockstep runs: every column is contiguous
         self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = c.data.values if initial is None else initial[run_offset:run_offset + n]
+        self.vals[:] = initial[first:first + n]
         self.ctrl = np.zeros(n, dtype=np.intp)  # the control id of each row
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses
-            self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
+            self.tape = UniformTape(keys, n, first, self.env.draws,
                                     chunk_steps=max(1, min(TAPE_CHUNK_STEPS, horizon)))
         else:
             self.tape, self.no_draws = None, np.empty((n, 0))

@@ -15,10 +15,17 @@ fast-path block holds every run, a step is handed over as soon as it is
 simulated, so a caller that folds the steps (the robustness estimators
 fold W a chunk of steps at a time) never holds the (P, N, T) block.
 
-Both estimators share one run loop (``_run``).  It simulates blocks of runs
-and hands each block's (n, nvars) values at steps 0..k to the estimator.
-Three execution paths drive a block and produce bit-identical values; the
-first that takes the configuration runs it:
+Every estimate is a table of rows, one per run: the run's stream key
+(``rng.run_keys``) and the values it starts from.  ``estimate_penalties``
+can stack several estimates of one process, each from its own data state
+and seed, as segments of one table; a plain estimate is one segment, and a
+call of several that fails is estimated again one segment at a time, so a
+failure is reported as the first failing segment reports it alone.  Both
+estimators share one run loop (``_run``), which simulates the table in
+blocks of rows and hands each block's (n, nvars) values at steps 0..k to
+the estimator.  Any split of the rows gives the same bits, and so do the
+three execution paths; the first that takes the configuration and the
+table runs it:
 
 * a per-model vectorized lockstep simulator attached to the configuration
   (the built-in models' hand-written numpy twins of their terms), in this
@@ -31,8 +38,8 @@ first that takes the configuration runs it:
   a float, a table of more than 4096 control terms, and an initial data
   state that is not admissible (outside the domain, or -0.0 at a +0.0
   bound);
-* the reference interpreter, which steps the process of each run as
-  ``sim_step`` does, on the run's own child stream, fanned out over a
+* the reference interpreter, which steps the process of each row as
+  ``sim_step`` does, on the stream of the row's key, fanned out over a
   process pool (``_fan_out``) when threads > 1.
 
 Whichever path moves the process, the configuration's one batch kernel
@@ -48,15 +55,6 @@ runs and steps.
 ``use_fast_path=False`` (``--no-fast-path`` on the command line) skips both
 fast paths and forces the interpreter.
 
-``estimate_penalties`` can also stack several estimates of one process,
-each from its own data state and seed, as segments of one call.  A fast
-path that takes every segment in one block then runs them as one set of
-rows, each row on its own stream key and from its own initial values,
-which is cheaper where a step's cost is mostly fixed.  The interpreter, a
-fast path that declines a segment, more rows than one block holds, and a
-shared block that fails estimate the segments one by one, in order, so a
-failure is reported as the first failing segment reports it alone.
-
 Per-run randomness depends only on (master seed, run index), so results do
 not depend on worker count or execution path.
 """
@@ -70,7 +68,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -259,6 +257,26 @@ _INTERP_ROWS = 256
 _BLOCK_BYTES = 2e8
 
 
+class _Table(NamedTuple):
+    """The runs of one estimator call, one row each."""
+
+    keys: tuple  # the stream key of each row, as two uint64 arrays
+    initial: np.ndarray  # (N, nvars) initial values, not to be written
+    data: tuple  # the data state of each segment, in row order
+
+
+def _table(parts) -> _Table:
+    """The rows of (data state, stream key, runs) segments: run i of a
+    segment reads the child stream (key, i) and starts from its data."""
+    values = np.array([d.values for d, _, _ in parts], dtype=np.float64)
+    counts = [n for *_, n in parts]
+    # one segment's rows are a view of one row
+    initial = (np.broadcast_to(values, (counts[0], values.shape[1])) if len(parts) == 1
+               else np.repeat(values, counts, axis=0))
+    return _Table(run_keys([(key, 0, n) for _, key, n in parts]), initial,
+                  tuple(d for d, _, _ in parts))
+
+
 def estimate(
     c: Configuration,
     k: int,
@@ -281,8 +299,8 @@ def estimate(
             "use estimate_penalties for long horizons"
         )
     base = RandomStream.resolve(seed)
-    states = np.empty((N, k + 1, len(c.space)), dtype=np.float64)
-    _run(c, k, base.key, 0, threads, use_fast_path, rows=N, fill=_store_steps, out=states)
+    states = _run(c, k, _table([(c.data, base.key, N)]), threads, use_fast_path, N,
+                  _store_steps, lambda: np.empty((N, k + 1, len(c.space))))
     return EmpiricalEvolutionSequence(c.space, states, base.key)
 
 
@@ -295,7 +313,6 @@ def estimate_penalties(
     obs_times: Sequence[int],
     threads: int = 1,
     use_fast_path: bool = True,
-    run_offset: int = 0,
     *,
     segments: Sequence[tuple] | None = None,
     consumer=None,
@@ -308,20 +325,15 @@ def estimate_penalties(
     reads it back without a transpose.  Copy it where C order is needed.
     States are never materialised across the horizon, so this scales to
     long runs.
-    ``run_offset`` shifts the child-stream indices (run i uses seed child
-    run_offset + i), letting callers draw disjoint sample sets from one seed.
 
     ``segments``, a list of (data state, seed, runs) triples whose runs add
     up to N, stacks several estimates of ``c``'s process in one call: the
     rows of a segment are those of the estimate of ``c.with_data(data)``
-    on its seed, and ``c.data`` and ``seed`` are not read.  When a fast
-    path takes every segment in one block of rows, that block holds the
-    rows of all of them, which is cheaper than one estimate after another
-    where a step's cost is mostly fixed, as it is for short segments.
-    Otherwise each segment is estimated on its own, in order.  So is each
-    again when a run of a shared block fails: the failure raised is then
-    the one the segments raise when estimated in order, the first failing
-    segment's.
+    on its seed, and ``c.data`` and ``seed`` are not read.  Every path runs
+    the rows of all segments together, which is cheaper than one estimate
+    after another where a step's cost is mostly fixed, as it is for short
+    segments.  When anything fails, each segment is estimated again alone,
+    in order, so the failure raised is the first failing segment's.
 
     ``consumer``, when given, is called as ``consumer(j, row)`` for each
     observation time ``obs_times[j]``, in order, with the (len(penalties),
@@ -330,9 +342,9 @@ def estimate_penalties(
     rows go to the consumer as their steps are simulated, so no array of
     the whole horizon is held.  Otherwise (the interpreter, or more runs
     than one block holds) the array is filled first and then handed over
-    a column at a time.  The consumer sees column 0 again when a shared
-    block failed after some of its steps were handed over and its
-    segments are estimated again.
+    a column at a time.  The consumer sees column 0 again when a call of
+    several segments failed after some of its steps were handed over and
+    its segments are estimated again.
     """
     _check_counts(k, N)
     obs = list(obs_times)
@@ -340,39 +352,33 @@ def estimate_penalties(
         raise PreconditionError("observation times must lie in [0, k]")
     if len(set(obs)) < len(obs):
         raise PreconditionError("observation times must be distinct")
-    if segments is None:
-        parts = [(c, RandomStream.resolve(seed).key, N)]
-    else:
-        parts = [(c.with_data(d), RandomStream.resolve(s).key, n) for d, s, n in segments]
-        for *_, n in parts:
-            _check_counts(k, n)
-        if sum(n for *_, n in parts) != N:
-            raise PreconditionError(f"the segments' runs do not add up to {N}")
-    out = None
-    if consumer is None:
-        out = _penalty_array(len(penalties), N, len(obs))
-        consumer = partial(_write_column, out)
+    parts = [(c.with_data(d).data, RandomStream.resolve(s).key, n)
+             for d, s, n in ([(c.data, seed, N)] if segments is None else segments)]
+    for *_, n in parts:
+        _check_counts(k, n)
+    if sum(n for *_, n in parts) != N:
+        raise PreconditionError(f"the segments' runs do not add up to {N}")
+    P, T = len(penalties), len(obs)
+    out = _penalty_array(P, N, T) if consumer is None else None
+
+    def hold():  # the (N, P, T) view of the array the blocks fill
+        return np.moveaxis(_penalty_array(P, N, T) if out is None else out, 1, 0)
+
     # lockstep blocks of runs keep the transient per-block state small
     rows = max(64, int(_BLOCK_BYTES / ((k + 1) * 16)))
     fill = partial(_store_penalties, tuple(penalties), obs, c.space)
-    if use_fast_path and N <= rows and (out is None or len(parts) > 1):
-        ran = _run_block(parts, k, run_offset, fill, consumer)
-        if ran:
-            return out
-        # None: no fast path takes the process, so no segment alone is taken
-        use_fast_path = ran is not None
-    # the interpreter's blocks, and more runs than one block holds, are
-    # stored whole, then handed to the consumer
-    held = _penalty_array(len(penalties), N, len(obs)) if out is None else out
-    dest = np.moveaxis(held, 1, 0)
-    lo = 0
-    for part, key, n in parts:
-        _run(part, k, key, run_offset, threads, use_fast_path, rows=rows, fill=fill,
-             out=dest[lo:lo + n])
-        lo += n
-    if out is None:
-        for j in range(len(obs)):
-            consumer(j, held[:, :, j])
+    try:
+        held = _run(c, k, _table(parts), threads, use_fast_path, rows, fill, hold, consumer)
+    except Exception as exc:
+        if len(parts) == 1:
+            raise
+        log.debug("%d segments failed, running them one by one: %s", len(parts), exc)
+        held = hold()
+        for part, dest in zip(parts, np.split(held, np.cumsum([n for *_, n in parts])[:-1])):
+            _run(c, k, _table([part]), threads, use_fast_path, rows, fill, lambda: dest)
+    if out is None and held is not None:
+        for j in range(T):
+            consumer(j, held[:, :, j].T)
     return out
 
 
@@ -414,89 +420,63 @@ def _write_column(out: np.ndarray, j: int, row: np.ndarray) -> None:
     out[:, :, j] = row
 
 
-def _run(c, k, key, run_offset, threads, use_fast_path, rows, fill, out) -> None:
-    """The one run loop of both estimators.
+def _run(c, k, table, threads, use_fast_path, rows, fill, hold, consumer=None):
+    """The one run loop of both estimators, over the rows of ``table``.
 
-    Runs ``run_offset + i`` for i < len(out) are simulated in blocks, and
-    ``fill(steps, out[block])`` reduces each block, where ``steps`` yields
-    the block's (n, nvars) values at steps 0..k.  A fast path (the model's
-    lockstep simulator, else the compiled program) drives blocks of at most
-    ``rows`` runs in this process.  When ``use_fast_path`` is off or both
-    decline the configuration, the interpreter runs the blocks, fanned out
-    over ``threads`` worker processes.
+    The rows are simulated in blocks of ``c``'s process, definitions and
+    environment, each from its own initial values on its own stream, and
+    ``fill(steps, dest)`` reduces each block, where ``steps`` yields the
+    block's (n, nvars) values at steps 0..k.  A fast path (the model's
+    lockstep simulator, else the compiled program) drives blocks of at
+    most ``rows`` runs in this process.  When ``use_fast_path`` is off or
+    both decline the configuration or its initial states, the interpreter
+    runs the blocks, fanned out over ``threads`` worker processes.
+
+    ``dest`` is the block's rows of ``hold()``, an array with the run axis
+    first, which the call returns.  With a ``consumer``, when a fast path
+    holds every row in one block, ``dest`` is the consumer, which gets each
+    step as it is simulated, and the call holds nothing and returns None.
 
     Each block returns its first failing run instead of raising it, and the
-    failure raised is the least (step, run) over all blocks, so it does not
-    depend on how the runs were split into blocks.
+    failure raised is the least (step, row) over all blocks, so it does not
+    depend on how the rows were split into blocks.
     """
-    N = out.shape[0]
-    fast = _start_fast_path(c, min(rows, N), key, run_offset, k) if use_fast_path else None
+    N = len(table.initial)
+    fast = _start_fast_path(c, table, min(rows, N), k) if use_fast_path else None
+    log.debug("%s path: %d runs of %d steps%s", fast[0] if fast else "interpreter", N, k,
+              f" in {len(table.data)} segments" if len(table.data) > 1 else "")
+    stream = fast and consumer is not None and N <= rows
+    out = None if stream else hold()
     failures = []
-    log.debug("%s path: %d runs of %d steps", fast[0] if fast else "interpreter", N, k)
     if fast:
         _, start, sim = fast
         for lo in range(0, N, rows):
             if lo:
-                sim = start(c, min(rows, N - lo), key, run_offset + lo, k)
-            steps = _lockstep_steps(sim, k, run_offset + lo)
-            failures.append(_reduce_block(fill, steps, out[lo:lo + rows]))
+                sim = start(c, min(rows, N - lo), table.keys, lo, k, table.initial)
+            dest = consumer if stream else out[lo:lo + rows]
+            failures.append(_reduce_block(fill, _lockstep_steps(sim, k, lo), dest))
     else:
         blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
-        tasks = [(c, k, key, run_offset + b.start, len(b), fill, out.shape[1:]) for b in blocks]
+        tasks = [(c, k, [w[b.start:b.stop] for w in table.keys], table.initial[b.start:b.stop],
+                  b.start, fill, out.shape[1:]) for b in blocks]
         for b, (part, failure) in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
             out[b.start:b.stop] = np.moveaxis(part, -1, 0)
             failures.append(failure)
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: (f.step, f.run))
+    return out
 
 
-def _run_block(parts, k, run_offset, fill, dest) -> bool | None:
-    """Runs the segments ``parts``, (configuration, key, runs) triples that
-    differ only in their data, as one block of rows on a fast path, filled
-    by ``fill(steps, dest)`` as ``_run`` fills a block.
-
-    Returns True when the block ran.  Otherwise ``dest`` is left to be
-    filled again, one segment at a time: the result is None when no fast
-    path takes the process, whatever the segments' data, and False when a
-    segment alone may yet be taken, because the compiled program declined
-    an initial state or the block raised anything.  Which failure comes
-    first depends on the rows a block holds (a penalty NaN names the first
-    row of its step), and its runs are numbered from 0, not from
-    ``run_offset``, so only the segments estimated by ``_run`` raise the
-    failure of an estimate.
-    """
-    c = parts[0][0]
-    keys = run_keys([(key, run_offset, n) for _, key, n in parts])
-    initial = np.repeat([part.data.values for part, _, _ in parts],
-                        [n for *_, n in parts], axis=0)
-    fast = _start_fast_path(c, len(initial), keys, 0, k, initial,
-                            [part.data for part, _, _ in parts])
-    if not fast:
-        return fast
-    name, _, sim = fast
-    log.debug("%s path: %d runs of %d steps%s", name, len(initial), k,
-              f" in {len(parts)} segments" if len(parts) > 1 else "")
-    try:
-        fill(_lockstep_steps(sim, k, 0), dest)
-    except Exception as exc:
-        log.debug("a block failed, running its segments one by one: %s", exc)
-        return False
-    return True
-
-
-def _start_fast_path(c, n, key, first, k, initial=None, data=None):
-    """(its name, start, the first block's run) of the first fast path that
-    takes the configuration; ``start`` has the signature of
-    ``lockstep.start``.  Else None, or False when the compiled program
-    declined only an initial data state.  ``initial`` and ``data``
-    describe a block of rows with their own initial values: ``initial``
-    holds them, and ``data`` is their data states, each of which the
-    compiled path must admit.  The lockstep's binding reads the process
-    and definitions alone."""
+def _start_fast_path(c, table, n, k):
+    """(its name, start, the run of the table's first n rows) of the first
+    fast path that takes the configuration and the table, else None;
+    ``start`` has the signature of ``lockstep.start``.  The compiled
+    program must admit every segment's data state."""
     if c.lockstep is not None:
         try:
-            return "lockstep", c.lockstep.start, c.lockstep.start(c, n, key, first, k, initial)
+            return "lockstep", c.lockstep.start, c.lockstep.start(
+                c, n, table.keys, 0, k, table.initial)
         except PreconditionError as exc:
             log.debug("lockstep simulator declined: %s", exc)
     # imported on first use: a lockstep-served or interpreted estimate, and
@@ -504,11 +484,11 @@ def _start_fast_path(c, n, key, first, k, initial=None, data=None):
     from . import compiled
 
     try:
-        program = compiled.program(c, data)
+        program = compiled.program(c, table.data)
     except PreconditionError as exc:
         log.debug("process not compiled, running the interpreter: %s", exc)
-        return False if isinstance(exc, compiled.InadmissibleState) else None
-    return "compiled", program.start, program.start(c, n, key, first, k, initial)
+        return None
+    return "compiled", program.start, program.start(c, n, table.keys, 0, k, table.initial)
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:
@@ -534,26 +514,27 @@ def _interpret_block(task) -> tuple[np.ndarray, SimulationError | None]:
     """Runs one block on the interpreter.  Returns the block's values, C
     ordered with the run axis last, so that a pool worker pickles them back
     in the step-major layout of the penalties, and its first failing run."""
-    c, k, key, first, n, fill, shape = task
-    part = np.empty(shape + (n,), dtype=np.float64)
-    return part, _reduce_block(fill, _interpret_steps(c, k, key, first, n),
+    c, k, keys, initial, first, fill, shape = task
+    part = np.empty(shape + (len(initial),), dtype=np.float64)
+    return part, _reduce_block(fill, _interpret_steps(c, k, keys, initial, first),
                                np.moveaxis(part, -1, 0))
 
 
-def _interpret_steps(c: Configuration, k: int, key: tuple, first: int, n: int):
-    """Values (n, nvars) of interpreter runs first..first+n-1 at steps 0..k;
-    run i samples from the child stream (key, i) what ``sim_step`` draws.
+def _interpret_steps(c: Configuration, k: int, keys, initial: np.ndarray, first: int):
+    """Values (n, nvars) at steps 0..k of the table's rows from ``first``
+    on: each starts from its row of ``initial`` and samples from the
+    stream of its key in ``keys`` what ``sim_step`` draws.
 
     Each step moves the process of every run, then the environment of the
     whole block in one kernel call.  A failing step names its least failing
     run: when the process of run r fails, the environment of the runs
     before r is stepped first, and a failure there is the one reported.
     """
-    base = RandomStream(key)
-    rngs = [base.child(first + r) for r in range(n)]
+    rngs = [RandomStream(key) for key in zip(*(words.tolist() for words in keys))]
+    n = len(rngs)
     procs = [c.process] * n
     env, space, defs = c.env, c.space, c.defs
-    vals = np.tile(np.asarray(c.data.values, dtype=np.float64), (n, 1))
+    vals = np.array(initial)
     post = np.empty_like(vals)
     u = np.empty((n, env.draws))
     yield vals

@@ -68,6 +68,16 @@ class ObservationTimes:
             pass
         raise PreconditionError(f"cannot parse observation times {text!r}")
 
+    def __str__(self) -> str:
+        """The text ``parse`` reads back to the same steps: ``a..b`` for
+        stride 1, ``a..b..s`` for an even stride s, else a comma list."""
+        steps = self.steps
+        gaps = {b - a for a, b in zip(steps, steps[1:])}
+        if len(gaps) != 1:
+            return ",".join(map(str, steps))
+        stride = gaps.pop()
+        return f"{steps[0]}..{steps[-1]}" + (f"..{stride}" if stride > 1 else "")
+
     @property
     def horizon(self) -> int:
         return self.steps[-1]
@@ -243,8 +253,7 @@ def distance(
     same seed twice makes both sides sample identical runs (so the distance
     of a configuration to itself is exactly zero when l = 1).
     """
-    if ell < 1 or int(ell) != ell:
-        raise PreconditionError(f"scale factor must be a positive integer, got {ell}")
+    _check_scale(ell)
     if c1.space != c2.space:
         raise StructuralError("configurations use different data spaces")
     if isinstance(seed, tuple):
@@ -268,9 +277,14 @@ def distance(
         "N": N,
         "l": ell,
         "seed_key": seed_keys,
-        "obs": f"{obs.steps[0]}..{obs.steps[-1]}" if len(obs) > 1 else str(obs.steps[0]),
+        "obs": str(obs),
     }
     return report_from_pointwise(obs, pointwise, discount, params)
+
+
+def _check_scale(ell) -> None:
+    if ell < 1 or int(ell) != ell:
+        raise PreconditionError(f"scale factor must be a positive integer, got {ell}")
 
 
 def suffix_maxima(discounted: Sequence[float]) -> list[float]:

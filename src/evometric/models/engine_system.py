@@ -545,14 +545,13 @@ class EngineLockstep:
     expected_process: Process
     expected_defs: tuple = ()  # sorted (name, body) pairs of the bound system
 
-    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int,
-              initial=None):
+    def start(self, c: Configuration, n_runs: int, keys, first: int, steps: int, initial):
         defs_now = tuple(sorted(c.defs.items()))
         if c.process != self.expected_process or defs_now != self.expected_defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the initial engine process"
             )
-        return _EngineRun(self, c, n_runs, base_key, run_offset, steps, initial)
+        return _EngineRun(self, c, n_runs, keys, first, steps, initial)
 
 
 class _EngineRun:
@@ -560,21 +559,21 @@ class _EngineRun:
     # act-attack state per side: False idle, True hold.  The block is
     # column-major (Fortran order): every step reads and writes whole
     # columns, which are then contiguous.
-    def __init__(self, cfg: EngineLockstep, c: Configuration, n: int, base_key,
-                 run_offset: int, steps: int, initial):
+    def __init__(self, cfg: EngineLockstep, c: Configuration, n: int, keys, first: int,
+                 steps: int, initial):
         self.cfg = cfg
         self.p = cfg.params
         self.sides = ("L", "R") if cfg.dual else ("L",)
         self.env, self.space = c.env, c.space
         self.ix = {name: i for i, name in enumerate(self.space.names)}
         self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = c.data.values if initial is None else initial[run_offset:run_offset + n]
+        self.vals[:] = initial[first:first + n]
         self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
         self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
         self.t = 0
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses
-            self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
+            self.tape = UniformTape(keys, n, first, self.env.draws,
                                     chunk_steps=max(1, min(TAPE_CHUNK_STEPS, steps)))
         else:
             self.tape, self.no_draws = None, np.empty((n, 0))

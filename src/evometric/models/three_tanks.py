@@ -232,8 +232,7 @@ def tanks_configuration(
     elif overrides:
         raise PreconditionError("pass either a params object or keyword overrides")
     space = tanks_space(params)
-    base = {"q1": 0.0, "q2": 0.0, "q3": 0.0,
-            "l1": params.l_min, "l2": params.l_min, "l3": params.l_min}
+    base = _initial_values(params)
     if init:
         unknown = [n for n in init if n not in base]
         if unknown:
@@ -245,6 +244,10 @@ def tanks_configuration(
     return Configuration(process, data, ThreeTanksEnv(params), defs, lockstep).validated()
 
 
+def _initial_values(params: ThreeTanksParams) -> dict:
+    return dict(q1=0.0, q2=0.0, q3=0.0, l1=params.l_min, l2=params.l_min, l3=params.l_min)
+
+
 def tanks_manifest(params: ThreeTanksParams) -> dict:
     return {
         "model": "three-tanks",
@@ -253,8 +256,7 @@ def tanks_manifest(params: ThreeTanksParams) -> dict:
             for n, v in zip(_VARS, tanks_space(params).vars)
         ],
         "encodings": {},
-        "initial_state": {"q1": 0.0, "q2": 0.0, "q3": 0.0,
-                          "l1": params.l_min, "l2": params.l_min, "l3": params.l_min},
+        "initial_state": _initial_values(params),
         "penalties": sorted(tanks_penalties(params)),
         "params": {
             "scenario": params.scenario, "l_min": params.l_min, "l_max": params.l_max,
@@ -282,28 +284,27 @@ class TanksLockstep:
 
     params: ThreeTanksParams
 
-    def start(self, c: Configuration, n_runs: int, base_key, run_offset: int, steps: int,
-              initial=None):
+    def start(self, c: Configuration, n_runs: int, keys, first: int, steps: int, initial):
         expected, defs = tanks_program(self.params)
         stepped = SyncPar(Call("Tanks_in"), Call("Tanks_out"))
         if (c.process not in (expected, stepped)) or dict(c.defs) != defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the built-in tank controller"
             )
-        return _TanksRun(self.params, c, n_runs, base_key, run_offset, steps, initial)
+        return _TanksRun(self.params, c, n_runs, keys, first, steps, initial)
 
 
 class _TanksRun:
     def __init__(self, params: ThreeTanksParams, c: Configuration, n: int,
-                 base_key, run_offset: int, steps: int, initial):
+                 keys, first: int, steps: int, initial):
         self.p = params
         self.env, self.space = c.env, c.space
         # column-major, as the engine's run: each column is contiguous
         self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = c.data.values if initial is None else initial[run_offset:run_offset + n]
+        self.vals[:] = initial[first:first + n]
         if self.env.draws:
             # a horizon shorter than a chunk draws only the steps it uses
-            self.tape = UniformTape(base_key, n, run_offset, self.env.draws,
+            self.tape = UniformTape(keys, n, first, self.env.draws,
                                     chunk_steps=max(1, min(TAPE_CHUNK_STEPS, steps)))
         else:
             self.tape, self.no_draws = None, np.empty((n, 0))

@@ -4,9 +4,9 @@ Every stream is a counter-based Philox4x64-10 generator identified by a
 128-bit key.  Child keys are derived by hashing an index into the parent key
 (splitmix64 chain, :func:`_fold_in`), so the stream used by run ``i`` of an
 experiment depends only on the experiment seed and ``i`` -- never on
-scheduling or worker count.  :class:`UniformTape` derives the keys of all its
-runs in one vectorized fold (:func:`_fold_in_many`) with the same arithmetic,
-or reads them from :func:`run_keys`, which concatenates such folds.
+scheduling or worker count.  :func:`run_keys` derives the keys of the runs
+of an estimate in vectorized folds (:func:`_fold_in_many`) with the same
+arithmetic, and :class:`UniformTape` reads its runs' keys from that table.
 
 A stream is a pure function of (key, counter): word ``j`` of the stream is
 word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  The numpy
@@ -171,13 +171,11 @@ class RandomStream:
 class UniformTape:
     """Chunked per-run uniform draws for lockstep simulation.
 
-    Run ``i`` of the tape reads the stream with key number ``run_offset + i``:
-    the child of ``base_key`` at that index, or, when ``base_key`` is a pair
-    of uint64 arrays of per-run keys (:func:`run_keys`), the key at that
-    position.  Each run reads the same (0, 1] sequence its scalar
-    RandomStream would produce, ``draws_per_step`` values per step, laid out
-    as one contiguous (n_runs, draws_per_step) array per call to
-    :meth:`next_step`.
+    Run ``i`` of the tape reads the stream of row ``first + i`` of ``keys``,
+    a table of per-run keys as two uint64 arrays (:func:`run_keys`).  Each
+    run reads the same (0, 1] sequence its scalar RandomStream would
+    produce, ``draws_per_step`` values per step, laid out as one contiguous
+    (n_runs, draws_per_step) array per call to :meth:`next_step`.
 
     Draws are made ``chunk_steps`` steps at a time into a new step-major
     buffer, of which :meth:`next_step` returns one row per step.  For each
@@ -186,15 +184,11 @@ class UniformTape:
     ``_TAPE_ROWS`` runs.
     """
 
-    def __init__(self, base_key, n_runs: int, run_offset: int, draws_per_step: int,
+    def __init__(self, keys, n_runs: int, first: int, draws_per_step: int,
                  chunk_steps: int = TAPE_CHUNK_STEPS):
         if draws_per_step < 1 or chunk_steps < 1:
             raise ValueError("a tape needs draws_per_step >= 1 and chunk_steps >= 1")
-        if isinstance(base_key[0], np.ndarray):
-            k0, k1 = (k[run_offset:run_offset + n_runs] for k in base_key)
-        else:
-            k0, k1 = _fold_in_many(base_key, run_offset, n_runs)
-        self._keys = list(zip(k0.tolist(), k1.tolist()))
+        self._keys = list(zip(*(k[first:first + n_runs].tolist() for k in keys)))
         self._bitgen = _philox((0, 0))
         self._draws = draws_per_step
         self._chunk = chunk_steps

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataspace import DataState, PenaltyFunction
-from .engine import Configuration, estimate_penalties, write_csv
+from .engine import Configuration, _check_counts, estimate_penalties, write_csv
 from .errors import PreconditionError, ShortfallError
 from .metric import (
     ConstantDiscount,
     DiscountFunction,
     ObservationTimes,
     _W_CHUNK,
+    _check_scale,
     compute_w_sorted,
     suffix_maxima,
 )
@@ -189,13 +190,6 @@ class RobustnessReport:
                   zip(self.obs_times, self.xi))
 
 
-def _check_sizes(N: int, ell: int) -> None:
-    if N < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {N}")
-    if ell < 1 or int(ell) != ell:
-        raise PreconditionError(f"scale factor must be a positive integer, got {ell}")
-
-
 def _initial_distance(rho: PenaltyFunction, base: DataState, cand: DataState) -> float:
     return max(rho(0, cand) - rho(0, base), 0.0)
 
@@ -223,7 +217,7 @@ class _Fold:
     that estimate has returned.
 
     Column 0 starts a fold over, both for the next candidate and when a
-    shared block failed and its segments run again.  The buffers are made
+    call of two segments failed and its segments run again.  The buffers are made
     once for all candidates: one made per candidate lands in the memory the
     previous candidate's draws were freed from, and the next draws then
     take fresh memory (``tanks-adapt`` peak RSS 75.3 MiB, against 66.6
@@ -301,7 +295,8 @@ def estimate_robustness(
     attempt.
     """
     spec.check_against(obs)
-    _check_sizes(N, ell)
+    _check_counts(obs.horizon, N)
+    _check_scale(ell)
     discount = discount or ConstantDiscount()
     budget = budget if budget is not None else 20 * spec.M
     if budget < spec.M:

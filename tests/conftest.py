@@ -7,8 +7,10 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from evometric.dataspace import DataSpace, VarSpec
+from evometric.engine import _table
 from evometric.environment import FiniteKernel
 from evometric.process import Call, Const, If, Interleave, Op, PChoice, Prefix, SyncPar, Var
+from evometric.rng import RandomStream
 
 # property tests draw the same examples on every run and leave no example
 # database behind; simulation-backed examples have no per-example deadline
@@ -29,6 +31,13 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+def start_rows(sim, c, n: int, seed, k: int):
+    """``sim.start`` (a lockstep simulator or a compiled program) on the
+    rows of n runs of ``c`` on ``seed``, as an estimate builds them."""
+    table = _table([(c.data, RandomStream.resolve(seed).key, n)])
+    return sim.start(c, n, table.keys, 0, k, table.initial)
 
 
 @pytest.fixture

@@ -117,6 +117,16 @@ class TestDistance:
         report = json.loads((out / "distance.json").read_text())
         assert report["report"]["value"] == 0.0
 
+    @pytest.mark.parametrize("times", ["0..20..5", "0,3,20", "0..20"])
+    def test_the_observation_times_are_recorded_as_given(self, times, tmp_path):
+        out = tmp_path / "o"
+        assert run(["distance", "--model", "three-tanks", "--penalty", "l3",
+                    "--obs-times", times, "--samples", "5", "--scale", "1",
+                    "--seed", "3", "--out", str(out)]) == 0
+        report = json.loads((out / "distance.json").read_text())
+        assert report["meta"]["obs_times"] == times
+        assert report["report"]["params"]["obs"] == times
+
     def test_space_mismatch_fails(self, tmp_path):
         assert run(["distance", "--model", "three-tanks", "--model2", "engine",
                     "--penalty", "l3", "--obs-times", "0..5", "--samples", "5",

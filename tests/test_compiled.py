@@ -32,6 +32,7 @@ from evometric.process import (
 )
 from evometric.process_text import format_definitions, parse_definitions
 
+from conftest import start_rows
 from enumeration import enumerate_data_marginal
 from test_fast_path_differential import NO_SHRINK
 
@@ -155,9 +156,13 @@ def systems(draw, space=SPACE, environments=ENVIRONMENTS):
         defs[f"D{i}"], ok = draw(bodies(n_defs, 2))
         dirac = dirac and ok
     root, ok = draw(roots(n_defs))
-    init = [draw(st.sampled_from([spec.lower, spec.upper, 0.0, -0.0, 0.5])) for spec in space.vars]
-    c = Configuration(root, space.state(init), draw(st.sampled_from(environments)), defs)
+    c = Configuration(root, draw(data_states(space)), draw(st.sampled_from(environments)), defs)
     return c, dirac and ok
+
+
+def data_states(space=SPACE):
+    return st.tuples(*(st.sampled_from([spec.lower, spec.upper, 0.0, -0.0, 0.5])
+                       for spec in space.vars)).map(space.state)
 
 
 def _outcome(call, count_clamps):
@@ -174,10 +179,9 @@ def _outcome(call, count_clamps):
 
 
 @given(system=systems(), k=st.integers(0, 8), N=st.integers(1, 6),
-       seed=st.integers(0, 2**32), run_offset=st.integers(0, 10**6),
-       threads=st.sampled_from([1, 1, 1, 2]), data=st.data())
+       seed=st.integers(0, 2**32), threads=st.sampled_from([1, 1, 1, 2]), data=st.data())
 @settings(max_examples=100, phases=NO_SHRINK)
-def test_compiled_path_equals_interpreter(system, k, N, seed, run_offset, threads, data):
+def test_compiled_path_equals_interpreter(system, k, N, seed, threads, data):
     c, dirac = system
     if dirac:
         compiled.program(c)  # the fast path must compile, or both calls interpret
@@ -189,10 +193,14 @@ def test_compiled_path_equals_interpreter(system, k, N, seed, run_offset, thread
 
     obs = sorted(data.draw(st.sets(st.integers(0, k), min_size=1, max_size=4)))
     pens = [VarPenalty("s", id="s"), GoalPenalty("x", 0.0, -4.0, 4.0)]
-    args = (c, k, N, seed, pens, obs)
-    fast = _outcome(lambda: estimate_penalties(*args, run_offset=run_offset), one)
+    # 1-3 segments, each its own data state, seed and runs
+    segments = data.draw(st.lists(
+        st.tuples(data_states(c.space), st.integers(0, 2**32), st.integers(1, 6)),
+        min_size=1, max_size=3))
+    args = (c, k, sum(n for *_, n in segments), None, pens, obs)
+    fast = _outcome(lambda: estimate_penalties(*args, segments=segments), one)
     slow = _outcome(lambda: estimate_penalties(*args, threads=threads, use_fast_path=False,
-                                               run_offset=run_offset), one)
+                                               segments=segments), one)
     assert fast == slow
 
 
@@ -371,7 +379,7 @@ def test_a_write_that_can_be_negative_zero_keeps_its_clamp_at_a_zero_bound():
     prog = compiled.program(c)
     assert prog.source.count("clamp(") == 1
     before = SPACE.clamp_events
-    block = prog.start(c, 2, (3, 4), 0, 1).step()
+    block = start_rows(prog, c, 2, 3, 1).step()
     assert block[:, 1].tobytes() == np.zeros(2).tobytes()
     assert SPACE.clamp_events == before
 

@@ -1,6 +1,7 @@
 import logging
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -312,36 +313,43 @@ class TestEstimate:
         # runs: run 10 is reported, in one block or in several
         body = Prefix((Op("sqrt", (Op("-", (Const(4.5), Var("z"))),)),), ("x",), Call("P"))
         c = Configuration(Call("P"), small_space.state([0, 0, 0]), ZFromUniform(), {"P": body})
-        N, k, seed = 40, 20, 14
-        base = RandomStream.from_seed(seed)
-        failures = []
-        for r in range(N):
-            rng, z = base.child(r), 0.0
-            for i in range(k):
-                if z > 4.5:
-                    failures.append((i, r, "process"))
-                    break
-                u0, u1 = rng.uniform01(), rng.uniform01()
-                if u1 > 0.99:
-                    failures.append((i, r, "environment"))
-                    break
-                z = 5.0 * u0
-        step, run, kind = min(failures)
+        k = 20
+
+        def failures(seed, N):
+            base, found = RandomStream.from_seed(seed), []
+            for r in range(N):
+                rng, z = base.child(r), 0.0
+                for i in range(k):
+                    if z > 4.5:
+                        found.append((i, r, "process"))
+                        break
+                    u0, u1 = rng.uniform01(), rng.uniform01()
+                    if u1 > 0.99:
+                        found.append((i, r, "environment"))
+                        break
+                    z = 5.0 * u0
+            return found
+
+        N, seed = 40, 14
+        step, run, kind = min(failures(seed, N))
         assert (step, run, kind) == (1, 10, "environment")
-        assert (1, 25, "process") in failures
+        assert (1, 25, "process") in failures(seed, N)
         for threads in (1, 2, 3):
             with pytest.raises(SimulationError) as err:
                 estimate(c, k, N, seed, threads=threads, use_fast_path=fast)
             assert (err.value.run, err.value.step) == (run, step)
             assert str(err.value) == f"run {run}: step {step}: y: NaN is not a value"
-        # from run 12 on, the least failure is that of the process of run 25
-        assert min(f for f in failures if f[1] >= 12) == (1, 25, "process")
-        step, run = 1, 25
-        with pytest.raises(SimulationError) as err:
-            estimate_penalties(c, k, N - 12, seed, [VarPenalty("x", id="x")], [k],
-                               use_fast_path=fast, run_offset=12)
-        assert (err.value.run, err.value.step) == (run, step)
-        assert str(err.value).startswith(f"run {run}: step {step}: sqrt of negative value")
+        # in a call of two segments the second fails first, at step 1 (the
+        # environment of its run 10), but the failure raised is the first
+        # segment's, as estimated alone: the process of its run 11, at step 2
+        assert min(failures(37, 28)) == (2, 11, "process")
+        step, run = 2, 11
+        for threads in (1, 2):
+            with pytest.raises(SimulationError) as err:
+                estimate_penalties(c, k, 40, None, [VarPenalty("x", id="x")], [k], threads,
+                                   fast, segments=[(c.data, 37, 28), (c.data, seed, 12)])
+            assert (err.value.run, err.value.step) == (run, step)
+            assert str(err.value).startswith(f"run {run}: step {step}: sqrt of negative value")
 
 
 class TestEstimatePenalties:
@@ -355,18 +363,11 @@ class TestEstimatePenalties:
             expect = np.clip(E.states[:, t, 0], 0.0, 1.0)
             assert np.array_equal(pen[0][:, j], expect)
 
-    def test_run_offset_shifts_streams(self, toy_space):
-        c = toy_configuration(toy_space)
-        rho = VarPenalty("x", id="x")
-        a = estimate_penalties(c, 4, 6, 23, [rho], [4], run_offset=0)
-        b = estimate_penalties(c, 4, 4, 23, [rho], [4], run_offset=2)
-        assert np.array_equal(a[0][2:, :], b[0])
-
     def test_thread_count_invariance(self, toy_space):
         c = toy_configuration(toy_space)
         rho = VarPenalty("x", id="x")
-        a = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=1, run_offset=4)
-        b = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=3, run_offset=4)
+        a = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=1)
+        b = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=3)
         assert np.array_equal(a, b)
 
 
@@ -388,9 +389,13 @@ class TestStepMajorPenalties:
                                                       use_fast_path=False),
             "interpreter, 2 workers": lambda: estimate_penalties(
                 c, 12, 7, 41, rhos, obs, threads=2, use_fast_path=False),
-            "lockstep, 2 segments": lambda: estimate_penalties(
-                c, 12, 10, None, rhos, obs, segments=[(c.data, 41, 7), (other, 43, 3)]),
         }
+        segments = [(c.data, 41, 7), (other, 43, 3)]
+        for threads, fast, name in ((1, True, "lockstep, 2 segments"),
+                                    (1, False, "interpreter, 2 segments"),
+                                    (2, False, "interpreter, 2 workers, 2 segments")):
+            calls[name] = partial(estimate_penalties, c, 12, 10, None, rhos, obs, threads,
+                                  fast, segments=segments)
         outs = {}
         for name, call in calls.items():
             caplog.clear()
@@ -398,15 +403,16 @@ class TestStepMajorPenalties:
             served = [r.getMessage() for r in caplog.records if " path: " in r.getMessage()]
             assert served[0].split(" path")[0] == name.split(",")[0], served
             assert served[0].endswith("in 2 segments") == name.endswith("segments"), served
-        shared = outs.pop("lockstep, 2 segments")
-        outs["segments"] = shared[:, :7]
+        alone = estimate_penalties(c.with_data(other), 12, 3, 43, rhos, obs)
+        for name in [name for name in outs if name.endswith("segments")]:
+            shared = outs.pop(name)
+            assert shared.strides[1] == 8, name
+            assert shared[:, 7:].tobytes() == alone.tobytes(), name
+            outs[name] = shared[:, :7]
         for name, out in outs.items():
             assert out.shape == (2, 7, 4), name
             assert out.strides[1] == 8, name
             assert out.tobytes() == outs["lockstep"].tobytes(), name
-        assert shared.strides[1] == 8
-        alone = estimate_penalties(c.with_data(other), 12, 3, 43, rhos, obs)
-        assert shared[:, 7:].tobytes() == alone.tobytes()
 
 
 class TestPenaltyConsumer:
@@ -416,7 +422,8 @@ class TestPenaltyConsumer:
 
     @pytest.mark.parametrize("name", [
         "lockstep", "compiled", "interpreter", "interpreter, 2 workers", "2 segments",
-        "lockstep in blocks", "2 segments in blocks"])
+        "lockstep in blocks", "2 segments in blocks", "interpreter, 2 segments",
+        "interpreter, 2 workers, 2 segments"])
     def test_rows_are_the_columns_of_the_array(self, name, monkeypatch):
         c = tanks_configuration(init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
         if name == "compiled":
@@ -427,7 +434,7 @@ class TestPenaltyConsumer:
         if name.endswith("blocks"):
             monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # blocks of 64 runs
         other = c.data.update([("l3", 6.0)])
-        kwargs = {"threads": 2 if name.endswith("workers") else 1,
+        kwargs = {"threads": 2 if "workers" in name else 1,
                   "use_fast_path": not name.startswith("interpreter")}
         if "segments" in name:
             kwargs["segments"] = [(c.data, 41, N - 3), (other, 43, 3)]
@@ -460,7 +467,7 @@ class TestDeclinedFastPath:
 
     def test_a_declined_block_probes_the_fast_paths_once(self, toy_space, caplog):
         # neither fast path takes a probabilistic choice, whatever the data:
-        # the segments of a declined block go straight to the interpreter
+        # one interpreter table serves both segments of a declined block
         c = toy_configuration(toy_space)
         rho = VarPenalty("y")
         spec = RobustnessSpec(rho=rho, rho_target=rho, interval=(0, 0), tau_tilde=0,
@@ -476,14 +483,14 @@ class TestDeclinedFastPath:
         messages = [r.getMessage() for r in caplog.records]
         assert sum(m.startswith("process not compiled") for m in messages) == 2, messages
         served = [m for m in messages if " path: " in m]
-        assert served == ["interpreter path: 4 runs of 5 steps",
-                          "interpreter path: 8 runs of 5 steps",
+        assert served == ["interpreter path: 12 runs of 5 steps in 2 segments",
                           "interpreter path: 8 runs of 5 steps"]
         assert rep == report(False)
 
-    def test_an_inadmissible_segment_leaves_the_others_to_the_fast_path(self, caplog):
-        # the compiled program declines the block for one segment's initial
-        # state (-0.0 at the lower bound 0.0 of q1); each segment then tries alone
+    def test_an_inadmissible_segment_declines_the_whole_table(self, caplog):
+        # the compiled program declines the table for one segment's initial
+        # state (-0.0 at the lower bound 0.0 of q1): the interpreter runs
+        # every row, with the bits of each segment estimated alone
         c = replace(tanks_configuration(init={"l1": 5.0}), lockstep=None)
         odd = DataState(c.space, (-0.0,) + c.data.values[1:])
         rho = tanks_penalties(c.env.params)["l1"]
@@ -501,9 +508,12 @@ class TestDeclinedFastPath:
         messages = [r.getMessage() for r in caplog.records]
         assert [m for m in messages if "not compiled" in m] == [
             "process not compiled, running the interpreter: "
-            "the initial value -0.0 of 'q1' is not admissible"] * 2
+            "the initial value -0.0 of 'q1' is not admissible"]
         assert [m for m in messages if " path: " in m] == [
-            "compiled path: 4 runs of 6 steps", "interpreter path: 3 runs of 6 steps"]
+            "interpreter path: 7 runs of 6 steps in 2 segments"]
+        alone = [estimate_penalties(c.with_data(d), 6, n, s, [rho], [0, 3, 6])
+                 for d, s, n in segments]
+        assert fast.tobytes() == np.concatenate(alone, axis=1).transpose(2, 0, 1).tobytes()
         assert fast.tobytes() == rows(False).tobytes()
 
 

@@ -5,8 +5,9 @@ after the process effects it steps the configuration's own environment
 kernel, the same ``sample_batch`` the interpreter steps, on the whole block.
 These properties draw models, attacks, environments whose parameters are
 drawn independently of the process's (or the identity kernel, which draws
-nothing), initial states at the domain edges, stream offsets and horizons
-past the 256-step draw chunk, and require the two paths to agree bit for bit.
+nothing), initial states at the domain edges, calls of 1-3 segments (each
+its own data state, seed and runs) and horizons past the 256-step draw
+chunk, and require the two paths to agree bit for bit.
 """
 
 from dataclasses import replace
@@ -30,7 +31,8 @@ from evometric.models.three_tanks import (
     tanks_configuration,
     tanks_penalties,
 )
-from evometric.rng import RandomStream
+
+from conftest import start_rows
 
 # a failing example is reported as drawn: shrinking reruns the interpreter
 # over hundreds of steps per candidate and takes minutes
@@ -58,13 +60,19 @@ def tanks_params(draw):
 
 @st.composite
 def tanks_cases(draw):
+    """A configuration, its penalties, and 1-3 initial data states."""
     params = draw(tanks_params())
     env = draw(st.one_of(tanks_params().map(ThreeTanksEnv), st.just(IdentityKernel())))
     levels = st.one_of(st.sampled_from([0.0, 20.0]), st.floats(0.0, 20.0))
-    init = {name: draw(levels) for name in ("l1", "l2", "l3")}
-    init.update({name: draw(st.floats(0.0, 6.0)) for name in ("q1", "q2", "q3")})
-    c = replace(tanks_configuration(params, init=init), env=env)
-    return c, list(tanks_penalties(params).values())
+
+    def initial():
+        init = {name: draw(levels) for name in ("l1", "l2", "l3")}
+        init.update({name: draw(st.floats(0.0, 6.0)) for name in ("q1", "q2", "q3")})
+        return tanks_configuration(params, init=init).data
+
+    states = [initial() for _ in range(draw(st.integers(1, 3)))]
+    c = replace(tanks_configuration(params), env=env).with_data(states[0])
+    return c, list(tanks_penalties(params).values()), states
 
 
 @st.composite
@@ -80,9 +88,11 @@ def engine_params(draw):
 
 @st.composite
 def engine_cases(draw):
+    """A configuration, its penalties, and 1-3 initial data states."""
     dual = draw(st.booleans())
-    attacks, init = [], {}
-    for side in ("L", "R") if dual else ("L",):
+    sides = ("L", "R") if dual else ("L",)
+    attacks, saw = [], set()
+    for side in sides:
         if draw(st.booleans()):
             attacks.append(AttackConfig("act", side, ac=draw(st.floats(1.0, 3.0))))
         fake = draw(st.sampled_from([None, "sen", "saw"]))
@@ -91,48 +101,65 @@ def engine_cases(draw):
             attacks.append(AttackConfig("sen", side, tf=tf))
         elif fake == "saw":
             attacks.append(AttackConfig("saw", side, tf=tf, awml=1000))
-            left = draw(st.integers(0, 300))
-            init[f"left_{side}"] = float(left)
-            init[f"right_{side}"] = float(left + draw(st.integers(0, 300)))
-        init[f"temp_{side}"] = draw(edge_temperatures)
-        init[f"cool_{side}"] = draw(st.sampled_from([0.0, 1.0]))
-        init[f"speed_{side}"] = draw(st.sampled_from([0.0, 1.0, 2.0]))
-        init.update({f"p{k}_{side}": draw(temperatures) for k in range(1, 7)})
-    c = engine_system(draw(engine_params()), attacks=tuple(attacks), dual=dual, init=init)
+            saw.add(side)
+    params = draw(engine_params())
+
+    def initial():
+        init = {}
+        for side in sides:
+            if side in saw:
+                left = draw(st.integers(0, 300))
+                init[f"left_{side}"] = float(left)
+                init[f"right_{side}"] = float(left + draw(st.integers(0, 300)))
+            init[f"temp_{side}"] = draw(edge_temperatures)
+            init[f"cool_{side}"] = draw(st.sampled_from([0.0, 1.0]))
+            init[f"speed_{side}"] = draw(st.sampled_from([0.0, 1.0, 2.0]))
+            init.update({f"p{k}_{side}": draw(temperatures) for k in range(1, 7)})
+        return engine_system(params, attacks=tuple(attacks), dual=dual, init=init)
+
+    c, *others = [initial() for _ in range(draw(st.integers(1, 3)))]
     env = draw(st.one_of(engine_params().map(lambda p: EngineEnv(p, dual)),
                          st.just(IdentityKernel())))
-    return replace(c, env=env), list(engine_penalties(dual).values())
+    return (replace(c, env=env), list(engine_penalties(dual).values()),
+            [c.data] + [o.data for o in others])
 
 
-def _assert_paths_agree(c, penalties, k, N, seed, run_offset, obs):
+def segments_from(states):
+    """One segment per data state, each with a drawn seed and 1-3 runs."""
+    return st.tuples(*(st.tuples(st.just(d), st.integers(0, 2**32), st.integers(1, 3))
+                       for d in states)).map(list)
+
+
+def _assert_paths_agree(c, penalties, k, segments, obs):
+    """Both paths give the same bits: ``estimate`` on the first segment,
+    whose data state is ``c.data``, and ``estimate_penalties`` on all."""
+    _, seed, N = segments[0]
     # the fast path must bind, or both calls would run the interpreter
-    c.lockstep.start(c, 1, RandomStream.from_seed(seed).key, 0, k)
+    start_rows(c.lockstep, c, 1, seed, k)
     fast = estimate(c, k, N, seed, use_fast_path=True)
     slow = estimate(c, k, N, seed, use_fast_path=False)
     assert np.array_equal(fast.states, slow.states)
 
-    args = (c, k, N, seed, penalties, obs)
-    fast = estimate_penalties(*args, use_fast_path=True, run_offset=run_offset)
-    slow = estimate_penalties(*args, use_fast_path=False, run_offset=run_offset)
+    args = (c, k, sum(n for *_, n in segments), None, penalties, obs)
+    fast = estimate_penalties(*args, use_fast_path=True, segments=segments)
+    slow = estimate_penalties(*args, use_fast_path=False, segments=segments)
     assert np.array_equal(fast, slow)
 
 
-@given(case=tanks_cases(), k=horizons, N=st.integers(1, 3), seed=st.integers(0, 2**32),
-       run_offset=st.integers(1, 10**6), data=st.data())
+@given(case=tanks_cases(), k=horizons, data=st.data())
 @settings(max_examples=25, phases=NO_SHRINK)
-def test_tanks_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
-    c, penalties = case
+def test_tanks_fast_path_equals_interpreter(case, k, data):
+    c, penalties, states = case
     obs = sorted(data.draw(st.sets(st.integers(0, k), min_size=1, max_size=6)))
-    _assert_paths_agree(c, penalties, k, N, seed, run_offset, obs)
+    _assert_paths_agree(c, penalties, k, data.draw(segments_from(states)), obs)
 
 
-@given(case=engine_cases(), k=horizons, N=st.integers(1, 3), seed=st.integers(0, 2**32),
-       run_offset=st.integers(1, 10**6), data=st.data())
+@given(case=engine_cases(), k=horizons, data=st.data())
 @settings(max_examples=25, phases=NO_SHRINK)
-def test_engine_fast_path_equals_interpreter(case, k, N, seed, run_offset, data):
-    c, penalties = case
+def test_engine_fast_path_equals_interpreter(case, k, data):
+    c, penalties, states = case
     obs = sorted(data.draw(st.sets(st.integers(0, k), min_size=1, max_size=6)))
-    _assert_paths_agree(c, penalties, k, N, seed, run_offset, obs)
+    _assert_paths_agree(c, penalties, k, data.draw(segments_from(states)), obs)
 
 
 def test_swapped_environment_is_the_one_stepped():
@@ -144,7 +171,7 @@ def test_swapped_environment_is_the_one_stepped():
                      env=EngineEnv(EngineParams(max_temp=99, threshold=98, stress_incr=0.5)))
     for c, k, rho in ((tanks, 20, tanks_penalties(ThreeTanksParams())["l3"]),
                       (engine, 300, engine_penalties()["stress_L"])):
-        _assert_paths_agree(c, [rho], k, 3, 1, 7, [0, k // 2, k])
+        _assert_paths_agree(c, [rho], k, [(c.data, 1, 3), (c.data, 7, 2)], [0, k // 2, k])
 
 
 class FlippedLayoutEngineEnv(EngineEnv):
@@ -161,7 +188,7 @@ def test_mixed_block_layouts_match_the_interpreter():
     # return either layout, and the clamp keeps the one it gets
     c = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),),
                       init={"left_L": 5.0, "right_L": 60.0, "temp_L": 99.8})
-    key = RandomStream.from_seed(3).key
-    assert c.lockstep.start(c, 3, key, 0, 10).current().flags.f_contiguous
+    assert start_rows(c.lockstep, c, 3, 3, 10).current().flags.f_contiguous
     flipped = replace(c, env=FlippedLayoutEngineEnv(EngineParams(stress_incr=0.3)))
-    _assert_paths_agree(flipped, list(engine_penalties().values()), 120, 3, 3, 5, [0, 7, 60, 120])
+    _assert_paths_agree(flipped, list(engine_penalties().values()), 120,
+                        [(c.data, 3, 3), (c.data, 5, 2)], [0, 7, 60, 120])

@@ -65,6 +65,21 @@ class TestObservationTimes:
         assert ObservationTimes.parse("0..10..5").steps == (0, 5, 10)
         assert ObservationTimes.parse("1,4,9").steps == (1, 4, 9)
 
+    @given(st.one_of(
+        st.sets(st.integers(0, 60), min_size=1, max_size=8).map(sorted),
+        st.builds(lambda a, n, s: range(a, a + n * s + 1, s),
+                  st.integers(0, 20), st.integers(0, 6), st.integers(1, 7))))
+    @settings(max_examples=200)
+    def test_text_parses_back_to_the_same_steps(self, steps):
+        obs = ObservationTimes(tuple(steps))
+        assert ObservationTimes.parse(str(obs)) == obs
+
+    def test_text_forms(self):
+        assert str(ObservationTimes.range(150)) == "0..150"
+        assert str(ObservationTimes.parse("0..20..5")) == "0..20..5"
+        assert str(ObservationTimes.parse("0,3,20")) == "0,3,20"
+        assert str(ObservationTimes((7,))) == "7"
+
     def test_validation(self):
         with pytest.raises(PreconditionError):
             ObservationTimes(())

@@ -25,7 +25,7 @@ from evometric.process import (
     write_set,
 )
 
-from conftest import random_valid_system
+from conftest import random_valid_system, start_rows
 
 Q_STEP = 1.2
 Q_MAX = 6.0
@@ -91,7 +91,7 @@ def interpreted(c):
 
 def batched(c):
     """The values the compiled program writes in a block of three rows."""
-    block = compiled.program(c).start(c, 3, (1, 2), 0, 1).step()
+    block = start_rows(compiled.program(c), c, 3, 1, 1).step()
     return block[:, c.space.index("out")]
 
 

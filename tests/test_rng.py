@@ -63,7 +63,7 @@ class TestDraws:
 class TestBlockConsistency:
     def test_tape_matches_scalar_draws(self):
         base = RandomStream.from_seed(123)
-        tape = UniformTape(base.key, n_runs=3, run_offset=5, draws_per_step=2)
+        tape = UniformTape(run_keys([(base.key, 0, 8)]), n_runs=3, first=5, draws_per_step=2)
         steps = [tape.next_step() for _ in range(300)]
         for i in range(3):
             s = base.child(5 + i)
@@ -100,7 +100,8 @@ class TestStreamEquivalence:
         # ends inside a Philox block, so the next chunk starts mid-block
         base = RandomStream.from_seed(2024)
         steps = 2 * chunk_steps + 5
-        tape = UniformTape(base.key, n_runs, 11, draws, chunk_steps=chunk_steps)
+        tape = UniformTape(run_keys([(base.key, 11, n_runs)]), n_runs, 0, draws,
+                           chunk_steps=chunk_steps)
         got = []
         for _ in range(steps):
             u = tape.next_step()
@@ -117,14 +118,15 @@ class TestStreamEquivalence:
         # 0..2 of b
         a, b = RandomStream.from_seed(1).key, RandomStream.from_seed(2).key
         joint = UniformTape(run_keys([(a, 3, 2), (b, 0, 3)]), 4, 1, 2, chunk_steps=7)
-        alone = UniformTape(a, 1, 4, 2, chunk_steps=7), UniformTape(b, 3, 0, 2, chunk_steps=7)
+        alone = (UniformTape(run_keys([(a, 4, 1)]), 1, 0, 2, chunk_steps=7),
+                 UniformTape(run_keys([(b, 0, 3)]), 3, 0, 2, chunk_steps=7))
         for _ in range(20):
             want = np.concatenate([tape.next_step() for tape in alone])
             assert np.array_equal(joint.next_step(), want)
 
     def test_tape_without_draws_rejected(self):
         with pytest.raises(ValueError):
-            UniformTape((1, 2), 3, 0, draws_per_step=0)
+            UniformTape(run_keys([((1, 2), 0, 3)]), 3, 0, draws_per_step=0)
 
     @given(k0=words64, k1=words64)
     @settings(max_examples=30)
@@ -136,7 +138,7 @@ class TestStreamEquivalence:
     @given(k0=words64, k1=words64, offset=st.integers(0, 2**40), draws=st.integers(1, 3))
     @settings(max_examples=30)
     def test_tape_equals_numpy_generator(self, k0, k1, offset, draws):
-        tape = UniformTape((k0, k1), 2, offset, draws)
+        tape = UniformTape(run_keys([((k0, k1), offset, 2)]), 2, 0, draws)
         got = np.stack([tape.next_step() for _ in range(300)])  # crosses a chunk
         for i in range(2):
             want = _numpy_reference(_fold_in((k0, k1), offset + i), 300 * draws)

@@ -19,6 +19,8 @@ from evometric.models.three_tanks import (
 from evometric.process import pstep, validate
 from evometric.rng import RandomStream
 
+from conftest import start_rows
+
 
 class TestParams:
     def test_defaults_match_reference_experiment(self):
@@ -179,11 +181,11 @@ class TestLockstepEquivalence:
         other, defs = tanks_program(ThreeTanksParams(delta_l=0.7))
         broken = c.__class__(other, c.data, c.env, defs, c.lockstep)
         with pytest.raises(PreconditionError):
-            c.lockstep.start(broken, 2, RandomStream.from_seed(0).key, 0, 10)
+            start_rows(c.lockstep, broken, 2, 0, 10)
 
     def test_nan_row_reported_alike_on_both_paths(self):
         c = replace(tanks_configuration(), env=SpillingTanks(ThreeTanksParams()))
-        c.lockstep.start(c, 1, RandomStream.from_seed(4).key, 0, 200)  # binds
+        start_rows(c.lockstep, c, 1, 4, 200)  # binds
         errors = []
         for fast in (True, False):
             with pytest.raises(SimulationError) as err:
