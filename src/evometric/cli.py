@@ -6,8 +6,9 @@ with an embedded provenance header; progress goes to standard error only.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 malformed option value (an observation-time list, interval, discount,
-perturbation spec or seed that does not parse) is a usage error: it exits 2
-with one ``error: ...`` line on standard error, not a traceback.
+perturbation or attack spec, seed, model parameter or initial value that
+does not parse, or a parameter the model lacks) is a usage error: it exits
+2 with one ``error: ...`` line on standard error, not a traceback.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ from .process import (
     _eval,
     pstep,
 )
-from .rng import TAPE_CHUNK_STEPS, UniformTape
+from .rng import UniformTape
 
 __all__ = ["Program", "program"]
 
@@ -857,25 +857,21 @@ class Program(NamedTuple):
     run: object  # (pre-step block, control ids) -> (post, next ids, failing rows or None, clamps)
     source: str  # the source of ``run``
 
-    def start(self, c, n_runs: int, keys, first: int, horizon: int, initial) -> "_ProgramRun":
-        """A block of rows ``first .. first + n_runs - 1`` of a row table of
-        ``c``, to be stepped up to ``horizon`` times; same protocol as the
-        models' lockstep simulators.  A row draws from its key in ``keys``
-        (see ``UniformTape``) and starts from its row of ``initial``."""
-        return _ProgramRun(self, c, n_runs, keys, first, horizon, initial)
+    def start(self, c, keys, horizon: int, initial) -> "_ProgramRun":
+        """Runs of ``c`` as the models' lockstep simulators start them: run i
+        starts from row i of ``initial`` on key i of ``keys``."""
+        return _ProgramRun(self, c, keys, horizon, initial)
 
 
 class _ProgramRun:
-    def __init__(self, prog: Program, c, n: int, keys, first: int, horizon: int, initial):
+    def __init__(self, prog: Program, c, keys, horizon: int, initial):
         self.prog, self.env, self.space, self.defs = prog, c.env, c.space, c.defs
+        n = len(initial)
         # column-major, as the lockstep runs: every column is contiguous
-        self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = initial[first:first + n]
+        self.vals = np.array(initial, order="F")
         self.ctrl = np.zeros(n, dtype=np.intp)  # the control id of each row
         if self.env.draws:
-            # a horizon shorter than a chunk draws only the steps it uses
-            self.tape = UniformTape(keys, n, first, self.env.draws,
-                                    chunk_steps=max(1, min(TAPE_CHUNK_STEPS, horizon)))
+            self.tape = UniformTape(keys, n, self.env.draws, horizon)
         else:
             self.tape, self.no_draws = None, np.empty((n, 0))
 

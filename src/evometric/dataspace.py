@@ -6,8 +6,8 @@ saturation; they are never rejected.  ``DataSpace.clamp_events`` counts the
 values that clamp in :meth:`DataSpace.state` and :meth:`DataState.update`:
 in built states, in process writes (the compiled programs count theirs by
 the same rules) and in perturbation samplers' updates.  Environment steps
-are clamped a block at a time (:meth:`DataSpace.clamp_batch`, or
-:meth:`DataSpace.clamp_row` for a single state) and are not counted.
+are clamped a block at a time (:meth:`DataSpace.clamp_batch`, a single
+state as a one-row block) and are not counted.
 Penalty functions score a data state in [0, 1] at a given time step, 0
 meaning "on target".
 """
@@ -183,8 +183,8 @@ class DataSpace:
         NaN raises :class:`DataValidationError` naming the variable, with the
         first bad row in its ``row``.  ``inputs``, when given, is an
         admissible block the values were computed from: a finite-set entry
-        equal to its input is already admissible and is not snapped, as in
-        :meth:`clamp_row`, so a row clamps alike in any block.  Clamps made
+        equal to its input is already admissible and is not snapped, so a
+        row clamps alike in any block.  Clamps made
         here are not counted in ``clamp_events``.  The result has the memory
         layout of ``values`` (row- or column-major).
         """
@@ -208,21 +208,6 @@ class DataSpace:
             rows = slice(None) if inputs is None else np.flatnonzero(col != inputs[:, j])
             col[rows] = clamp_array(col[rows], self.vars[j])
         return out
-
-    def clamp_row(self, values: Sequence[float], inputs: Sequence[float]) -> tuple:
-        """:meth:`clamp_batch` of one row of floats computed from the
-        admissible row ``inputs``, bit for bit, without re-tiling the bounds
-        for a one-row block: :meth:`VarSpec.clamp` of each entry, except that
-        a finite-set entry equal to its input is not snapped."""
-        out = []
-        for spec, v, old in zip(self.vars, values, inputs):
-            if math.isnan(v):
-                raise DataValidationError(f"{spec.name}: NaN is not a value", row=0)
-            v = min(spec.upper, max(spec.lower, v))
-            if v != old and spec.is_finite:
-                v = spec.clamp(v)
-            out.append(v)
-        return tuple(out)
 
     def state(self, values: Sequence[float] | dict[str, float]) -> "DataState":
         """Build a DataState from a vector in variable order or a full dict;

@@ -7,13 +7,11 @@ d, then samples the environment on the result.  ``estimate`` runs N
 independent trajectories on child random streams and collects, per time step,
 the N sampled data states (the empirical evolution sequence);
 ``estimate_penalties`` reads the same runs through penalties at the
-observation times without keeping the states; its (P, N, T) result is
-step-major in memory, the N penalties of a step adjacent, so copy it
-(``np.ascontiguousarray``) where C order is needed.  Given a consumer, it
-hands each observed step's (P, N) penalties to it instead.  When one
-fast-path block holds every run, a step is handed over as soon as it is
-simulated, so a caller that folds the steps (the robustness estimators
-fold W a chunk of steps at a time) never holds the (P, N, T) block.
+observation times without keeping the states, into a step-major (P, N, T)
+array or, given a consumer, a step at a time.  When one fast-path block
+holds every run, a step is handed over as soon as it is simulated, so a
+caller that folds the steps (the robustness estimators fold W a chunk of
+steps at a time) never holds the (P, N, T) block.
 
 Every estimate is a table of rows, one per run: the run's stream key
 (``rng.run_keys``) and the values it starts from.  ``estimate_penalties``
@@ -23,21 +21,19 @@ call of several that fails is estimated again one segment at a time, so a
 failure is reported as the first failing segment reports it alone.  Both
 estimators share one run loop (``_run``), which simulates the table in
 blocks of rows and hands each block's (n, nvars) values at steps 0..k to
-the estimator.  Any split of the rows gives the same bits, and so do the
-three execution paths; the first that takes the configuration and the
-table runs it:
+the estimator.  A block is a slice of the table, its rows' keys and
+initial values; a fast-path block holds as many rows as keep its draw
+tape within ``_BLOCK_BYTES``, whatever the horizon.  Any split of the rows
+gives the same bits, whatever the worker count, and so do the three
+execution paths; the first that takes the configuration and the table
+runs it:
 
 * a per-model vectorized lockstep simulator attached to the configuration
   (the built-in models' hand-written numpy twins of their terms), in this
   process;
-* the compiled program of the process (:mod:`.compiled`), in this process.
-  A process compiles when each of its reachable steps is a Dirac by
-  construction.  The compiler declines a probabilistic choice between two
-  or more branches of non-zero weight, an interleaving with 0 < p < 1, an
-  undefined process variable, unguarded recursion, a constant that is not
-  a float, a table of more than 4096 control terms, and an initial data
-  state that is not admissible (outside the domain, or -0.0 at a +0.0
-  bound);
+* the compiled program of the process (:mod:`.compiled`), in this process,
+  when each of its reachable steps is a Dirac by construction and every
+  initial data state is admissible (the compiler lists what it declines);
 * the reference interpreter, which steps the process of each row as
   ``sim_step`` does, on the stream of the row's key, fanned out over a
   process pool (``_fan_out``) when threads > 1.
@@ -54,9 +50,6 @@ its reason, and each call of ``_run`` logs the path that served it with its
 runs and steps.
 ``use_fast_path=False`` (``--no-fast-path`` on the command line) skips both
 fast paths and forces the interpreter.
-
-Per-run randomness depends only on (master seed, run index), so results do
-not depend on worker count or execution path.
 """
 
 from __future__ import annotations
@@ -76,7 +69,7 @@ from .dataspace import DataSpace, DataState, PenaltyFunction
 from .environment import EnvironmentEvolution
 from .errors import PreconditionError, SimulationError, StructuralError
 from .process import Process, pstep, validate
-from .rng import RandomStream, run_keys
+from .rng import RandomStream, run_keys, tape_chunk
 
 __all__ = [
     "Configuration",
@@ -252,9 +245,9 @@ def write_json(path, payload: dict) -> None:
 _MAX_STATE_BYTES = 2e9
 # interpreter runs advanced together (each holds a stream and its buffer)
 _INTERP_ROWS = 256
-# bytes of (k + 1)-step state a fast-path block of estimate_penalties may
-# hold, at 16 per run-step: more runs are split over several blocks
-_BLOCK_BYTES = 2e8
+# bytes of draw tape a fast-path block may hold: more runs are split over
+# several blocks
+_BLOCK_BYTES = 2**25
 
 
 class _Table(NamedTuple):
@@ -299,7 +292,7 @@ def estimate(
             "use estimate_penalties for long horizons"
         )
     base = RandomStream.resolve(seed)
-    states = _run(c, k, _table([(c.data, base.key, N)]), threads, use_fast_path, N,
+    states = _run(c, k, _table([(c.data, base.key, N)]), threads, use_fast_path,
                   _store_steps, lambda: np.empty((N, k + 1, len(c.space))))
     return EmpiricalEvolutionSequence(c.space, states, base.key)
 
@@ -338,13 +331,13 @@ def estimate_penalties(
     ``consumer``, when given, is called as ``consumer(j, row)`` for each
     observation time ``obs_times[j]``, in order, with the (len(penalties),
     N) penalties of that step (valid during the call only), and the call
-    returns None.  When a fast path takes all N runs in one block, the
-    rows go to the consumer as their steps are simulated, so no array of
-    the whole horizon is held.  Otherwise (the interpreter, or more runs
-    than one block holds) the array is filled first and then handed over
-    a column at a time.  The consumer sees column 0 again when a call of
-    several segments failed after some of its steps were handed over and
-    its segments are estimated again.
+    returns None.  When a fast path takes all N runs in one block (see
+    ``_run``), the rows go to the consumer as their steps are simulated,
+    so no array of the whole horizon is held.  Otherwise (the interpreter,
+    or more runs than one block holds) the array is filled first and then
+    handed over a column at a time.  The consumer sees column 0 again when
+    a call of several segments failed after some of its steps were handed
+    over and its segments are estimated again.
     """
     _check_counts(k, N)
     obs = list(obs_times)
@@ -364,18 +357,16 @@ def estimate_penalties(
     def hold():  # the (N, P, T) view of the array the blocks fill
         return np.moveaxis(_penalty_array(P, N, T) if out is None else out, 1, 0)
 
-    # lockstep blocks of runs keep the transient per-block state small
-    rows = max(64, int(_BLOCK_BYTES / ((k + 1) * 16)))
     fill = partial(_store_penalties, tuple(penalties), obs, c.space)
     try:
-        held = _run(c, k, _table(parts), threads, use_fast_path, rows, fill, hold, consumer)
+        held = _run(c, k, _table(parts), threads, use_fast_path, fill, hold, consumer)
     except Exception as exc:
         if len(parts) == 1:
             raise
         log.debug("%d segments failed, running them one by one: %s", len(parts), exc)
         held = hold()
         for part, dest in zip(parts, np.split(held, np.cumsum([n for *_, n in parts])[:-1])):
-            _run(c, k, _table([part]), threads, use_fast_path, rows, fill, lambda: dest)
+            _run(c, k, _table([part]), threads, use_fast_path, fill, lambda: dest)
     if out is None and held is not None:
         for j in range(T):
             consumer(j, held[:, :, j].T)
@@ -420,7 +411,7 @@ def _write_column(out: np.ndarray, j: int, row: np.ndarray) -> None:
     out[:, :, j] = row
 
 
-def _run(c, k, table, threads, use_fast_path, rows, fill, hold, consumer=None):
+def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     """The one run loop of both estimators, over the rows of ``table``.
 
     The rows are simulated in blocks of ``c``'s process, definitions and
@@ -428,9 +419,10 @@ def _run(c, k, table, threads, use_fast_path, rows, fill, hold, consumer=None):
     ``fill(steps, dest)`` reduces each block, where ``steps`` yields the
     block's (n, nvars) values at steps 0..k.  A fast path (the model's
     lockstep simulator, else the compiled program) drives blocks of at
-    most ``rows`` runs in this process.  When ``use_fast_path`` is off or
-    both decline the configuration or its initial states, the interpreter
-    runs the blocks, fanned out over ``threads`` worker processes.
+    least 64 runs whose draw tape, the one buffer that grows with the
+    horizon, fits ``_BLOCK_BYTES``, in this process.  When ``use_fast_path``
+    is off or both decline the configuration or its initial states, the
+    interpreter runs the blocks, fanned out over ``threads`` workers.
 
     ``dest`` is the block's rows of ``hold()``, an array with the run axis
     first, which the call returns.  With a ``consumer``, when a fast path
@@ -442,7 +434,8 @@ def _run(c, k, table, threads, use_fast_path, rows, fill, hold, consumer=None):
     depend on how the rows were split into blocks.
     """
     N = len(table.initial)
-    fast = _start_fast_path(c, table, min(rows, N), k) if use_fast_path else None
+    rows = max(64, _BLOCK_BYTES // (8 * max(1, c.env.draws) * tape_chunk(k)))
+    fast = _start_fast_path(c, table, k, rows) if use_fast_path else None
     log.debug("%s path: %d runs of %d steps%s", fast[0] if fast else "interpreter", N, k,
               f" in {len(table.data)} segments" if len(table.data) > 1 else "")
     stream = fast and consumer is not None and N <= rows
@@ -452,13 +445,14 @@ def _run(c, k, table, threads, use_fast_path, rows, fill, hold, consumer=None):
         _, start, sim = fast
         for lo in range(0, N, rows):
             if lo:
-                sim = start(c, min(rows, N - lo), table.keys, lo, k, table.initial)
+                keys, initial = _rows(table, lo, lo + rows)
+                sim = start(c, keys, k, initial)
             dest = consumer if stream else out[lo:lo + rows]
             failures.append(_reduce_block(fill, _lockstep_steps(sim, k, lo), dest))
     else:
         blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
-        tasks = [(c, k, [w[b.start:b.stop] for w in table.keys], table.initial[b.start:b.stop],
-                  b.start, fill, out.shape[1:]) for b in blocks]
+        tasks = [(c, k, *_rows(table, b.start, b.stop), b.start, fill, out.shape[1:])
+                 for b in blocks]
         for b, (part, failure) in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
             out[b.start:b.stop] = np.moveaxis(part, -1, 0)
             failures.append(failure)
@@ -468,15 +462,19 @@ def _run(c, k, table, threads, use_fast_path, rows, fill, hold, consumer=None):
     return out
 
 
-def _start_fast_path(c, table, n, k):
-    """(its name, start, the run of the table's first n rows) of the first
-    fast path that takes the configuration and the table, else None;
-    ``start`` has the signature of ``lockstep.start``.  The compiled
-    program must admit every segment's data state."""
+def _rows(table, lo: int, hi: int) -> tuple:
+    """The stream keys and initial values of rows ``lo .. hi - 1``."""
+    return [words[lo:hi] for words in table.keys], table.initial[lo:hi]
+
+
+def _start_fast_path(c, table, k, rows):
+    """(its name, ``start``, the run of the table's first ``rows`` rows) of
+    the first fast path that takes the configuration and the table, else
+    None.  The compiled program must admit every segment's data state."""
+    keys, initial = _rows(table, 0, rows)
     if c.lockstep is not None:
         try:
-            return "lockstep", c.lockstep.start, c.lockstep.start(
-                c, n, table.keys, 0, k, table.initial)
+            return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
         except PreconditionError as exc:
             log.debug("lockstep simulator declined: %s", exc)
     # imported on first use: a lockstep-served or interpreted estimate, and
@@ -488,7 +486,7 @@ def _start_fast_path(c, table, n, k):
     except PreconditionError as exc:
         log.debug("process not compiled, running the interpreter: %s", exc)
         return None
-    return "compiled", program.start, program.start(c, n, table.keys, 0, k, table.initial)
+    return "compiled", program.start, program.start(c, keys, k, initial)
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:

@@ -67,9 +67,9 @@ class EnvironmentEvolution:
     def sample(self, d: DataState, rng: RandomStream) -> DataState:
         """Draw one successor of ``d``: ``draws`` uniforms from ``rng``, then
         a one-row batch, clamped as :meth:`advance` clamps it."""
-        u = np.array([[rng.uniform01() for _ in range(self.draws)]])
-        raw = self._successors(np.array([d.values], dtype=np.float64), u)
-        return DataState(d.space, d.space.clamp_row(raw[0].tolist(), d.values))
+        one = np.array([d.values], dtype=np.float64)
+        raw = self._successors(one, np.array([[rng.uniform01() for _ in range(self.draws)]]))
+        return DataState(d.space, tuple(d.space.clamp_batch(raw, one)[0].tolist()))
 
     def advance(self, values: np.ndarray, u: np.ndarray, space: DataSpace) -> np.ndarray:
         """Clamped successors of a block of admissible states.

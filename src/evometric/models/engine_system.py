@@ -46,7 +46,7 @@ from ..engine import Configuration
 from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
-from ..rng import TAPE_CHUNK_STEPS, UniformTape
+from ..rng import UniformTape
 from ..robustness import PerturbationSampler
 
 __all__ = [
@@ -130,15 +130,15 @@ class AttackConfig:
         if len(parts) < 3:
             raise DataValidationError(f"cannot parse attack {text!r}")
         kind, side = parts[0], parts[1]
-        if kind == "act":
-            return cls(kind, side, ac=float(parts[2]))
-        if kind == "sen":
-            return cls(kind, side, tf=float(parts[2]))
-        if kind == "saw":
-            if len(parts) != 4:
-                raise DataValidationError("saw attack needs 'saw:SIDE:TF:AWML'")
-            return cls(kind, side, tf=float(parts[2]), awml=int(parts[3]))
-        raise DataValidationError(f"unknown attack kind {kind!r}")
+        if kind not in ("act", "sen", "saw"):
+            raise DataValidationError(f"unknown attack kind {kind!r}")
+        if kind == "saw" and len(parts) != 4:
+            raise DataValidationError("saw attack needs 'saw:SIDE:TF:AWML'")
+        try:
+            value, awml = float(parts[2]), int(parts[3]) if kind == "saw" else None
+        except ValueError:
+            raise PreconditionError(f"attack {text!r} holds a value that is not a number") from None
+        return cls(kind, side, ac=value) if kind == "act" else cls(kind, side, tf=value, awml=awml)
 
 
 # per-side variables the environment kernel reads or writes
@@ -545,13 +545,14 @@ class EngineLockstep:
     expected_process: Process
     expected_defs: tuple = ()  # sorted (name, body) pairs of the bound system
 
-    def start(self, c: Configuration, n_runs: int, keys, first: int, steps: int, initial):
+    def start(self, c: Configuration, keys, steps: int, initial):
+        """Run i of ``c`` starts from row i of ``initial`` on key i of ``keys``."""
         defs_now = tuple(sorted(c.defs.items()))
         if c.process != self.expected_process or defs_now != self.expected_defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the initial engine process"
             )
-        return _EngineRun(self, c, n_runs, keys, first, steps, initial)
+        return _EngineRun(self, c, keys, steps, initial)
 
 
 class _EngineRun:
@@ -559,22 +560,19 @@ class _EngineRun:
     # act-attack state per side: False idle, True hold.  The block is
     # column-major (Fortran order): every step reads and writes whole
     # columns, which are then contiguous.
-    def __init__(self, cfg: EngineLockstep, c: Configuration, n: int, keys, first: int,
-                 steps: int, initial):
+    def __init__(self, cfg: EngineLockstep, c: Configuration, keys, steps: int, initial):
         self.cfg = cfg
         self.p = cfg.params
         self.sides = ("L", "R") if cfg.dual else ("L",)
         self.env, self.space = c.env, c.space
         self.ix = {name: i for i, name in enumerate(self.space.names)}
-        self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = initial[first:first + n]
+        n = len(initial)
+        self.vals = np.array(initial, order="F")
         self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
         self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
         self.t = 0
         if self.env.draws:
-            # a horizon shorter than a chunk draws only the steps it uses
-            self.tape = UniformTape(keys, n, first, self.env.draws,
-                                    chunk_steps=max(1, min(TAPE_CHUNK_STEPS, steps)))
+            self.tape = UniformTape(keys, n, self.env.draws, steps)
         else:
             self.tape, self.no_draws = None, np.empty((n, 0))
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from numbers import Real
+
 from ..dataspace import PenaltyFunction, VarPenalty
 from ..engine import Configuration
-from ..errors import StructuralError
+from ..errors import PreconditionError, StructuralError
 from . import engine_system as eng
 from . import three_tanks as tanks
 
@@ -15,9 +17,23 @@ def model_ids() -> list[str]:
     return ["engine", "three-tanks"]
 
 
+def _numbers(what: str, values: dict) -> dict:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise PreconditionError(f"{what} {name!r} must be a number, got {value!r}")
+    return values
+
+
+def _params(cls, params: dict):
+    """``cls(**params)``, each name one of its fields and each value a number."""
+    known = list(cls.__dataclass_fields__)
+    if unknown := [name for name in params if name not in known]:
+        raise PreconditionError(f"unknown parameters {unknown}; known: {known}")
+    return cls(**_numbers("parameter", params))
+
+
 def _tanks_params(params: dict) -> tanks.ThreeTanksParams:
-    known = {k: v for k, v in params.items() if k != "init"}
-    return tanks.ThreeTanksParams(**known)
+    return _params(tanks.ThreeTanksParams, {k: v for k, v in params.items() if k != "init"})
 
 
 def _engine_args(params: dict):
@@ -30,11 +46,12 @@ def _engine_args(params: dict):
         else eng.AttackConfig(**a)
         for a in attacks
     )
-    return eng.EngineParams(**params), parsed, dual
+    return _params(eng.EngineParams, params), parsed, dual
 
 
 def build_model(model_id: str, params: dict | None = None, init: dict | None = None) -> Configuration:
     params = dict(params or {})
+    _numbers("initial value of", init or {})
     if model_id == "three-tanks":
         return tanks.tanks_configuration(_tanks_params(params), init=init)
     if model_id == "engine":

@@ -33,7 +33,7 @@ from ..engine import Configuration
 from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
-from ..rng import TAPE_CHUNK_STEPS, UniformTape
+from ..rng import UniformTape
 
 __all__ = [
     "ThreeTanksParams",
@@ -284,28 +284,26 @@ class TanksLockstep:
 
     params: ThreeTanksParams
 
-    def start(self, c: Configuration, n_runs: int, keys, first: int, steps: int, initial):
+    def start(self, c: Configuration, keys, steps: int, initial):
+        """Run i of ``c`` starts from row i of ``initial`` on key i of ``keys``."""
         expected, defs = tanks_program(self.params)
         stepped = SyncPar(Call("Tanks_in"), Call("Tanks_out"))
         if (c.process not in (expected, stepped)) or dict(c.defs) != defs:
             raise PreconditionError(
                 "lockstep simulator is bound to the built-in tank controller"
             )
-        return _TanksRun(self.params, c, n_runs, keys, first, steps, initial)
+        return _TanksRun(self.params, c, keys, steps, initial)
 
 
 class _TanksRun:
-    def __init__(self, params: ThreeTanksParams, c: Configuration, n: int,
-                 keys, first: int, steps: int, initial):
+    def __init__(self, params: ThreeTanksParams, c: Configuration, keys, steps: int, initial):
         self.p = params
         self.env, self.space = c.env, c.space
+        n = len(initial)
         # column-major, as the engine's run: each column is contiguous
-        self.vals = np.empty((n, len(self.space)), order="F")
-        self.vals[:] = initial[first:first + n]
+        self.vals = np.array(initial, order="F")
         if self.env.draws:
-            # a horizon shorter than a chunk draws only the steps it uses
-            self.tape = UniformTape(keys, n, first, self.env.draws,
-                                    chunk_steps=max(1, min(TAPE_CHUNK_STEPS, steps)))
+            self.tape = UniformTape(keys, n, self.env.draws, steps)
         else:
             self.tape, self.no_draws = None, np.empty((n, 0))
 

@@ -83,6 +83,11 @@ def run_keys(segments) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(k0), np.concatenate(k1)
 
 
+def tape_chunk(steps: int) -> int:
+    """The steps a :class:`UniformTape` over ``steps`` steps draws at a time."""
+    return max(1, min(TAPE_CHUNK_STEPS, steps))
+
+
 @functools.cache
 def _key_seed_type() -> type:
     """An ``ISeedSequence`` that hands a fixed key to ``np.random.Philox``.
@@ -171,33 +176,34 @@ class RandomStream:
 class UniformTape:
     """Chunked per-run uniform draws for lockstep simulation.
 
-    Run ``i`` of the tape reads the stream of row ``first + i`` of ``keys``,
-    a table of per-run keys as two uint64 arrays (:func:`run_keys`).  Each
-    run reads the same (0, 1] sequence its scalar RandomStream would
-    produce, ``draws_per_step`` values per step, laid out as one contiguous
-    (n_runs, draws_per_step) array per call to :meth:`next_step`.
+    Run ``i`` reads the stream of key ``i`` of ``keys``, the ``n_runs``
+    keys of a block as two uint64 arrays (:func:`run_keys`): the (0, 1]
+    sequence its scalar RandomStream would produce, ``draws_per_step``
+    values per step, one contiguous (n_runs, draws_per_step) array per
+    call to :meth:`next_step`.
 
-    Draws are made ``chunk_steps`` steps at a time into a new step-major
-    buffer, of which :meth:`next_step` returns one row per step.  For each
-    chunk a single Philox bit generator is moved to every run's
+    Draws are made ``tape_chunk(steps)`` steps at a time, so a horizon
+    shorter than a chunk draws only the steps it uses, into a new
+    step-major buffer of which :meth:`next_step` returns one row per step.
+    For each chunk a single Philox bit generator is moved to every run's
     (key, counter) in turn; its raw words are converted in blocks of
     ``_TAPE_ROWS`` runs.
     """
 
-    def __init__(self, keys, n_runs: int, first: int, draws_per_step: int,
-                 chunk_steps: int = TAPE_CHUNK_STEPS):
-        if draws_per_step < 1 or chunk_steps < 1:
-            raise ValueError("a tape needs draws_per_step >= 1 and chunk_steps >= 1")
-        self._keys = list(zip(*(k[first:first + n_runs].tolist() for k in keys)))
+    def __init__(self, keys, n_runs: int, draws_per_step: int, steps: int):
+        if draws_per_step < 1:
+            raise ValueError("a tape needs draws_per_step >= 1")
+        self._keys = list(zip(*(k.tolist() for k in keys)))
         self._bitgen = _philox((0, 0))
         self._draws = draws_per_step
-        self._chunk = chunk_steps
+        self._chunk = tape_chunk(steps)
         self._words = 0  # words each run has consumed before the buffered chunk
         self._buf: np.ndarray | None = None
         self._pos = 0
 
     def _fill(self) -> None:
         n, steps, draws = len(self._keys), self._chunk, self._draws
+        self._buf = None  # the drawn chunk is not held while the next is drawn
         buf = np.empty((steps, n, draws), dtype=np.float64)
         per_run = steps * draws
         # a chunk may end inside a Philox block: the next one regenerates

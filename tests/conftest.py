@@ -37,7 +37,7 @@ def start_rows(sim, c, n: int, seed, k: int):
     """``sim.start`` (a lockstep simulator or a compiled program) on the
     rows of n runs of ``c`` on ``seed``, as an estimate builds them."""
     table = _table([(c.data, RandomStream.resolve(seed).key, n)])
-    return sim.start(c, n, table.keys, 0, k, table.initial)
+    return sim.start(c, table.keys, k, table.initial)
 
 
 @pytest.fixture

@@ -210,6 +210,10 @@ ROBUSTNESS = ["robustness", "--model", "engine", "--params", '{"attacks": ["saw:
               "--eta1", "0.1", "--obs-times", "0..10", "--samples", "4", "--seed", "3"]
 
 
+SIMULATE_ENGINE = ["simulate", "--model", "engine", "--steps", "3", "--seed", "1"]
+SIMULATE_TANKS = ["simulate", "--model", "three-tanks", "--steps", "3", "--seed", "1"]
+
+
 class TestMalformedValues:
     @pytest.mark.parametrize("argv", [
         DISTANCE + ["--obs-times", "0..10..0"],
@@ -221,8 +225,14 @@ class TestMalformedValues:
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:L:x"],
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "nosuch"],
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:X:5"],
+        SIMULATE_ENGINE + ["--attack", "saw:L:x:1000"],
+        SIMULATE_ENGINE + ["--params", '{"bogus": 1}'],
+        SIMULATE_ENGINE + ["--params", '{"max_temp": "hot"}'],
+        SIMULATE_TANKS + ["--init", '{"l1": "x"}'],
+        SIMULATE_TANKS + ["--init", '{"l1": null}'],
     ], ids=["zero-stride", "obs-word", "obs-list-word", "discount", "interval",
-            "interval-one-end", "saw-awml", "perturb-variable", "saw-side"])
+            "interval-one-end", "saw-awml", "perturb-variable", "saw-side", "attack-word",
+            "unknown-param", "param-word", "init-word", "init-null"])
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()

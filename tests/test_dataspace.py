@@ -172,6 +172,17 @@ class TestClampValues:
         assert outcome(space, DataSpace.clamp_values, values) == want
 
 
+def _clamp_entries(space, values, inputs) -> list:
+    """A row computed from the admissible row ``inputs``, clamped one entry
+    at a time: into the bounds, max then min, and a finite-set entry that
+    differs from its input then snapped by :meth:`VarSpec.clamp`."""
+    out = []
+    for spec, v, old in zip(space.vars, values, inputs):
+        v = min(spec.upper, max(spec.lower, v))
+        out.append(spec.clamp(v) if v != old and spec.is_finite else v)
+    return out
+
+
 class TestClampBatch:
     @settings(max_examples=200)
     @given(data=st.data())
@@ -193,8 +204,7 @@ class TestClampBatch:
     @given(data=st.data())
     def test_one_row_and_column_major_blocks_clamp_alike(self, data):
         # bit for bit, so a -0.0 clamped to a bound 0.0 must agree too; a
-        # row is compared with a one-row block, since whether a finite
-        # column is snapped depends on every row of the block
+        # one-row block is compared with its row clamped entry by entry
         row = st.tuples(*(_interesting(spec) for spec in MIXED.vars)).map(list)
         values = np.array(data.draw(st.lists(row, min_size=1, max_size=8)), dtype=np.float64)
         inputs = np.array([MIXED.clamp_values(r)[0] for r in values.tolist()])
@@ -205,9 +215,9 @@ class TestClampBatch:
         assert by_column.flags.f_contiguous
         assert by_column.tobytes(order="C") == block.tobytes()
         for r in range(len(values)):
-            one = MIXED.clamp_row(values[r].tolist(), inputs[r].tolist())
+            one = _clamp_entries(MIXED, values[r].tolist(), inputs[r].tolist())
             row_block = MIXED.clamp_batch(values[r:r + 1], inputs[r:r + 1])
-            assert np.array(one).tobytes() == row_block.tobytes()
+            assert np.array([one]).tobytes() == row_block.tobytes()
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -223,7 +233,8 @@ class TestClampBatch:
         kind = np.array(data.draw(entries)).reshape(values.shape)
         values = np.where(kind == "input", inputs, values)
         values = np.where((kind == "signed zero") & (inputs == 0.0), -0.0, values)
-        rows = np.array([MIXED.clamp_row(v, i) for v, i in zip(values.tolist(), inputs.tolist())])
+        rows = np.concatenate([MIXED.clamp_batch(values[r:r + 1], inputs[r:r + 1])
+                               for r in range(len(values))])
         for block in (values, np.asfortranarray(values)):
             assert MIXED.clamp_batch(block, inputs).tobytes(order="C") == rows.tobytes()
 
@@ -240,9 +251,9 @@ class TestClampBatch:
         assert str(err.value) == f"{bad}: NaN is not a value"
         with pytest.raises(DataValidationError):
             MIXED.clamp_values(values[row].tolist())
-        with pytest.raises(DataValidationError) as err:
-            MIXED.clamp_row(values[row].tolist(), [0.0, 0.1, 0.0, 0.0])
-        assert str(err.value) == f"{MIXED.names[0 if row == n - 1 else col]}: NaN is not a value"
+        with pytest.raises(DataValidationError) as err:  # a one-row block
+            MIXED.clamp_batch(values[row:row + 1], np.array([[0.0, 0.1, 0.0, 0.0]]))
+        assert err.value.row == 0 and str(err.value) == f"{bad}: NaN is not a value"
 
     def test_does_not_count_clamp_events(self):
         before = MIXED.clamp_events

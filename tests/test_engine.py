@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -447,6 +448,26 @@ class TestPenaltyConsumer:
         assert all(row.shape == (2, N) for _, row in rows)
         held = np.stack([row for _, row in rows], axis=-1)
         assert held.tobytes() == np.ascontiguousarray(out).tobytes()
+
+    def test_a_long_horizon_is_handed_over_as_it_is_simulated(self):
+        """A block is sized by its draw tape, not by the horizon: 1300 runs
+        of 10 000 steps, every step observed, are one block that streams,
+        and the call holds far less than their (1, N, k + 1) penalties."""
+        c = tanks_configuration()
+        rho = tanks_penalties(c.env.params)["l3"]
+        N, k = 1300, 10_000
+        seen = []
+        estimate_penalties(c, 3, N, 5, [rho], range(4), consumer=lambda j, row: None)
+        tracemalloc.start()
+        try:
+            estimate_penalties(c, k, N, 5, [rho], range(k + 1),
+                               consumer=lambda j, row: seen.append(j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == list(range(k + 1))
+        block = N * (k + 1) * 8
+        assert peak < block / 4, (peak, block)
 
 
 class TestDeclinedFastPath:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evometric import rng
 from evometric.rng import (
     _TAPE_ROWS,
     RandomStream,
@@ -10,6 +11,7 @@ from evometric.rng import (
     _fold_in,
     _fold_in_many,
     run_keys,
+    tape_chunk,
 )
 
 words64 = st.integers(0, 2**64 - 1)
@@ -63,7 +65,9 @@ class TestDraws:
 class TestBlockConsistency:
     def test_tape_matches_scalar_draws(self):
         base = RandomStream.from_seed(123)
-        tape = UniformTape(run_keys([(base.key, 0, 8)]), n_runs=3, first=5, draws_per_step=2)
+        # rows 5..7 of a table of 8 runs
+        keys = [words[5:] for words in run_keys([(base.key, 0, 8)])]
+        tape = UniformTape(keys, n_runs=3, draws_per_step=2, steps=300)
         steps = [tape.next_step() for _ in range(300)]
         for i in range(3):
             s = base.child(5 + i)
@@ -95,13 +99,14 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize("draws", [1, 2, 3])
     @pytest.mark.parametrize("n_runs", [3, _TAPE_ROWS + 5])
     @pytest.mark.parametrize("chunk_steps", [7, 256])
-    def test_tape_matches_per_run_streams(self, draws, n_runs, chunk_steps):
+    def test_tape_matches_per_run_streams(self, draws, n_runs, chunk_steps, monkeypatch):
         # 2 full chunks and part of a third; a 7-step chunk of 1 or 3 draws
         # ends inside a Philox block, so the next chunk starts mid-block
+        monkeypatch.setattr(rng, "TAPE_CHUNK_STEPS", chunk_steps)
         base = RandomStream.from_seed(2024)
         steps = 2 * chunk_steps + 5
-        tape = UniformTape(run_keys([(base.key, 11, n_runs)]), n_runs, 0, draws,
-                           chunk_steps=chunk_steps)
+        assert tape_chunk(steps) == chunk_steps
+        tape = UniformTape(run_keys([(base.key, 11, n_runs)]), n_runs, draws, steps)
         got = []
         for _ in range(steps):
             u = tape.next_step()
@@ -114,19 +119,33 @@ class TestStreamEquivalence:
             assert np.array_equal(got[:, i, :], want.reshape(steps, draws))
 
     def test_a_tape_over_run_keys_reads_each_segments_streams(self):
-        # the tape starts at row 1 of the key table: run 4 of a, then runs
-        # 0..2 of b
+        # the tape reads rows 1..4 of the key table: run 4 of a, then runs
+        # 0..2 of b; 7-step chunks over 20 steps
         a, b = RandomStream.from_seed(1).key, RandomStream.from_seed(2).key
-        joint = UniformTape(run_keys([(a, 3, 2), (b, 0, 3)]), 4, 1, 2, chunk_steps=7)
-        alone = (UniformTape(run_keys([(a, 4, 1)]), 1, 0, 2, chunk_steps=7),
-                 UniformTape(run_keys([(b, 0, 3)]), 3, 0, 2, chunk_steps=7))
+        keys = [words[1:] for words in run_keys([(a, 3, 2), (b, 0, 3)])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "TAPE_CHUNK_STEPS", 7)
+            joint = UniformTape(keys, 4, 2, 20)
+            alone = (UniformTape(run_keys([(a, 4, 1)]), 1, 2, 20),
+                     UniformTape(run_keys([(b, 0, 3)]), 3, 2, 20))
         for _ in range(20):
             want = np.concatenate([tape.next_step() for tape in alone])
             assert np.array_equal(joint.next_step(), want)
 
     def test_tape_without_draws_rejected(self):
         with pytest.raises(ValueError):
-            UniformTape(run_keys([((1, 2), 0, 3)]), 3, 0, draws_per_step=0)
+            UniformTape(run_keys([((1, 2), 0, 3)]), 3, draws_per_step=0, steps=5)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_a_horizon_shorter_than_two_steps_draws_one_step_at_a_time(self, steps):
+        # a chunk of 0 steps would draw nothing and could not be read
+        assert tape_chunk(steps) == 1
+        base = RandomStream.from_seed(9)
+        tape = UniformTape(run_keys([(base.key, 0, 2)]), 2, 3, steps)
+        got = np.stack([tape.next_step() for _ in range(3)])
+        for i in range(2):
+            s = base.child(i)
+            assert got[:, i, :].tolist() == [[s.uniform01() for _ in range(3)] for _ in range(3)]
 
     @given(k0=words64, k1=words64)
     @settings(max_examples=30)
@@ -138,7 +157,7 @@ class TestStreamEquivalence:
     @given(k0=words64, k1=words64, offset=st.integers(0, 2**40), draws=st.integers(1, 3))
     @settings(max_examples=30)
     def test_tape_equals_numpy_generator(self, k0, k1, offset, draws):
-        tape = UniformTape(run_keys([((k0, k1), offset, 2)]), 2, 0, draws)
+        tape = UniformTape(run_keys([((k0, k1), offset, 2)]), 2, draws, 300)
         got = np.stack([tape.next_step() for _ in range(300)])  # crosses a chunk
         for i in range(2):
             want = _numpy_reference(_fold_in((k0, k1), offset + i), 300 * draws)
