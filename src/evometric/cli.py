@@ -7,8 +7,8 @@ with an embedded provenance header; progress goes to standard error only.
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.  A
 malformed option value (an observation-time list, interval, discount,
 perturbation or attack spec, seed, model parameter or initial value that
-does not parse, or a parameter the model lacks) is a usage error: it exits
-2 with one ``error: ...`` line on standard error, not a traceback.
+does not parse, or one the model rejects) is a usage error: it exits 2
+with one ``error: ...`` line on standard error, not a traceback.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from pathlib import Path
 
 from . import __version__
 from .engine import Configuration, estimate, simulate, write_csv, write_json
-from .errors import EvoMetricError, PreconditionError
+from .errors import DataValidationError, EvoMetricError, PreconditionError, StructuralError
 from .metric import (
     ObservationTimes,
     constant_discount,
     distance,
     exponential_discount,
 )
-from .models import build_model, model_manifest, model_penalty
+from .models import build_model, model_ids, model_manifest, model_penalty
 from .models.engine_system import SawWindowSampler
 from .rng import RandomStream
 from .robustness import (
@@ -116,9 +116,19 @@ def _meta(args, seed: int, extra: dict | None = None) -> dict:
     return meta
 
 
+def _model(model_id: str, params: dict, init: dict | None) -> Configuration:
+    """``build_model``; a value the model rejects is a usage error, an unknown model is not."""
+    try:
+        return build_model(model_id, params, init)
+    except (DataValidationError, StructuralError) as exc:
+        if model_id not in model_ids():
+            raise
+        raise PreconditionError(str(exc)) from exc
+
+
 def _build(args) -> Configuration:
     init = _json_arg(getattr(args, "init", None)) or None
-    return build_model(args.model, _resolved_params(args), init)
+    return _model(args.model, _resolved_params(args), init)
 
 
 def _penalty(args, field: str = "penalty"):
@@ -197,8 +207,7 @@ def _cmd_distance(args) -> int:
     seed = _resolve_seed(args)
     c1 = _build(args)
     params2 = _json_arg(args.params2) if args.params2 else _resolved_params(args)
-    c2 = build_model(args.model2 or args.model, params2,
-                     _json_arg(args.init2) or None)
+    c2 = _model(args.model2 or args.model, params2, _json_arg(args.init2) or None)
     rho = _penalty(args)
     disc = _discount(args.discount)
     obs = _obs(args)

@@ -534,7 +534,7 @@ def _interpret_steps(c: Configuration, k: int, keys, initial: np.ndarray, first:
     env, space, defs = c.env, c.space, c.defs
     vals = np.array(initial)
     post = np.empty_like(vals)
-    u = np.empty((n, env.draws))
+    u = np.empty((n, env.draws), order="F")  # one contiguous column per draw, as on the tape
     yield vals
     for i in range(k):
         for r, row in enumerate(vals.tolist()):

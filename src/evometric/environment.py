@@ -13,7 +13,10 @@ only on row ``i`` of ``values`` and ``u``) and must not modify their inputs.
 A block may be row- or column-major (the lockstep simulators and the
 compiled programs keep their blocks in Fortran order); a kernel may return
 either layout, and the result must not depend on it.
-``values.copy(order="K")`` keeps the layout it is given.
+``values.copy(order="K")`` keeps the layout it is given.  The uniforms are
+column-major on every path (the draw tape's steps and the interpreter's
+buffer alike), so each column ``u[:, j]`` is contiguous; a kernel must not
+rely on that layout either.
 
 A kernel runs at every step of every run, on every execution path.  A
 fast one allocates its result once and computes every value with ``out=``

@@ -175,9 +175,9 @@ def compute_w_sorted(omega: np.ndarray, nu: np.ndarray) -> np.ndarray:
         nv = nu[:, lo:lo + _W_CHUNK].T.copy(order="C")
         om.sort(axis=1)
         nv.sort(axis=1)
-        if ell > 1:
-            om = np.repeat(om, ell, axis=1)
-        np.subtract(nv, om, out=nv)
+        # run i of the second side is paired with sample i // ell of the first
+        pairs = nv.reshape(len(nv), n, ell)
+        np.subtract(pairs, om[:, :, None], out=pairs)
         out[lo:lo + _W_CHUNK] = np.maximum(nv, 0.0, out=nv).mean(axis=1)
     return out
 

@@ -9,19 +9,18 @@ of an estimate in vectorized folds (:func:`_fold_in_many`) with the same
 arithmetic, and :class:`UniformTape` reads its runs' keys from that table.
 
 A stream is a pure function of (key, counter): word ``j`` of the stream is
-word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  The numpy
-bit generator is seeded with the key directly (no entropy is gathered) and
-used only as a source of raw 64-bit words.  A word ``x`` becomes the uniform
+word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  Every word,
+scalar or on a tape, comes from :func:`_philox_words`, which moves its
+thread's one numpy Philox bit generator to the (key, counter) asked for; no
+entropy is gathered.  A word ``x`` becomes the uniform
 ``1 - (x >> 11) * 2**-53`` in (0, 1], numpy's ``Generator.random`` rule
 reflected, so draw ``j`` equals ``1 - Generator(Philox(key=k)).random()``
-at position ``j``.  Vectorized runs reposition one bit generator per run
-instead of building a generator for each run; that changes the cost of a
-stream, not its draws.
+at position ``j``.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
 
 import numpy as np
 
@@ -35,7 +34,7 @@ _BLOCK = 256
 _FIRST_BLOCK = 16
 _TWO_M53 = 2.0 ** -53
 _PHILOX_WORDS = 4  # 64-bit words per Philox4x64 block
-_TAPE_ROWS = 64    # runs converted per block in UniformTape
+_TAPE_ROWS = 128   # runs per block of tape words; 64 made its transposing copy dearer
 TAPE_CHUNK_STEPS = 256  # longest UniformTape chunk
 
 
@@ -88,29 +87,32 @@ def tape_chunk(steps: int) -> int:
     return max(1, min(TAPE_CHUNK_STEPS, steps))
 
 
-@functools.cache
-def _key_seed_type() -> type:
-    """An ``ISeedSequence`` that hands a fixed key to ``np.random.Philox``.
-
-    ``Philox(key=k)`` first builds a ``SeedSequence`` from OS entropy, which
-    costs more than the rest of the construction.  The type is made on first
-    use so that importing this module does not import ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySeed(ISeedSequence):
-        def __init__(self, key: tuple[int, int]):
-            self.key = np.array(key, dtype=np.uint64)
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key  # Philox asks for exactly its two 64-bit key words
-
-    return KeySeed
+_local = threading.local()  # each thread's one Philox bit generator
 
 
-def _philox(key: tuple[int, int]) -> np.random.Philox:
-    """Philox4x64-10 bit generator at counter 0; same state as ``Philox(key=key)``."""
-    return np.random.Philox(_key_seed_type()(key))
+def _philox_words(keys, first: int, out: np.ndarray) -> np.ndarray:
+    """Words ``first ..`` of the stream of each key in ``keys`` into the
+    rows of the uint64 array ``out``, which it returns.  The thread's bit
+    generator is made on first use, so importing this module does not
+    import ``numpy.random``.  A ``first`` inside a Philox block regenerates
+    that block and skips the words before ``first``."""
+    try:
+        bitgen = _local.bitgen
+    except AttributeError:
+        from numpy.random import Philox
+
+        bitgen = _local.bitgen = Philox(0)  # a fixed seed: no entropy is gathered
+    counter, skip = divmod(first, _PHILOX_WORDS)
+    position = {"counter": [counter, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": position, "buffer": [0, 0, 0, 0],
+             "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(out, keys):
+        position["key"] = key
+        bitgen.state = state
+        if skip:
+            bitgen.random_raw(skip)
+        row[:] = bitgen.random_raw(len(row))
+    return out
 
 
 def _uniforms01(raw: np.ndarray) -> np.ndarray:
@@ -124,13 +126,15 @@ def _uniforms01(raw: np.ndarray) -> np.ndarray:
 
 
 class RandomStream:
-    """One private pseudo-random stream; not shared between concurrent runs."""
+    """One private pseudo-random stream, not shared between concurrent runs:
+    a key and a word count, refilled by :func:`_philox_words` on the
+    generator of the thread that draws."""
 
-    __slots__ = ("key", "_bitgen", "_buf", "_pos")
+    __slots__ = ("key", "_words", "_buf", "_pos")
 
     def __init__(self, key: tuple[int, int]):
         self.key = (key[0] & _MASK64, key[1] & _MASK64)
-        self._bitgen = _philox(self.key)
+        self._words = 0
         self._buf: list[float] = []
         self._pos = 0
 
@@ -154,8 +158,10 @@ class RandomStream:
     def uniform01(self) -> float:
         """Uniform double in (0, 1]."""
         if self._pos >= len(self._buf):
-            size = _BLOCK if self._buf else _FIRST_BLOCK
-            self._buf = _uniforms01(self._bitgen.random_raw(size)).tolist()
+            size = _BLOCK if self._words else _FIRST_BLOCK
+            raw = _philox_words((self.key,), self._words, np.empty((1, size), dtype=np.uint64))
+            self._buf = _uniforms01(raw[0]).tolist()
+            self._words += size
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
@@ -176,25 +182,22 @@ class RandomStream:
 class UniformTape:
     """Chunked per-run uniform draws for lockstep simulation.
 
-    Run ``i`` reads the stream of key ``i`` of ``keys``, the ``n_runs``
-    keys of a block as two uint64 arrays (:func:`run_keys`): the (0, 1]
-    sequence its scalar RandomStream would produce, ``draws_per_step``
-    values per step, one contiguous (n_runs, draws_per_step) array per
-    call to :meth:`next_step`.
+    Run ``i`` reads the stream of key ``i`` of ``keys``, the keys of a
+    block as two uint64 arrays (:func:`run_keys`): the (0, 1] sequence its
+    scalar :class:`RandomStream` would produce, ``draws_per_step`` values
+    per step, one Fortran-ordered (n_runs, draws_per_step) array per call
+    to :meth:`next_step`.
 
     Draws are made ``tape_chunk(steps)`` steps at a time, so a horizon
     shorter than a chunk draws only the steps it uses, into a new
-    step-major buffer of which :meth:`next_step` returns one row per step.
-    For each chunk a single Philox bit generator is moved to every run's
-    (key, counter) in turn; its raw words are converted in blocks of
-    ``_TAPE_ROWS`` runs.
+    draw-major (steps, draws, n_runs) buffer, ``_TAPE_ROWS`` runs' words at
+    a time from :func:`_philox_words` on the thread's one generator.
     """
 
     def __init__(self, keys, n_runs: int, draws_per_step: int, steps: int):
         if draws_per_step < 1:
             raise ValueError("a tape needs draws_per_step >= 1")
         self._keys = list(zip(*(k.tolist() for k in keys)))
-        self._bitgen = _philox((0, 0))
         self._draws = draws_per_step
         self._chunk = tape_chunk(steps)
         self._words = 0  # words each run has consumed before the buffered chunk
@@ -204,39 +207,22 @@ class UniformTape:
     def _fill(self) -> None:
         n, steps, draws = len(self._keys), self._chunk, self._draws
         self._buf = None  # the drawn chunk is not held while the next is drawn
-        buf = np.empty((steps, n, draws), dtype=np.float64)
-        per_run = steps * draws
-        # a chunk may end inside a Philox block: the next one regenerates
-        # that block and skips the words already drawn from it
-        counter, skip = divmod(self._words, _PHILOX_WORDS)
-        position = {"counter": [counter, 0, 0, 0], "key": None}
-        state = {"bit_generator": "Philox", "state": position, "buffer": [0, 0, 0, 0],
-                 "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
-        bitgen = self._bitgen
-        raw = np.empty((min(n, _TAPE_ROWS), per_run), dtype=np.uint64)
-        # one opaque item per (step, run) holds that step's draws, so the
-        # run-major -> step-major copy moves whole steps, not single doubles
-        step_item = np.dtype((np.void, 8 * draws))
-        by_step = buf.view(step_item).reshape(steps, n)
+        buf = np.empty((steps, draws, n), dtype=np.float64)
+        raw = np.empty((min(n, _TAPE_ROWS), steps * draws), dtype=np.uint64)
         for lo in range(0, n, _TAPE_ROWS):
             keys = self._keys[lo:lo + _TAPE_ROWS]
             rows = len(keys)
-            for i, key in enumerate(keys):
-                position["key"] = key
-                bitgen.state = state
-                if skip:
-                    bitgen.random_raw(skip)
-                raw[i] = bitgen.random_raw(per_run)
-            u = _uniforms01(raw[:rows])
-            by_step[:, lo:lo + rows] = u.view(step_item).reshape(rows, steps).T
+            u = _uniforms01(_philox_words(keys, self._words, raw[:rows]))
+            buf[:, :, lo:lo + rows] = u.reshape(rows, steps, draws).transpose(1, 2, 0)
         self._buf = buf
-        self._words += per_run
+        self._words += steps * draws
         self._pos = 0
 
     def next_step(self) -> np.ndarray:
-        """(n_runs, draws_per_step) uniforms in (0, 1] for the next step."""
+        """(n_runs, draws_per_step) uniforms in (0, 1] for the next step,
+        one contiguous column per draw."""
         if self._buf is None or self._pos >= self._chunk:
             self._fill()
-        u = self._buf[self._pos]
+        u = self._buf[self._pos].T
         self._pos += 1
         return u

@@ -230,9 +230,13 @@ class TestMalformedValues:
         SIMULATE_ENGINE + ["--params", '{"max_temp": "hot"}'],
         SIMULATE_TANKS + ["--init", '{"l1": "x"}'],
         SIMULATE_TANKS + ["--init", '{"l1": null}'],
+        SIMULATE_ENGINE + ["--params", '{"threshold": 200}'],
+        SIMULATE_ENGINE + ["--attack", "act:L:5"],
+        SIMULATE_ENGINE + ["--init", '{"bogus": 1}'],
     ], ids=["zero-stride", "obs-word", "obs-list-word", "discount", "interval",
             "interval-one-end", "saw-awml", "perturb-variable", "saw-side", "attack-word",
-            "unknown-param", "param-word", "init-word", "init-null"])
+            "unknown-param", "param-word", "init-word", "init-null", "param-rejected",
+            "attack-rejected", "init-variable"])
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -218,6 +218,27 @@ def test_block_equals_column_calls_bit_for_bit(n, ell, m, pool, seed, by_column)
     assert block.tobytes() == columns.tobytes()
 
 
+def repeat_reference(omega, nu) -> np.ndarray:
+    """The estimate per column with the first side's sorted samples
+    materialised ell times each, so that run i of the second side meets
+    sample i // ell."""
+    ell = len(nu) // len(omega)
+    om = np.sort(omega.T, axis=1)
+    nv = np.sort(nu.T, axis=1)
+    return np.maximum(nv - np.repeat(om, ell, axis=1), 0.0).mean(axis=1)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 12), ell=st.sampled_from([1, 2, 3, 10]),
+       m=st.sampled_from([1, 2, _W_CHUNK, _W_CHUNK + 1, 2 * _W_CHUNK + 3]),
+       pool=SAMPLE_VALUES, seed=st.integers(0, 2**32))
+def test_pairing_equals_a_repeated_first_side_bit_for_bit(n, ell, m, pool, seed):
+    r = np.random.default_rng(seed)
+    omega = r.choice(np.array(pool), size=(n, m))
+    nu = r.choice(np.array(pool), size=(n * ell, m))
+    assert compute_w_sorted(omega, nu).tobytes() == repeat_reference(omega, nu).tobytes()
+
+
 @settings(max_examples=60)
 @given(n=st.integers(1, 12), ell=st.sampled_from([1, 3, 10]),
        m=st.sampled_from([1, 2, _W_CHUNK, _W_CHUNK + 1, 2 * _W_CHUNK + 3]),

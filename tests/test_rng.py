@@ -1,8 +1,16 @@
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evometric
 from evometric import rng
 from evometric.rng import (
     _TAPE_ROWS,
@@ -97,10 +105,11 @@ class TestStreamEquivalence:
             _fold_in_many((1, 2), -1, 3)
 
     @pytest.mark.parametrize("draws", [1, 2, 3])
-    @pytest.mark.parametrize("n_runs", [3, _TAPE_ROWS + 5])
+    @pytest.mark.parametrize("n_runs", [3, 69, _TAPE_ROWS + 5])
     @pytest.mark.parametrize("chunk_steps", [7, 256])
     def test_tape_matches_per_run_streams(self, draws, n_runs, chunk_steps, monkeypatch):
-        # 2 full chunks and part of a third; a 7-step chunk of 1 or 3 draws
+        # 69 runs fill one partial block, _TAPE_ROWS + 5 a full block and part
+        # of a second; 2 full chunks and part of a third; a 7-step chunk of 1 or 3 draws
         # ends inside a Philox block, so the next chunk starts mid-block
         monkeypatch.setattr(rng, "TAPE_CHUNK_STEPS", chunk_steps)
         base = RandomStream.from_seed(2024)
@@ -110,7 +119,7 @@ class TestStreamEquivalence:
         got = []
         for _ in range(steps):
             u = tape.next_step()
-            assert u.shape == (n_runs, draws) and u.flags.c_contiguous
+            assert u.shape == (n_runs, draws) and u.flags.f_contiguous
             got.append(u)
         got = np.stack(got)
         for i in range(n_runs):
@@ -162,3 +171,58 @@ class TestStreamEquivalence:
         for i in range(2):
             want = _numpy_reference(_fold_in((k0, k1), offset + i), 300 * draws)
             assert np.array_equal(got[:, i, :], want.reshape(300, draws))
+
+
+class TestWordSource:
+    """Every word comes from one routine on a per-thread bit generator."""
+
+    @staticmethod
+    def _draw(seed: int, steps: int) -> list:
+        # a 7-step tape of 3 draws starts most chunks inside a Philox block,
+        # and the scalar stream refills between the tape's fills
+        tape = UniformTape(run_keys([(RandomStream.from_seed(seed).key, 0, _TAPE_ROWS + 3)]),
+                           _TAPE_ROWS + 3, 3, steps)
+        stream = RandomStream.from_seed(seed + 1)
+        out = []
+        for _ in range(steps):
+            out.append(tape.next_step().tobytes())
+            out.append([stream.uniform01() for _ in range(13)])
+        return out
+
+    def test_threads_draw_what_one_thread_draws(self, monkeypatch):
+        monkeypatch.setattr(rng, "TAPE_CHUNK_STEPS", 7)
+        seeds = range(100, 108, 2)  # four threads
+        want = {seed: self._draw(seed, 60) for seed in seeds}
+        got = {}
+
+        def worker(seed):
+            got[seed] = self._draw(seed, 60)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_a_pickled_stream_continues_its_sequence(self):
+        s = RandomStream.from_seed(77)
+        head = [s.uniform01() for _ in range(21)]  # past the first refill, mid-buffer
+        copy = pickle.loads(pickle.dumps(s))
+        tail = [copy.uniform01() for _ in range(600)]
+        assert tail == [s.uniform01() for _ in range(600)]
+        fresh = RandomStream(s.key)
+        assert head + tail == [fresh.uniform01() for _ in range(621)]
+
+    def test_importing_the_package_does_not_import_numpy_random(self):
+        src = Path(evometric.__file__).resolve().parents[1]
+        code = "import sys, evometric; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
