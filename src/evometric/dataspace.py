@@ -6,8 +6,9 @@ saturation; they are never rejected.  ``DataSpace.clamp_events`` counts the
 values that clamp in :meth:`DataSpace.state` and :meth:`DataState.update`:
 in built states, in process writes (the compiled programs count theirs by
 the same rules) and in perturbation samplers' updates.  Environment steps
-are clamped a block at a time (:meth:`DataSpace.clamp_batch`, a single
-state as a one-row block) and are not counted.
+are clamped a block at a time (:meth:`DataSpace.clamp_batch`, or only the
+columns a kernel declares ``clamped``; a single state as a one-row block)
+and are not counted.
 Penalty functions score a data state in [0, 1] at a given time step, 0
 meaning "on target".
 """
@@ -22,6 +23,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataValidationError, PreconditionError, StructuralError
+
+try:  # the clip ufunc itself: ndarray.clip adds a Python wrapper's cost per call
+    from numpy._core.umath import clip as _clip_ufunc
+except ImportError:  # numpy < 2, where numpy.core is not deprecated
+    from numpy.core.umath import clip as _clip_ufunc
 
 __all__ = [
     "VarSpec",
@@ -168,6 +174,8 @@ class DataSpace:
         if all(map(operator.lt, self._lower_list, out)) and \
                 all(map(operator.lt, out, self._upper_list)):
             check = self._finite_idx
+            if not check:
+                return out, 0
         else:
             check = [j for j, (lo, v, hi) in enumerate(zip(self._lower_list, out, self._upper_list))
                      if not lo < v < hi or self.vars[j].is_finite]
@@ -323,8 +331,8 @@ def _clip(scores: np.ndarray, penalties: Sequence[PenaltyFunction]) -> np.ndarra
     """``scores`` clipped into [0, 1] as a new array: the (n,) scores of one
     penalty, or a (parts, n) block, a row per penalty.  The first NaN in
     row-major order raises, naming its penalty and its row of the states."""
-    out = scores.clip(0.0, 1.0)  # np.clip's bits, without its dispatch
-    flat = out.reshape(-1)
+    out = _clip_ufunc(scores, 0.0, 1.0)  # np.clip's bits, without its dispatch
+    flat = out if out.ndim == 1 else out.reshape(-1)
     if math.isnan(flat.dot(flat)):  # NaN iff an entry is, as the others are in [0, 1]
         part, row = divmod(int(np.flatnonzero(np.isnan(flat))[0]), out.shape[-1])
         raise DataValidationError(f"penalty {penalties[part].id} evaluated to NaN", row=row)
@@ -366,9 +374,14 @@ class GoalPenalty(PenaltyFunction):
         if denom <= 0:
             raise DataValidationError(f"{self.id}: degenerate goal normalisation")
         object.__setattr__(self, "_denom", denom)
+        object.__setattr__(self, "_column", (None, None))  # (space, its index of var)
 
     def score_batch(self, step, values, space):
-        return np.abs(values[:, space.index(self.var)] - self.goal) / self._denom
+        seen, col = self._column
+        if seen is not space:
+            col = space.index(self.var)
+            object.__setattr__(self, "_column", (space, col))
+        return np.abs(values[:, col] - self.goal) / self._denom
 
 
 @dataclass(frozen=True)
@@ -385,11 +398,13 @@ class MaxPenalty(PenaltyFunction):
             object.__setattr__(self, "id", "max(" + ",".join(p.id for p in self.parts) + ")")
 
     def score_batch(self, step, values, space):
-        block = _part_scores(self.parts, step, values, space)
-        out = block[0]
-        for row in block[1:]:  # in part order, as np.maximum.reduce
-            np.maximum(out, row, out=out)
-        return out
+        # in part order: maximum(maximum(p0, p1), p2), ... for every row
+        return np.maximum.reduce(_part_scores(self.parts, step, values, space))
+
+    def _clipped(self, step, values, space):
+        # the maximum of clipped parts is in [0, 1] (-0.0 included) and not
+        # NaN, where the clip returns every value as it is
+        return self.score_batch(step, values, space)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ their writes override the controller's:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +84,8 @@ class EngineParams:
     clearance: float = 0.7  # security clearance weight of each engine
 
     def __post_init__(self):
+        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
+            raise DataValidationError(f"parameters must be finite: {', '.join(bad)}")
         if self.threshold > self.max_temp:
             raise DataValidationError("threshold must not exceed max_temp")
         if self.stress_incr <= 0:
@@ -340,7 +343,8 @@ def engine_system(
         defs.update(att_defs)
         process = SyncPar(process, Call(name))
 
-    space = engine_space(dual)
+    env = EngineEnv(params, dual)
+    space = env.space
     values = _initial_values(dual)
     if init:
         unknown = [n for n in init if n not in values]
@@ -348,7 +352,6 @@ def engine_system(
             raise StructuralError(f"unknown initial-state variables {unknown}")
         values.update(init)
     data = space.state(values)
-    env = EngineEnv(params, dual)
     lockstep = EngineLockstep(params, attacks, dual, process, tuple(sorted(defs.items())))
     cfg = Configuration(process, data, env, defs, lockstep)
     # actuator attacks share the coolant variable with the controller by design
@@ -364,6 +367,21 @@ class EngineEnv(EnvironmentEvolution):
     delta, uniform on the interval that the coolant and the speed select.
     Every updated column is computed in place in its column of the result,
     a copy of the block in its own layout.
+
+    Declared ``clamped``: temp and sc of each side and cs, which can step
+    past their bounds, and in the dual system fn and fp, whose increments
+    scale with ``clearance``, which has no range check.  Every parameter is
+    finite and every input admissible, so no entry is NaN: each sum adds
+    finite terms, or, in the dual fn and fp, terms of one sign that may
+    overflow to an infinity.  The other written successors are admissible
+    without a clamp:
+
+    - p1..p6: copies of temp and of p1..p5;
+    - stress: min(1, stress + stress_incr) >= stress >= 0 where hot, else
+      the input;
+    - fn, fp of a side: (cs mean + inc) / (cs + 1) with mean and inc in
+      [0, 1] and cs >= 0 stays in [0, 1] because rounding is monotone, and
+      is +0.0, not -0.0, at 0.
     """
 
     params: EngineParams
@@ -373,6 +391,12 @@ class EngineEnv(EnvironmentEvolution):
     @property
     def draws(self) -> int:
         return 2 if self.dual else 1
+
+    @property
+    def clamped(self) -> tuple[str, ...]:
+        sides = ("L", "R") if self.dual else ("L",)
+        side_vars = tuple(_sv(name, s) for s in sides for name in ("temp", "sc"))
+        return side_vars + (("cs", "fn", "fp") if self.dual else ("cs",))
 
     @functools.cached_property
     def space(self) -> DataSpace:

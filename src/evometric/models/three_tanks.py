@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class ThreeTanksParams:
     g: float = 9.81
 
     def __post_init__(self):
+        if bad := [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]:
+            raise DataValidationError(f"parameters must be finite: {', '.join(bad)}")
         if not (self.l_min < self.l_goal < self.l_max):
             raise DataValidationError("need l_min < l_goal < l_max")
         if not (0.0 <= self.q_step < self.q_max):
@@ -75,6 +77,12 @@ class ThreeTanksParams:
             raise DataValidationError(f"unknown scenario {self.scenario}")
         if self.dt <= 0:
             raise DataValidationError("dt must be positive")
+        if self.g < 0:
+            raise DataValidationError("g must not be negative")
+        # bounds every flow and level increment, so a kernel step makes no NaN
+        flow = max(abs(self.pipe12), abs(self.pipe23)) * math.sqrt(self.l_max - self.l_min)
+        if not math.isfinite(2.0 * (flow + self.q_max)):
+            raise DataValidationError("the largest flow pipe * sqrt(l_max - l_min) must be finite")
 
     @property
     def sigma_q(self) -> float:
@@ -110,11 +118,25 @@ class ThreeTanksEnv(EnvironmentEvolution):
     and likewise q23, and the levels move by dt times their net inflow.
     The step is computed in place in its (6, n) result, whose transpose is
     returned: a column-major (n, 6) block.
+
+    Only the levels are declared ``clamped``.  The parameters are finite and
+    every flow |q12|, |q23| <= pipe sqrt(l_max - l_min) is finite, so no
+    entry is NaN: a level sums finite terms and at most one infinity.  The
+    other successors are admissible without a clamp:
+
+    - q1, q3: copies of their admissible inputs;
+    - q2: x = min(max(., 0.0), q_max) is in [0, q_max] and never -0.0, since
+      ``np.maximum`` returns its second operand, +0.0, on a tie.
     """
 
     params: ThreeTanksParams
     id: str = "three-tanks"
     draws = 2
+    clamped = ("l1", "l2", "l3")
+
+    @functools.cached_property
+    def space(self) -> DataSpace:
+        return tanks_space(self.params)
 
     @functools.cached_property
     def _coefficients(self) -> tuple[float, float, float]:
@@ -231,7 +253,8 @@ def tanks_configuration(
         params = ThreeTanksParams(**overrides)
     elif overrides:
         raise PreconditionError("pass either a params object or keyword overrides")
-    space = tanks_space(params)
+    env = ThreeTanksEnv(params)
+    space = env.space
     base = _initial_values(params)
     if init:
         unknown = [n for n in init if n not in base]
@@ -241,7 +264,7 @@ def tanks_configuration(
     data = space.state(base)
     process, defs = tanks_program(params)
     lockstep = TanksLockstep(params)
-    return Configuration(process, data, ThreeTanksEnv(params), defs, lockstep).validated()
+    return Configuration(process, data, env, defs, lockstep).validated()
 
 
 def _initial_values(params: ThreeTanksParams) -> dict:

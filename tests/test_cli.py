@@ -233,10 +233,12 @@ class TestMalformedValues:
         SIMULATE_ENGINE + ["--params", '{"threshold": 200}'],
         SIMULATE_ENGINE + ["--attack", "act:L:5"],
         SIMULATE_ENGINE + ["--init", '{"bogus": 1}'],
+        SIMULATE_TANKS + ["--params", '{"dt": Infinity}'],
+        SIMULATE_ENGINE + ["--params", '{"max_temp": NaN}'],
     ], ids=["zero-stride", "obs-word", "obs-list-word", "discount", "interval",
             "interval-one-end", "saw-awml", "perturb-variable", "saw-side", "attack-word",
             "unknown-param", "param-word", "init-word", "init-null", "param-rejected",
-            "attack-rejected", "init-variable"])
+            "attack-rejected", "init-variable", "param-infinite", "param-nan"])
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evometric import compiled
+from evometric import compiled, dataspace
 from evometric.dataspace import (
     ConvexPenalty,
     DataSpace,
@@ -456,6 +460,33 @@ class TestPenaltyPaths:
             calls = np.array([rho(step, d) for d in states])
             assert calls.tobytes() == batch.tobytes(), rho.id
             assert ((batch >= 0.0) & (batch <= 1.0)).all()
+
+    def test_the_clip_ufunc_has_the_bits_of_ndarray_clip(self):
+        tiny, least_normal = 5e-324, 2.2250738585072014e-308
+        scores = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, tiny, -tiny,
+                           least_normal, -least_normal, 1.0, np.nextafter(1.0, 2.0), 0.5])
+        for block in (scores, scores.reshape(3, 4), scores.reshape(4, 3).T):
+            got = dataspace._clip_ufunc(block, 0.0, 1.0)
+            assert got.tobytes() == block.clip(0.0, 1.0).tobytes()
+            assert math.copysign(1.0, got.flat[0]) == -1.0  # -0.0 is kept
+
+    def test_importing_the_clip_ufunc_warns_nothing(self):
+        src = Path(dataspace.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-W", "error", "-c", "import evometric.dataspace"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_a_goal_reads_its_column_in_each_space(self):
+        # the column is resolved once per space, so another order of the
+        # same names must not reuse it
+        ab = DataSpace([VarSpec("a", 0.0, 10.0), VarSpec("b", 0.0, 10.0)])
+        ba = DataSpace([VarSpec("b", 0.0, 10.0), VarSpec("a", 0.0, 10.0)])
+        rho = GoalPenalty("a", 5.0, 0.0, 10.0)
+        for _ in range(2):
+            assert rho(0, ab.state([10.0, 5.0])) == 1.0
+            assert rho(0, ba.state([10.0, 5.0])) == 0.0
+            assert rho.eval_batch(0, np.array([[10.0, 5.0]]), ba).tolist() == [0.0]
 
     def test_a_call_keeps_the_sign_of_a_zero_score(self):
         for rho, d in ((VarPenalty("a"), SIGNED.state([-0.0, 0.0, 0.0, 0.0])),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,16 @@ class TestSpace:
         m = engine_manifest(EngineParams(), dual=True)
         assert m["encodings"]["speed"] == {"slow": 0, "half": 1, "full": 2}
         assert m["initial_state"]["temp_L"] == 95.0
+
+
+class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("stress_incr", math.inf), ("max_temp", math.nan), ("clearance", math.inf),
+        ("threshold", -math.inf)])
+    def test_a_non_finite_parameter_is_rejected(self, field, value):
+        # max_temp = nan also slipped past threshold > max_temp
+        with pytest.raises(DataValidationError, match=f"must be finite: {field}"):
+            EngineParams(**{field: value})
 
 
 class TestAttackConfig:

@@ -14,11 +14,17 @@ from evometric.models.engine_system import (
     LEFT,
     ON,
     RIGHT,
+    AttackConfig,
     EngineEnv,
     EngineParams,
     engine_system,
 )
-from evometric.models.three_tanks import ThreeTanksEnv, ThreeTanksParams, tanks_space
+from evometric.models.three_tanks import (
+    ThreeTanksEnv,
+    ThreeTanksParams,
+    tanks_configuration,
+    tanks_space,
+)
 from evometric.rng import RandomStream
 
 from conftest import toy_kernel
@@ -154,6 +160,9 @@ def _engine_rows(env):
     finite = {i: spec.values for i, spec in enumerate(space.vars) if spec.is_finite}
     base = engine_system(dual=env.dual).data.values
     temps = st.one_of(st.sampled_from([-50.0, 99.8, 100.0, 500.0]), st.floats(-50.0, 500.0))
+    # counters anywhere, or at and just below their bound, where a step clamps
+    counters = st.one_of(st.integers(0, 10**6).map(float),
+                         st.sampled_from([1e15, 1e15 - 1.0, 1e15 - 0.5]))
 
     @st.composite
     def row(draw):
@@ -165,7 +174,8 @@ def _engine_rows(env):
                 out[i] = draw(temps)
             elif name.startswith(("stress", "fn", "fp")):
                 out[i] = draw(st.floats(0.0, 1.0))
-        out[space.index("cs")] = float(draw(st.integers(0, 10**6)))
+            elif name == "cs" or name.startswith("sc_"):
+                out[i] = draw(counters)
         return out
     return row()
 
@@ -185,15 +195,22 @@ KERNELS = [
 ]
 
 
+# uniforms in (0, 1], with the least double the tape makes, 2**-53, and 1
+UNIT = st.one_of(st.sampled_from([2.0**-53, 1.0]), st.floats(0.0, 1.0, exclude_min=True))
+
+
+def _uniforms(data, n: int, draws: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(st.lists(UNIT, min_size=draws, max_size=draws),
+                                       min_size=n, max_size=n)),
+                    dtype=np.float64).reshape(n, draws)
+
+
 @pytest.mark.parametrize("kernel, rows", KERNELS, ids=lambda x: getattr(x, "id", ""))
 @settings(max_examples=30)
 @given(data=st.data())
 def test_block_equals_one_row_calls(kernel, rows, data):
     values = np.array(data.draw(st.lists(rows, min_size=1, max_size=12)), dtype=np.float64)
-    unit = st.floats(0.0, 1.0, exclude_min=True)
-    u = np.array(data.draw(st.lists(st.lists(unit, min_size=kernel.draws, max_size=kernel.draws),
-                                    min_size=len(values), max_size=len(values))),
-                 dtype=np.float64).reshape(len(values), kernel.draws)
+    u = _uniforms(data, len(values), kernel.draws)
     before, u_before = values.copy(), u.copy()
     block = kernel.sample_batch(values, u)
     # inputs are not modified: they may be views of a run's block and of the
@@ -238,11 +255,14 @@ SAMPLED = [
     (KERNELS[1][0], DataSpace([VarSpec("x", 0.0, 3.0, values=(0.0, 1.0, 2.0, 3.0)),
                                VarSpec("y", 0.0, 1.0, values=(0.0, 1.0))]), KERNELS[1][1]),
     (KERNELS[2][0], tanks_space(KERNELS[2][0].params), KERNELS[2][1]),
+    (KERNELS[3][0], KERNELS[3][0].space, KERNELS[3][1]),
+    (ENGINE_SINGLE, ENGINE_SINGLE.space, KERNELS[4][1]),
     (ENGINE_DUAL, ENGINE_DUAL.space, KERNELS[5][1]),
 ]
 
 
-@pytest.mark.parametrize("kernel, space, rows", SAMPLED, ids=lambda x: getattr(x, "id", ""))
+@pytest.mark.parametrize("kernel, space, rows", SAMPLED, ids=[
+    "signed-zeros--", "toy-climb--", "three-tanks--", "three-tanks-2", "engine-single", "engine--"])
 @settings(max_examples=30)
 @given(data=st.data())
 def test_sample_equals_a_one_row_advance(kernel, space, rows, data):
@@ -252,6 +272,71 @@ def test_sample_equals_a_one_row_advance(kernel, space, rows, data):
     u = uniforms(seed, 1, kernel.draws)
     want = kernel.advance(np.array([row], dtype=np.float64), u, space)[0]
     assert np.array(got.values).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Declared clamps: the built-in kernels clamp only what a step can move out
+# ---------------------------------------------------------------------------
+
+
+def _attacked(dual: bool, kind: str):
+    attack = {"act": AttackConfig("act", "L", ac=1.8), "sen": AttackConfig("sen", "L", tf=0.4),
+              "saw": AttackConfig("saw", "L", tf=0.4, awml=1000)}[kind]
+    env = ENGINE_DUAL if dual else ENGINE_SINGLE
+    return engine_system(env.params, (attack,), dual=dual), KERNELS[5 if dual else 4][1]
+
+
+DECLARED = [
+    (tanks_configuration(KERNELS[2][0].params), KERNELS[2][1]),
+    (tanks_configuration(KERNELS[3][0].params), KERNELS[3][1]),
+] + [_attacked(dual, kind) for dual in (False, True) for kind in ("act", "sen", "saw")]
+
+
+@pytest.mark.parametrize("config, rows", DECLARED, ids=["tanks-1", "tanks-2"] + [
+    f"{engines}-{kind}" for engines in ("single", "dual") for kind in ("act", "sen", "saw")])
+@settings(max_examples=40, phases=NO_SHRINK)
+@given(data=st.data(), order=st.sampled_from("CF"))
+def test_a_declared_clamp_equals_the_full_clamp(config, rows, data, order):
+    # bit for bit and in layout, on the configuration's own space, which is
+    # the kernel's (so the identity test takes the declared path)
+    env, space = config.env, config.space
+    assert env.clamped is not None and space is env.space
+    values = block(data.draw(st.lists(rows, min_size=1, max_size=12)), order)
+    u = _uniforms(data, len(values), env.draws)
+    got = env.advance(values, u, space)
+    want = space.clamp_batch(env.sample_batch(values, u), values)
+    flags = lambda a: (a.flags.c_contiguous, a.flags.f_contiguous)
+    assert flags(got) == flags(want)
+    assert got.tobytes() == want.tobytes()
+    for r in range(len(values)):  # a one-row block is a row of the block
+        one = env.advance(values[r:r + 1], u[r:r + 1], space)
+        assert one.tobytes() == got[r:r + 1].tobytes()
+
+
+def test_only_the_declaring_kernels_skip_the_full_clamp():
+    class Stepped(ThreeTanksEnv):
+        def sample_batch(self, values, u):
+            return super().sample_batch(values, u)
+
+    class Same(ThreeTanksEnv):
+        pass
+
+    assert IdentityKernel().clamped is None and toy_kernel().clamped is None
+    assert Stepped(ThreeTanksParams()).clamped is None  # its own step, undeclared
+    assert Same(ThreeTanksParams()).clamped == ("l1", "l2", "l3")
+    assert ENGINE_SINGLE.clamped == ("temp_L", "sc_L", "cs")
+    assert ENGINE_DUAL.clamped == ("temp_L", "sc_L", "temp_R", "sc_R", "cs", "fn", "fp")
+
+
+def test_another_space_takes_the_full_clamp():
+    # narrower levels than the kernel's own: q2 lands outside [0, 2] too
+    env = ThreeTanksEnv(ThreeTanksParams())
+    other = DataSpace([VarSpec(n, 0.0, 2.0) for n in ("q1", "q2", "q3", "l1", "l2", "l3")])
+    values = np.full((4, 6), 1.0)
+    u = np.array([[0.1, 0.2], [0.9, 0.4], [1.0, 1.0], [2.0**-53, 0.5]])
+    got = env.advance(values, u, other)
+    assert got.tobytes() == other.clamp_batch(env.sample_batch(values, u), values).tobytes()
+    assert (got[:, 1] <= 2.0).all()
 
 
 # ---------------------------------------------------------------------------

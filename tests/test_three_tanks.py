@@ -36,6 +36,22 @@ class TestParams:
         with pytest.raises(DataValidationError):
             ThreeTanksParams(scenario=3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("q_med", math.nan), ("delta_q", math.inf), ("dt", math.inf), ("l_max", math.inf),
+        ("a", -math.inf), ("g", math.nan)])
+    def test_a_non_finite_parameter_is_rejected(self, field, value):
+        # the kernel's no-NaN proof rests on finite parameters; dt = inf
+        # made l2 NaN at step 0
+        with pytest.raises(DataValidationError, match=f"must be finite: {field}"):
+            ThreeTanksParams(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [
+        dict(a=1e200, a12=1e200), dict(l_min=-1e308, l_max=1e308, l_goal=0.0), dict(g=-1.0)])
+    def test_an_unbounded_flow_is_rejected(self, overrides):
+        # a flow of inf - inf, or 0 * inf, would make a level NaN
+        with pytest.raises(DataValidationError):
+            ThreeTanksParams(**overrides)
+
 
 def env_step(params, values, u) -> np.ndarray:
     """One tanks kernel row on explicit uniforms (u1, u2) of the inflow draw."""
