@@ -137,11 +137,18 @@ def _penalty(args, field: str = "penalty"):
 
 
 def _resolve_steps(args) -> None:
-    """--steps defaults to the horizon of --obs-times; one of them is required."""
+    """--steps defaults to the horizon of --obs-times; one of them is
+    required, and --steps may not stop before the last observation time."""
     if args.steps is None and not args.obs_times:
         raise PreconditionError(f"{args.command} needs --steps or --obs-times")
+    if not args.obs_times:
+        return
+    horizon = ObservationTimes.parse(args.obs_times).horizon
     if args.steps is None:
-        args.steps = ObservationTimes.parse(args.obs_times).horizon
+        args.steps = horizon
+    elif args.steps < horizon:
+        raise PreconditionError(
+            f"--steps {args.steps} stops before the last --obs-times step {horizon}")
 
 
 def _obs(args) -> ObservationTimes:
@@ -372,6 +379,11 @@ def _add_perturb_flags(p: argparse.ArgumentParser) -> None:
                    help="'all', a comma list of variables, or 'saw:SIDE:AWML'")
 
 
+_STEPS_HELP = ("horizon: the observation times are 0..STEPS when --obs-times is not "
+               "given; with it, STEPS may not be below the last observation time, and a "
+               "larger value changes nothing, since runs stop there (default: that time)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="evometric",
@@ -392,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="evolution metric between two configurations")
     _add_common(p, steps=False, samples=True)
-    p.add_argument("--steps", type=int, default=None,
-                   help="horizon (defaults to max observation time)")
+    p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
     p.add_argument("--model2", default="", help="second model id (default: same)")
     p.add_argument("--params2", default="", help="second configuration parameters")
     p.add_argument("--init2", default="", help="second initial-state overrides")
@@ -411,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=hlp)
         _add_common(p, steps=False, samples=True)
-        p.add_argument("--steps", type=int, default=None,
-                       help="horizon (defaults to max observation time)")
+        p.add_argument("--steps", type=int, default=None, help=_STEPS_HELP)
         _add_metric_flags(p)
         _add_perturb_flags(p)
         if name == "robustness":
@@ -440,6 +450,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "estimate":

@@ -22,9 +22,15 @@ per run:
   selects, which applies the writes of every term in effect order (in a
   synchronous composition the right operand's write wins); the terms that
   write the same select tree share one control-id mask;
-* each row gets an outcome index (its term's offset plus the outcome of the
-  guards that decide the continuation), and one gather over it gives the
-  next control ids.
+* the next control ids are one gather from a table built at compile time,
+  indexed by control id and the packed bits of the guards that decide the
+  continuation (every guard is computed on every row anyway).  Guards read
+  by the most terms are packed into every term's segment, as long as the
+  table fits in ``_MAX_TABLE`` entries; the rest add a per-term weight, so
+  a term's segment spans only the guards it reads itself.  No gather is
+  emitted when every term keeps its own id or all move on to one id;
+* a select between two constants is a gather from a 2-entry table, and
+  every lookup table is read with ``take``.
 
 A range analysis runs once per expression, when the compiler builds it
 (interval abstract interpretation, Cousot and Cousot, POPL 1977).  Every
@@ -53,9 +59,13 @@ report the same run, step and message.
 The compiler declines with :class:`PreconditionError` and a reason when a
 reachable step is not a Dirac by construction, when a ``Call`` is undefined
 or recursion is unguarded, when a constant is not a float, when the table
-or one step outgrows ``_MAX_TERMS``, or when an initial data state of the
-block is not admissible.  Programs are cached per (process, definitions,
-data space), compared bit for bit.
+or one step outgrows ``_MAX_TERMS``, when the table of next control ids
+outgrows ``_MAX_TABLE`` (as it does for a term whose continuation turns
+on 20 or more guards), or when an initial data state of the block is not admissible.
+Programs are cached per (process, definitions, data space), compared bit
+for bit.  The key of the objects a recent call passed is found by their
+identity, without walking them again; a definitions dict changed in place
+gets a new key.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import fields, is_dataclass
 from typing import NamedTuple
 
@@ -94,6 +105,8 @@ __all__ = ["Program", "program"]
 _MAX_TERMS = 4096
 # (process, definitions, space) triples whose program or decline is kept
 _CACHE_SIZE = 32
+# entries of the table of next control ids
+_MAX_TABLE = 1 << 20
 # finite value sets the range analysis keeps track of
 _MAX_VALUES = 64
 
@@ -106,7 +119,7 @@ def program(c, data=None) -> "Program":
     data space; raises :class:`PreconditionError` with the reason when the
     process cannot be compiled or an initial data state is not admissible.
     The initial data states are ``data``, by default ``c.data`` alone."""
-    got = _compile(_Source(c.process, c.defs, c.space))
+    got = _compile(_source(c.process, c.defs, c.space))
     if isinstance(got, str):
         raise PreconditionError(got)
     for d in (c.data,) if data is None else data:
@@ -115,6 +128,37 @@ def program(c, data=None) -> "Program":
                 raise PreconditionError(
                     f"the initial value {v!r} of {spec.name!r} is not admissible")
     return got
+
+
+class _Recent(NamedTuple):
+    src: "_Source"
+    names: tuple  # the keys of ``src.defs`` when ``src`` was made
+    bodies: tuple  # and its values, compared by identity
+
+
+# (id(process), id(defs), id(space)) -> _Recent; an entry keeps its objects
+# alive, so no other object takes their ids while it is kept
+_recent: dict = {}
+_recent_lock = threading.Lock()
+
+
+def _source(process, defs, space) -> "_Source":
+    """The cache key of (process, definitions, space).  The key of objects
+    passed by a recent call is reused without walking them again: the terms
+    and the space are immutable, and ``defs`` must still hold the same
+    bodies under the same names."""
+    ids = id(process), id(defs), id(space)
+    with _recent_lock:
+        hit = _recent.get(ids)
+    if hit is not None and hit.names == tuple(defs) and all(
+            map(operator.is_, hit.bodies, defs.values())):
+        return hit.src
+    src = _Source(process, defs, space)
+    with _recent_lock:
+        if len(_recent) >= _CACHE_SIZE:
+            del _recent[next(iter(_recent))]
+        _recent[ids] = _Recent(src, tuple(defs), tuple(defs.values()))
+    return src
 
 
 class _Source:
@@ -517,7 +561,7 @@ class _Lowering:
                     "logical_or": np.logical_or, "logical_not": np.logical_not,
                     "sqrt": np.sqrt, "absolute": np.absolute,
                     "minimum": np.minimum, "maximum": np.maximum, "negative": np.negative,
-                    "isnan": np.isnan, "zeros": np.zeros, "float64": np.float64,
+                    "isnan": np.isnan, "zeros": np.zeros, "full": np.full, "float64": np.float64,
                     "clamp": clamp_array}
         self.fail_sources: list[str] = []
         self.tallies: list[str] = []
@@ -584,6 +628,9 @@ class _Lowering:
         if op == "not":
             return f"logical_not({self.truth(a[0])})"
         if op == "ite":  # all three arguments are evaluated, as in the interpreter
+            k = [self.instrs[j] for j in a]
+            if k[0].op != "const" and k[1].op == k[2].op == "const":
+                return self._pick(self.truth(a[0]), k[1].arg, k[2].arg)
             arm = self.value if ins.is_bool else self.num
             return f"where({self.truth(a[0])}, {arm(a[1])}, {arm(a[2])})"
         x = [self.num(j) for j in a]
@@ -620,6 +667,11 @@ class _Lowering:
                       if not _boolean(self.instrs[j])]
         return " | ".join(parts)
 
+    def _pick(self, mask: str, then: float, other: float) -> str:
+        """``where(mask, then, other)`` of two constants: a gather from a
+        2-entry table, which a bool mask indexes as 0 and 1."""
+        return f"{self._global(np.array([other, then]), 'T')}.take({mask})"
+
     def not_boolean(self, i: int) -> str:
         """Rows where instruction i is neither 0 nor 1."""
         return f"logical_not({self.truth(i)} | {self.falsity(i)})"
@@ -634,7 +686,7 @@ class _Lowering:
             return self._name(("ctrl", terms), "m", lambda: f"ctrl == {terms[0]}")
         table = np.zeros(len(self.steps), dtype=bool)
         table[list(terms)] = True
-        return self._name(("ctrl", terms), "m", lambda: f"{self._global(table, 'M')}[ctrl]")
+        return self._name(("ctrl", terms), "m", lambda: f"{self._global(table, 'M')}.take(ctrl)")
 
     def reach(self, terms: tuple, path: tuple) -> str | None:
         """Rows of ``terms`` whose guards follow ``path``, (guard, taken) pairs."""
@@ -710,11 +762,19 @@ class _Lowering:
         ins = self.instrs[i]
         spec = self.space.vars[col]
         if ins.op == "const":
-            return self._global(spec.clamp(ins.arg) if ins.arg == ins.arg else 0.0, "k")
+            return self._global(self.constant(i, col), "k")
         if ins.op == "fail" or _clamp_idle(ins, spec):
             return self.num(i)
         return self._name(("clamp", i, col), "w",
                           lambda: f"clamp({self.num(i)}, {self._global(spec, 'S')})")
+
+    def constant(self, i: int, col: int) -> float | None:
+        """The value constant instruction i writes to ``col`` (a NaN fails,
+        so any value stands for it); None when i is not a constant."""
+        arg = self.instrs[i].arg
+        if self.instrs[i].op != "const":
+            return None
+        return self.space.vars[col].clamp(arg) if arg == arg else 0.0
 
     def column(self, col: int, node):
         """The select tree of ``col`` in one term's step: None keeps the
@@ -737,26 +797,39 @@ class _Lowering:
         if tree[0] == "v":
             return self.written(tree[1], col)
         _, g, a, b = tree
+        if a is not None and b is not None and a[0] == b[0] == "v":
+            then, other = self.constant(a[1], col), self.constant(b[1], col)
+            if then is not None and other is not None:
+                return self._pick(self.truth(g), then, other)
         return f"where({self.truth(g)}, {self.select(col, a)}, {self.select(col, b)})"
 
     def pre(self, col: int) -> str:
         """The pre-step values of a column."""
         return self._name(("col", col), "c", lambda: f"v[:, {col}]")
 
-    def route(self, r) -> str | int:
-        """The outcome index of a step's rows within its term: an int where
-        it is the same on every row."""
-        kind = r[0]
-        if kind == "c":
-            return r[1]
-        if kind == "+":
-            return _plus(self.route(r[1]), r[2])
-        if kind == "s":
-            a = self.route(r[1])
-            a = a * r[2] if isinstance(a, int) else a if r[2] == 1 else f"{a} * {r[2]}"
-            return _plus(a, self.route(r[3]))
-        return self._name(("route", r), "o", lambda: (
-            f"where({self.truth(r[1])}, {self.route(r[2])}, {self.route(r[3])})"))
+    def lower_next_ids(self, nx: _NextIds) -> None:
+        """Emits ``nxt``, the next control ids: one gather from the table,
+        or none where every term keeps its id or all move on to one."""
+        table, index = nx.table, "ctrl"
+        if nx.private:
+            self.lines.append(f"i = {self._global(nx.base, 'B')}.take(ctrl)")
+            for g, w in nx.private.items():
+                bit = self.truth(g)
+                self.lines.append(f"i += {self._global(w, 'W')}.take(ctrl) * {bit}")
+            index = "i"
+        for g in nx.shared:
+            bit = self.truth(g)
+            self.lines.append("i = ctrl * 2" if index == "ctrl" else "i *= 2")
+            self.lines.append(f"i += {bit}")
+            index = "i"
+        if index == "i":
+            self.lines.append(f"nxt = {self._global(table, 'N')}.take(i)")
+        elif (table == np.arange(len(table))).all():  # every term keeps its own id
+            self.lines.append("nxt = ctrl")
+        elif (table == table[0]).all():  # every term moves on to one id
+            self.lines.append(f"nxt = full(len(ctrl), {table[0]})")
+        else:
+            self.lines.append(f"nxt = {self._global(table, 'N')}.take(ctrl)")
 
     # -- the step ------------------------------------------------------------
 
@@ -785,18 +858,7 @@ class _Lowering:
                 selects.append(f"p = where({rows}, {self.select(col, tree)}, p)")
             selects.append(f"post[:, {col}] = p")
 
-        offsets = np.cumsum([0] + [len(s.next_ids) for s in steps[:-1]])
-        next_ids = np.concatenate([s.next_ids for s in steps]).astype(np.intp)
-        routes = [self.route(step.route) for step in steps]
-        table = offsets + [r if isinstance(r, int) else 0 for r in routes]
-        if all(isinstance(r, int) for r in routes):
-            self.lines.append(f"nxt = {self._global(next_ids[table], 'N')}[ctrl]")
-        else:
-            self.lines.append(f"i = {self._global(table, 'O')}[ctrl]")
-            for tid, r in enumerate(routes):
-                if not isinstance(r, int):
-                    self.lines.append(f"i = i + where({self.members((tid,))}, {r}, 0)")
-            self.lines.append(f"nxt = {self._global(next_ids, 'N')}[i]")
+        self.lower_next_ids(_next_ids(steps))
 
         body = self.lines
         if self.fail_sources:
@@ -816,13 +878,69 @@ class _Lowering:
         return self.env["step"], source
 
 
-def _plus(a, b):
-    """The outcome index ``a + b``, folded where either is an int."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    if b == 0 or a == 0:
-        return a if b == 0 else b
-    return f"({a} + {b})"
+class _NextIds(NamedTuple):
+    """The next control id of a row is ``table[i]``, at
+    ``i = (base[ctrl] + sum of private[g][ctrl] over the private guards g
+    that hold) * 2**len(shared) + the bits of the shared guards``, the
+    first shared guard highest."""
+
+    table: np.ndarray
+    base: np.ndarray
+    private: dict  # guard -> weight of each control id (0: its term does not read it)
+    shared: list
+
+
+def _next_ids(steps: list) -> _NextIds:
+    """The table of next control ids over the guards that decide some
+    term's continuation.  Guards read by the most terms are shared by every
+    term's segment while the table fits in ``_MAX_TABLE`` entries; a term's
+    segment spans only the private guards it reads itself.  Raises
+    :class:`PreconditionError` when no split fits."""
+    reads = [_route_guards(step.route) for step in steps]
+    union = sorted(set().union(*reads), key=lambda g: (-sum(g in r for r in reads), g))
+    for k in range(len(union), -1, -1):
+        shared = union[:k]
+        private = [sorted(r.difference(shared)) for r in reads]
+        sizes = [1 << len(p) for p in private]
+        if sum(sizes) << k <= _MAX_TABLE:
+            break
+    else:
+        raise PreconditionError(f"the next control ids of {len(steps)} terms need more "
+                                f"than {_MAX_TABLE} table entries")
+    base = np.cumsum([0] + sizes[:-1])
+    weights = {g: np.zeros(len(steps), dtype=np.intp) for p in private for g in p}
+    table = []
+    for tid, (step, own) in enumerate(zip(steps, private)):
+        order = own + shared  # the bits of the term's segment, highest first
+        combos = np.arange(1 << len(order))
+        bits = {g: combos >> (len(order) - 1 - j) & 1 == 1 for j, g in enumerate(order)}
+        for j, g in enumerate(own):
+            weights[g][tid] = 1 << (len(own) - 1 - j)
+        table.append(np.broadcast_to(step.next_ids[_outcome(step.route, bits)], combos.shape))
+    return _NextIds(np.concatenate(table).astype(np.intp), base, weights, shared)
+
+
+def _route_guards(r) -> set:
+    kind = r[0]
+    if kind == "c":
+        return set()
+    if kind == "+":
+        return _route_guards(r[1])
+    if kind == "s":
+        return _route_guards(r[1]) | _route_guards(r[3])
+    return {r[1]} | _route_guards(r[2]) | _route_guards(r[3])
+
+
+def _outcome(r, bits: dict):
+    """The outcome index of a route at every combination of guard bits."""
+    kind = r[0]
+    if kind == "c":
+        return r[1]
+    if kind == "+":
+        return _outcome(r[1], bits) + r[2]
+    if kind == "s":
+        return _outcome(r[1], bits) * r[2] + _outcome(r[3], bits)
+    return np.where(bits[r[1]], _outcome(r[2], bits), _outcome(r[3], bits))
 
 
 def _over(top, under):

@@ -38,11 +38,13 @@ variable is written (its column is a copy of its input), and that no entry
 is NaN.  On blocks of that space, :meth:`EnvironmentEvolution.advance` and
 :meth:`EnvironmentEvolution.sample` then clamp only the declared columns,
 in place in the result and with the same maximum-then-minimum as
-:meth:`DataSpace.clamp_batch`, so every bit is the same; the NaN check and
-the finite-set compare are skipped, since the promise says neither can
-fire.  A kernel without a declaration (``None``, the default, inherited
-anew by every subclass that overrides ``sample_batch``) and a block of any
-other space get the full ``clamp_batch``.
+:meth:`DataSpace.clamp_batch`, so every bit is the same.  Adjacent declared
+columns with the same bounds (the tank levels l1..l3) take one maximum and
+one minimum over their 2-D slice, and a lone column stays 1-D.  The NaN
+check and the finite-set compare are skipped, since the promise says
+neither can fire.  A kernel without a declaration (``None``, the default,
+inherited anew by every subclass that overrides ``sample_batch``) and a
+block of any other space get the full ``clamp_batch``.
 
 Measurability of ``d -> E(d)(B)`` is a modelling obligation and is not
 checked at run time.
@@ -137,28 +139,34 @@ class EnvironmentEvolution:
         own = self._clamp_columns
         if own is None or (space is not own[0] and space != own[0]):
             return space.clamp_batch(raw, values)
-        for j, lower, upper in own[1]:
-            col = raw[:, j]
-            np.maximum(col, lower, out=col)  # max then min, as clamp_batch
-            np.minimum(col, upper, out=col)
+        for cols, lower, upper in own[1]:
+            block = raw[:, cols]
+            np.maximum(block, lower, out=block)  # max then min, as clamp_batch
+            np.minimum(block, upper, out=block)
         return raw
 
     @functools.cached_property
     def _clamp_columns(self) -> tuple[DataSpace, list] | None:
-        """The kernel's own space and (column, lower, upper) of each
-        declared variable, or None without a declaration."""
+        """The kernel's own space and (columns, lower, upper) of each run of
+        adjacent declared variables with the same bounds, bit for bit, or
+        None without a declaration.  The columns of a run are a slice, those
+        of a lone variable its index, so that its block stays 1-D."""
         if self.clamped is None:
             return None
         space = self.space
-        columns = []
-        for name in self.clamped:
-            j = space.index(name)
+        runs = []  # [first column, end column, lower, upper, bounds' bits]
+        for j in sorted(map(space.index, self.clamped)):
             spec = space.vars[j]
             if spec.is_finite:
                 raise StructuralError(
-                    f"kernel {self.id!r} declares finite-set variable {name!r} clamped")
-            columns.append((j, spec.lower, spec.upper))
-        return space, columns
+                    f"kernel {self.id!r} declares finite-set variable {spec.name!r} clamped")
+            bits = float(spec.lower).hex(), float(spec.upper).hex()
+            if runs and runs[-1][1] == j and runs[-1][4] == bits:
+                runs[-1][1] = j + 1
+            else:
+                runs.append([j, j + 1, spec.lower, spec.upper, bits])
+        return space, [(a if b == a + 1 else slice(a, b), lower, upper)
+                       for a, b, lower, upper, _ in runs]
 
     def _successors(self, values: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = self.sample_batch(values, u)

@@ -9,13 +9,14 @@ of an estimate in vectorized folds (:func:`_fold_in_many`) with the same
 arithmetic, and :class:`UniformTape` reads its runs' keys from that table.
 
 A stream is a pure function of (key, counter): word ``j`` of the stream is
-word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  Every word,
-scalar or on a tape, comes from :func:`_philox_words`, which moves its
-thread's one numpy Philox bit generator to the (key, counter) asked for; no
-entropy is gathered.  A word ``x`` becomes the uniform
-``1 - (x >> 11) * 2**-53`` in (0, 1], numpy's ``Generator.random`` rule
-reflected, so draw ``j`` equals ``1 - Generator(Philox(key=k)).random()``
-at position ``j``.
+word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  Every
+uniform, scalar or on a tape, comes from :func:`_philox_words`, which moves
+the Philox bit generator of its thread's one numpy ``Generator`` to the
+(key, counter) asked for (no entropy is gathered) and lets
+``Generator.random`` turn each word ``x`` into ``(x >> 11) * 2**-53``.  One
+subtraction per block reflects that into ``1 - (x >> 11) * 2**-53`` in
+(0, 1], so draw ``j`` equals ``1 - Generator(Philox(key=k)).random()`` at
+position ``j``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ _MIX2 = 0x94D049BB133111EB
 # many streams (one sim_step, a short run) draw a few uniforms and no more
 _BLOCK = 256
 _FIRST_BLOCK = 16
-_TWO_M53 = 2.0 ** -53
 _PHILOX_WORDS = 4  # 64-bit words per Philox4x64 block
-_TAPE_ROWS = 128   # runs per block of tape words; 64 made its transposing copy dearer
+_TAPE_ROWS = 128   # runs per block of tape uniforms; 64 made its transposing copy dearer
 TAPE_CHUNK_STEPS = 256  # longest UniformTape chunk
 
 
@@ -87,21 +87,24 @@ def tape_chunk(steps: int) -> int:
     return max(1, min(TAPE_CHUNK_STEPS, steps))
 
 
-_local = threading.local()  # each thread's one Philox bit generator
+_local = threading.local()  # each thread's one numpy Generator over a Philox bit generator
 
 
 def _philox_words(keys, first: int, out: np.ndarray) -> np.ndarray:
-    """Words ``first ..`` of the stream of each key in ``keys`` into the
-    rows of the uint64 array ``out``, which it returns.  The thread's bit
-    generator is made on first use, so importing this module does not
-    import ``numpy.random``.  A ``first`` inside a Philox block regenerates
-    that block and skips the words before ``first``."""
+    """The uniforms of words ``first ..`` of the stream of each key in
+    ``keys``, into the rows of the float64 array ``out``, which it returns.
+    Each row is ``Generator.random`` of its words, and the block is then
+    reflected into (0, 1].  The thread's generator is made on first use, so
+    importing this module does not import ``numpy.random``.  A ``first``
+    inside a Philox block regenerates that block and skips the words before
+    ``first``."""
     try:
-        bitgen = _local.bitgen
+        gen = _local.gen
     except AttributeError:
-        from numpy.random import Philox
+        from numpy.random import Generator, Philox
 
-        bitgen = _local.bitgen = Philox(0)  # a fixed seed: no entropy is gathered
+        gen = _local.gen = Generator(Philox(0))  # a fixed seed: no entropy is gathered
+    bitgen = gen.bit_generator
     counter, skip = divmod(first, _PHILOX_WORDS)
     position = {"counter": [counter, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": position, "buffer": [0, 0, 0, 0],
@@ -111,18 +114,8 @@ def _philox_words(keys, first: int, out: np.ndarray) -> np.ndarray:
         bitgen.state = state
         if skip:
             bitgen.random_raw(skip)
-        row[:] = bitgen.random_raw(len(row))
-    return out
-
-
-def _uniforms01(raw: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1] from raw words, ``1 - (x >> 11) * 2**-53``: numpy's
-    ``Generator.random`` rule, reflected.  Converts ``raw`` in place and
-    returns its memory viewed as float64."""
-    u = raw.view(np.float64)
-    np.right_shift(raw, np.uint64(11), out=raw)
-    np.multiply(raw, _TWO_M53, out=u)
-    return np.subtract(1.0, u, out=u)
+        gen.random(out=row)
+    return np.subtract(1.0, out, out=out)
 
 
 class RandomStream:
@@ -159,8 +152,7 @@ class RandomStream:
         """Uniform double in (0, 1]."""
         if self._pos >= len(self._buf):
             size = _BLOCK if self._words else _FIRST_BLOCK
-            raw = _philox_words((self.key,), self._words, np.empty((1, size), dtype=np.uint64))
-            self._buf = _uniforms01(raw[0]).tolist()
+            self._buf = _philox_words((self.key,), self._words, np.empty((1, size)))[0].tolist()
             self._words += size
             self._pos = 0
         u = self._buf[self._pos]
@@ -190,8 +182,8 @@ class UniformTape:
 
     Draws are made ``tape_chunk(steps)`` steps at a time, so a horizon
     shorter than a chunk draws only the steps it uses, into a new
-    draw-major (steps, draws, n_runs) buffer, ``_TAPE_ROWS`` runs' words at
-    a time from :func:`_philox_words` on the thread's one generator.
+    draw-major (steps, draws, n_runs) buffer, ``_TAPE_ROWS`` runs' uniforms
+    at a time from :func:`_philox_words` on the thread's one generator.
     """
 
     def __init__(self, keys, n_runs: int, draws_per_step: int, steps: int):
@@ -208,11 +200,11 @@ class UniformTape:
         n, steps, draws = len(self._keys), self._chunk, self._draws
         self._buf = None  # the drawn chunk is not held while the next is drawn
         buf = np.empty((steps, draws, n), dtype=np.float64)
-        raw = np.empty((min(n, _TAPE_ROWS), steps * draws), dtype=np.uint64)
+        rows_buf = np.empty((min(n, _TAPE_ROWS), steps * draws))
         for lo in range(0, n, _TAPE_ROWS):
             keys = self._keys[lo:lo + _TAPE_ROWS]
             rows = len(keys)
-            u = _uniforms01(_philox_words(keys, self._words, raw[:rows]))
+            u = _philox_words(keys, self._words, rows_buf[:rows])
             buf[:, :, lo:lo + rows] = u.reshape(rows, steps, draws).transpose(1, 2, 0)
         self._buf = buf
         self._words += steps * draws

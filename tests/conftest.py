@@ -13,8 +13,12 @@ from evometric.process import Call, Const, If, Interleave, Op, PChoice, Prefix, 
 from evometric.rng import RandomStream
 
 # property tests draw the same examples on every run and leave no example
-# database behind; simulation-backed examples have no per-example deadline
+# database behind; simulation-backed examples have no per-example deadline.
+# "evometric-random" draws new examples on every run, for scheduled jobs:
+# pass --hypothesis-profile evometric-random
 settings.register_profile("evometric", derandomize=True, database=None, deadline=None)
+settings.register_profile("evometric-random", settings.get_profile("evometric"),
+                          derandomize=False)
 settings.load_profile("evometric")
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()

@@ -261,6 +261,34 @@ ADAPTABILITY = ["adaptability", "--model", "three-tanks", "--init", '{"l1": 5, "
                 "--samples", "20", "--scale", "2", "--variations", "3", "--seed", "4"]
 
 
+RELIABILITY = ["reliability"] + ADAPTABILITY[1:7] + ADAPTABILITY[9:]
+
+
+class TestHorizonAndThreads:
+    @pytest.mark.parametrize("argv, message", [
+        (ADAPTABILITY + ["--steps", "3"], "--steps 3 stops before the last --obs-times step 8"),
+        (DISTANCE + ["--steps", "10", "--obs-times", "0..20"],
+         "--steps 10 stops before the last --obs-times step 20"),
+        (ROBUSTNESS + ["--steps", "9"], "--steps 9 stops before the last --obs-times step 10"),
+        (RELIABILITY + ["--steps", "7"],
+         "--steps 7 stops before the last --obs-times step 8"),
+        (SIMULATE_TANKS + ["--threads", "0"], "--threads must be at least 1, got 0"),
+        (DISTANCE + ["--obs-times", "0..5", "--threads", "-2"],
+         "--threads must be at least 1, got -2"),
+    ], ids=["adaptability", "distance", "robustness", "reliability", "threads-0", "threads-neg"])
+    def test_exits_2_with_an_error_line(self, argv, message, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_steps_past_the_last_observation_time_change_nothing(self, tmp_path):
+        files = []
+        for steps in ([], ["--steps", "8"], ["--steps", "30"]):
+            out = tmp_path / str(len(files))
+            assert run(DISTANCE + ["--obs-times", "0..8", "--out", str(out)] + steps) == 0
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(files[0]) == 2 and files[1] == files[0] and files[2] == files[0]
+
+
 class TestNoFastPath:
     """--no-fast-path runs the interpreter, and the files it writes are those
     of the fast path, whose base shares the first candidate's block here

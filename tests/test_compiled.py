@@ -112,24 +112,32 @@ values = st.one_of(numbers, booleans,
 
 
 @st.composite
-def bodies(draw, n_defs, depth):
-    """A definition body: a tree of guards ending in prefixes that call a
-    definition.  Flags whether it compiles: every step it can take is a
-    Dirac, on the arms of an ``If`` the data never take too."""
-    kind = draw(st.sampled_from(["prefix"] * 3 + ["if"] * 2 + ["choice"]) if depth else
-                st.just("prefix"))
+def prefixes(draw, call: int):
+    targets = draw(st.lists(st.sampled_from(NAMES), max_size=3))
+    if draw(st.integers(0, 29)) == 0:
+        targets.append("ghost")  # an unknown variable fails every row writing it
+    exprs = tuple(draw(values) for _ in targets)
+    return Prefix(exprs, tuple(targets), Call(f"D{call}"))
+
+
+@st.composite
+def bodies(draw, calls, depth):
+    """A definition body: a tree of guards ending in prefixes that call one
+    of the definitions ``calls``.  Flags whether it compiles: every step it
+    can take is a Dirac, on the arms of an ``If`` the data never take too.
+    A fork's continuation turns on two or three guards."""
+    kinds = ["prefix"] * 3 + ["if"] * 2 + ["choice"] + ["fork"] * 2 * (depth == 2)
+    kind = draw(st.sampled_from(kinds) if depth else st.just("prefix"))
     if kind == "prefix":
-        targets = draw(st.lists(st.sampled_from(NAMES), max_size=3))
-        if draw(st.integers(0, 29)) == 0:
-            targets.append("ghost")  # an unknown variable fails every row writing it
-        exprs = tuple(draw(values) for _ in targets)
-        return Prefix(exprs, tuple(targets), Call(f"D{draw(st.integers(0, n_defs - 1))}")), True
+        return draw(prefixes(draw(st.sampled_from(calls)))), True
+    if kind == "fork":
+        order = draw(st.permutations(calls))
+        a, b, c, d = (draw(prefixes(order[j % len(order)])) for j in range(4))
+        return If(draw(booleans), If(draw(booleans), a, b), If(draw(booleans), c, d)), True
+    a, dirac_a = draw(bodies(calls, depth - 1))
+    b, dirac_b = draw(bodies(calls, depth - 1))
     if kind == "if":
-        a, dirac_a = draw(bodies(n_defs, depth - 1))
-        b, dirac_b = draw(bodies(n_defs, depth - 1))
         return If(draw(booleans), a, b), dirac_a and dirac_b
-    a, dirac_a = draw(bodies(n_defs, depth - 1))
-    b, dirac_b = draw(bodies(n_defs, depth - 1))
     w = draw(st.sampled_from([1.0, 1.0, 0.0, 0.4]))
     return PChoice(((w, a), (1.0 - w, b))), (dirac_a if w == 1.0 else dirac_b) and w != 0.4
 
@@ -150,12 +158,20 @@ def roots(draw, n_defs):
 
 @st.composite
 def systems(draw, space=SPACE, environments=ENVIRONMENTS):
-    n_defs = draw(st.integers(2, 4))
+    # "own": one definition that calls itself, so the one control term keeps
+    # its id; "shared": a root body that calls it too, so both terms move on
+    # to the same id
+    shape = draw(st.sampled_from(["any"] * 6 + ["own", "shared"]))
+    n_defs = draw(st.integers(2, 4)) if shape == "any" else 1
+    calls = list(range(n_defs))
     defs, dirac = {}, True
     for i in range(n_defs):
-        defs[f"D{i}"], ok = draw(bodies(n_defs, 2))
+        defs[f"D{i}"], ok = draw(bodies(calls, 2))
         dirac = dirac and ok
-    root, ok = draw(roots(n_defs))
+    if shape == "any":
+        root, ok = draw(roots(n_defs))
+    else:
+        root, ok = (Call("D0"), True) if shape == "own" else draw(bodies(calls, 2))
     c = Configuration(root, draw(data_states(space)), draw(st.sampled_from(environments)), defs)
     return c, dirac and ok
 
@@ -246,6 +262,14 @@ def _toggles(n):
     return root, defs
 
 
+def _ladder(n):
+    # one term whose continuation turns on n guards, one rung at a time
+    body = tick(Call("T"))
+    for j in reversed(range(n)):
+        body = If(Op(">", (Var("x"), Const(j / n))), tick(Call(f"L{j}")), body)
+    return Call("T"), {"T": body} | {f"L{j}": tick(Call("T")) for j in range(n)}
+
+
 a = Prefix((Const(1.0),), ("x",), Call("Loop"))
 b = Prefix((Const(2.0),), ("x",), Call("Loop"))
 
@@ -258,7 +282,9 @@ b = Prefix((Const(2.0),), ("x",), Call("Loop"))
     (Prefix((Const(1),), ("x",), Call("Loop")), _loop(), "constant 1 is not a float"),
     (Call("D0"), _chain(compiled._MAX_TERMS), "more than 4096 control terms"),
     (*_toggles(13), "more than 4096 outcomes"),
-], ids=["choice", "interleaving", "undefined", "unguarded", "int-constant", "table", "outcomes"])
+    (*_ladder(64), "need more than 1048576 table entries"),
+], ids=["choice", "interleaving", "undefined", "unguarded", "int-constant", "table", "outcomes",
+        "next-ids"])
 def test_declines_with_a_reason(process, defs, reason):
     c = Configuration(process, SPACE.state([0.0, 0.0, 0.0, 0.0]), IdentityKernel(), defs)
     with pytest.raises(PreconditionError, match=reason):
@@ -286,6 +312,79 @@ def test_many_terms_that_write_apart_share_one_step():
     fast = _outcome(lambda: estimate(c, 40, 20, 3, use_fast_path=True), True)
     slow = _outcome(lambda: estimate(c, 40, 20, 3, use_fast_path=False), True)
     assert fast == slow
+
+
+def _step_to(call, f=0.5):
+    # Drift redraws y but keeps f, so f tells the steps taken apart
+    return Prefix((Const(f),), ("f",), Call(call))
+
+
+x_above = lambda v: Op(">", (Var("x"), Const(v)))
+NEXT_ID_SHAPES = {
+    # A's continuation turns on three guards and B's on a fourth
+    "guards": (Call("A"), {
+        "A": If(x_above(0.0), If(Op("<", (Var("y"), Const(5.0))), _step_to("A"), _step_to("B")),
+                If(Var("s"), _step_to("B", 2.0), tick(Call("A")))),
+        "B": If(x_above(1.0), _step_to("A", 3.0), tick(Call("B")))}),
+    # the root and A both move on to A
+    "shared": (If(x_above(0.0), _step_to("A"), tick(Call("A"))),
+               {"A": If(x_above(1.0), _step_to("A", 2.0), tick(Call("A")))}),
+    # A is the one term, and keeps its id
+    "own": (Call("A"), {"A": If(x_above(0.0), _step_to("A"), tick(Call("A")))}),
+    # 16 of 17 terms read a guard of their own (S16 moves on to S0 either
+    # way): 17 * 2**16 entries do not fit in the table, so one is private
+    "private": (Call("S0"), {f"S{i}": If(
+        x_above(i / 1024 - 3.9),
+        _step_to(f"S{(i + 1) % 17}", SPACE.vars[2].values[i % 4]),
+        tick(Call("S0"))) for i in range(17)}),
+}
+
+
+@pytest.mark.parametrize("shape, bits, private, nxt", [
+    ("guards", 4, 0, "nxt = N"), ("shared", 0, 0, "nxt = full("), ("own", 0, 0, "nxt = ctrl"),
+    ("private", 16, 1, "nxt = N")])
+def test_the_next_control_ids_take_one_gather_or_none(shape, bits, private, nxt):
+    process, defs = NEXT_ID_SHAPES[shape]
+    c = Configuration(process, SPACE.state([0.0, 0.0, 0.0, 1.0]), Drift(), defs)
+    source = compiled.program(c).source
+    assert source.count("nxt = ") == 1 and nxt in source, source
+    assert source.count("i += ") == bits and source.count(".take(i)") == (bits > 0), source
+    assert source.count(".take(ctrl) * ") == private, source
+    fast = _outcome(lambda: estimate(c, 30, 20, 3, use_fast_path=True), True)
+    slow = _outcome(lambda: estimate(c, 30, 20, 3, use_fast_path=False), True)
+    assert fast == slow
+
+
+def test_a_changed_input_gets_its_own_program():
+    # programs are found by the identity of the process, definitions and
+    # space of a recent call; a change that moves a bit must still miss
+    def after_one_step(c, col):
+        block = start_rows(compiled.program(c), c, 1, 3, 1).step()
+        return np.signbit(block[0, SPACE.index(col)])
+
+    def writes(zero, col="x"):  # x, in [-4, 4], keeps the sign of a zero
+        return Prefix((Const(zero),), (col,), Call("Loop"))
+
+    defs = {"Loop": writes(0.0)}
+    c = Configuration(Call("Loop"), SPACE.state([1.0, 5.0, 0.0, 0.0]), IdentityKernel(), defs)
+    assert compiled.program(c) is compiled.program(c)
+    assert not after_one_step(c, "x")
+    defs["Loop"] = writes(-0.0)  # in place
+    assert after_one_step(c, "x")
+    # processes that differ from the one before only in the sign of a zero
+    for zero in (0.0, -0.0, 0.0):
+        assert after_one_step(replace(c, process=writes(zero)), "x") == np.signbit(zero)
+    # y's lower bound 0.0 clamps -0.0 to 0.0, a bound -0.0 to itself, and a
+    # space that differs only there is == to SPACE
+    c = replace(c, process=writes(-0.0, "y"))
+    assert not after_one_step(c, "y")
+    signed = DataSpace([replace(v, lower=-0.0) if v.name == "y" else v for v in SPACE.vars])
+    assert signed == SPACE
+    assert after_one_step(replace(c, data=DataState(signed, c.data.values)), "y")
+    # an exact copy of the space misses the identity lookup, not the cache
+    copy = DataSpace(SPACE.vars)
+    assert compiled.program(replace(c, data=DataState(copy, c.data.values))) is \
+        compiled.program(c)
 
 
 def test_a_decline_is_logged_with_its_reason(caplog):

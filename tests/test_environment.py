@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,14 +287,44 @@ def _attacked(dual: bool, kind: str):
     return engine_system(env.params, (attack,), dual=dual), KERNELS[5 if dual else 4][1]
 
 
+class Spread(EnvironmentEvolution):
+    """Moves a, b, c and d by up to 3 either way.  a and b are adjacent
+    with the same bounds, so one run clamps both; c's upper bound and d's
+    lower bound differ from their left neighbours', so c and d are clamped
+    alone.  The declaration is out of column order."""
+
+    id = "spread"
+    draws = 1
+    clamped = ("d", "a", "c", "b")
+    space = DataSpace([VarSpec("a", 0.0, 1.0), VarSpec("b", 0.0, 1.0), VarSpec("c", 0.0, 2.0),
+                       VarSpec("d", -1.0, 2.0), VarSpec("e", 0.0, 1.0, values=(0.0, 1.0))])
+
+    def sample_batch(self, values, u):
+        out = values.copy(order="K")
+        out[:, :4] += 6.0 * (u[:, :1] - 0.5)
+        return out
+
+
+SPREAD_ROWS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+                        st.floats(-1.0, 2.0), st.sampled_from([0.0, 1.0])).map(list)
+
+
+def test_adjacent_declared_columns_with_the_same_bounds_are_clamped_together():
+    assert ThreeTanksEnv(ThreeTanksParams())._clamp_columns[1] == [(slice(3, 6), 0.0, 20.0)]
+    assert Spread()._clamp_columns[1] == [
+        (slice(0, 2), 0.0, 1.0), (2, 0.0, 2.0), (3, -1.0, 2.0)]
+
+
 DECLARED = [
     (tanks_configuration(KERNELS[2][0].params), KERNELS[2][1]),
     (tanks_configuration(KERNELS[3][0].params), KERNELS[3][1]),
-] + [_attacked(dual, kind) for dual in (False, True) for kind in ("act", "sen", "saw")]
+] + [_attacked(dual, kind) for dual in (False, True) for kind in ("act", "sen", "saw")] + [
+    (SimpleNamespace(env=Spread(), space=Spread.space), SPREAD_ROWS)]
 
 
 @pytest.mark.parametrize("config, rows", DECLARED, ids=["tanks-1", "tanks-2"] + [
-    f"{engines}-{kind}" for engines in ("single", "dual") for kind in ("act", "sen", "saw")])
+    f"{engines}-{kind}" for engines in ("single", "dual") for kind in ("act", "sen", "saw")] + [
+    "spread"])
 @settings(max_examples=40, phases=NO_SHRINK)
 @given(data=st.data(), order=st.sampled_from("CF"))
 def test_a_declared_clamp_equals_the_full_clamp(config, rows, data, order):
