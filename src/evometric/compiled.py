@@ -988,17 +988,14 @@ class _ProgramRun:
         # column-major, as the lockstep runs: every column is contiguous
         self.vals = np.array(initial, order="F")
         self.ctrl = np.zeros(n, dtype=np.intp)  # the control id of each row
-        if self.env.draws:
-            self.tape = UniformTape(keys, n, self.env.draws, horizon)
-        else:
-            self.tape, self.no_draws = None, np.empty((n, 0))
+        self.tape = UniformTape(keys, n, self.env.draws, horizon)
 
     def current(self) -> np.ndarray:
         return self.vals
 
     def step(self) -> np.ndarray:
         self.post, ctrl, fail, self.clamped = self.prog.run(self.vals, self.ctrl)
-        u = self.tape.next_step() if self.tape else self.no_draws
+        u = self.tape.next_step()
         if fail is not None:
             self._fail(int(fail.argmax()), u)
         if self.clamped:

@@ -22,11 +22,13 @@ failure is reported as the first failing segment reports it alone.  Both
 estimators share one run loop (``_run``), which simulates the table in
 blocks of rows and hands each block's (n, nvars) values at steps 0..k to
 the estimator.  A block is a slice of the table, its rows' keys and
-initial values; a fast-path block holds as many rows as keep its draw
-tape within ``_BLOCK_BYTES``, whatever the horizon.  Any split of the rows
-gives the same bits, whatever the worker count, and so do the three
-execution paths; the first that takes the configuration and the table
-runs it:
+initial values, and reads its rows' streams from one draw tape
+(``rng.UniformTape``) on every path.  One rule sizes the blocks: as many
+rows as keep the tape within ``_BLOCK_BYTES``, whatever the horizon (the
+interpreter splits them further to give each worker a block).  Any split
+of the rows gives the same bits, whatever the worker count, and so do the
+three execution paths; the first that takes the configuration and the
+table runs it:
 
 * a per-model vectorized lockstep simulator attached to the configuration
   (the built-in models' hand-written numpy twins of their terms), in this
@@ -35,8 +37,9 @@ runs it:
   when each of its reachable steps is a Dirac by construction and every
   initial data state is admissible (the compiler lists what it declines);
 * the reference interpreter, which steps the process of each row as
-  ``sim_step`` does, on the stream of the row's key, fanned out over a
-  process pool (``_fan_out``) when threads > 1.
+  ``sim_step`` does, reading the process uniforms of the row's stream from
+  the tape one row at a time, fanned out over a process pool
+  (``_fan_out``) when threads > 1.
 
 Whichever path moves the process, the configuration's one batch kernel
 then steps the whole block (``EnvironmentEvolution.advance``, which also
@@ -57,7 +60,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -69,7 +71,7 @@ from .dataspace import DataSpace, DataState, PenaltyFunction
 from .environment import EnvironmentEvolution
 from .errors import PreconditionError, SimulationError, StructuralError
 from .process import Process, pstep, validate
-from .rng import RandomStream, run_keys, tape_chunk
+from .rng import RandomStream, UniformTape, run_keys, tape_chunk
 
 __all__ = [
     "Configuration",
@@ -142,14 +144,15 @@ def sim_step(c: Configuration, rng: RandomStream) -> Configuration:
     return Configuration(cont, next_data, c.env, c.defs, c.lockstep)
 
 
-def _select(dist, rng: RandomStream) -> tuple:
+def _select(dist, source, *row) -> tuple:
     """(effect, continuation) of the support triple selected by one uniform,
-    which is not drawn for a Dirac: the choice does not depend on it, and the
-    lockstep simulators draw none either."""
+    ``source.uniform01(*row)``: the next of a stream, or of row ``row`` of a
+    draw tape.  It is not drawn for a Dirac: the choice does not depend on
+    it, and the fast paths draw none either."""
     triples = dist.triples
     if len(triples) == 1:
         return triples[0][1:]
-    u = rng.uniform01()
+    u = source.uniform01(*row)
     acc = 0.0
     for triple in triples:
         acc += triple[0]
@@ -243,9 +246,7 @@ def write_json(path, payload: dict) -> None:
 
 # estimate keeps every step of every run; larger arrays are refused
 _MAX_STATE_BYTES = 2e9
-# interpreter runs advanced together (each holds a stream and its buffer)
-_INTERP_ROWS = 256
-# bytes of draw tape a fast-path block may hold: more runs are split over
+# bytes of draw tape a block of runs may hold: more runs are split over
 # several blocks
 _BLOCK_BYTES = 2**25
 
@@ -417,12 +418,15 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     The rows are simulated in blocks of ``c``'s process, definitions and
     environment, each from its own initial values on its own stream, and
     ``fill(steps, dest)`` reduces each block, where ``steps`` yields the
-    block's (n, nvars) values at steps 0..k.  A fast path (the model's
-    lockstep simulator, else the compiled program) drives blocks of at
-    least 64 runs whose draw tape, the one buffer that grows with the
-    horizon, fits ``_BLOCK_BYTES``, in this process.  When ``use_fast_path``
-    is off or both decline the configuration or its initial states, the
-    interpreter runs the blocks, fanned out over ``threads`` workers.
+    block's (n, nvars) values at steps 0..k.  Every path reads its block's
+    draws from one ``UniformTape``, the one buffer that grows with the
+    horizon, and one rule sizes the blocks: at least 64 runs, as many as
+    keep the tape within ``_BLOCK_BYTES``.  A fast path (the model's
+    lockstep simulator, else the compiled program) drives them in this
+    process, and so does the interpreter at ``threads`` <= 1, when
+    ``use_fast_path`` is off or both decline the configuration or its
+    initial states.  At more threads the interpreter's blocks are made
+    smaller where needed to give each worker one, and are fanned out.
 
     ``dest`` is the block's rows of ``hold()``, an array with the run axis
     first, which the call returns.  With a ``consumer``, when a fast path
@@ -441,20 +445,24 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     stream = fast and consumer is not None and N <= rows
     out = None if stream else hold()
     failures = []
-    if fast:
-        _, start, sim = fast
+    if fast or threads <= 1:  # in this process, straight into the rows of out
+        _, start, sim = fast or (None, None, None)
         for lo in range(0, N, rows):
-            if lo:
-                keys, initial = _rows(table, lo, lo + rows)
-                sim = start(c, keys, k, initial)
+            keys, initial = _rows(table, lo, lo + rows)
+            if not fast:
+                steps = _interpret_steps(c, k, keys, initial, lo)
+            else:
+                if lo:
+                    sim = start(c, keys, k, initial)
+                steps = _lockstep_steps(sim, k, lo)
             dest = consumer if stream else out[lo:lo + rows]
-            failures.append(_reduce_block(fill, _lockstep_steps(sim, k, lo), dest))
+            failures.append(_reduce_block(fill, steps, dest))
     else:
-        blocks = _partition(N, max(threads, math.ceil(N / _INTERP_ROWS)))
-        tasks = [(c, k, *_rows(table, b.start, b.stop), b.start, fill, out.shape[1:])
-                 for b in blocks]
-        for b, (part, failure) in zip(blocks, _fan_out(_interpret_block, tasks, threads)):
-            out[b.start:b.stop] = np.moveaxis(part, -1, 0)
+        rows = min(rows, -(-N // threads))  # a block for each worker
+        firsts = range(0, N, rows)
+        tasks = [(c, k, *_rows(table, lo, lo + rows), lo, fill, out.shape[1:]) for lo in firsts]
+        for lo, (part, failure) in zip(firsts, _fan_out(_interpret_block, tasks, threads)):
+            out[lo:lo + rows] = np.moveaxis(part, -1, 0)
             failures.append(failure)
     failures = [f for f in failures if f is not None]
     if failures:
@@ -520,34 +528,34 @@ def _interpret_block(task) -> tuple[np.ndarray, SimulationError | None]:
 
 def _interpret_steps(c: Configuration, k: int, keys, initial: np.ndarray, first: int):
     """Values (n, nvars) at steps 0..k of the table's rows from ``first``
-    on: each starts from its row of ``initial`` and samples from the
-    stream of its key in ``keys`` what ``sim_step`` draws.
+    on: each starts from its row of ``initial`` and reads from the stream
+    of its key in ``keys``, on the block's draw tape, what ``sim_step``
+    draws: a process uniform when its step has more than one triple, then
+    the environment's draws.
 
     Each step moves the process of every run, then the environment of the
     whole block in one kernel call.  A failing step names its least failing
     run: when the process of run r fails, the environment of the runs
     before r is stepped first, and a failure there is the one reported.
     """
-    rngs = [RandomStream(key) for key in zip(*(words.tolist() for words in keys))]
-    n = len(rngs)
-    procs = [c.process] * n
+    n = len(initial)
     env, space, defs = c.env, c.space, c.defs
+    tape = UniformTape(keys, n, env.draws, k)
+    procs = [c.process] * n
     vals = np.array(initial)
     post = np.empty_like(vals)
-    u = np.empty((n, env.draws), order="F")  # one contiguous column per draw, as on the tape
     yield vals
     for i in range(k):
         for r, row in enumerate(vals.tolist()):
             try:
                 d = DataState(space, tuple(row))
-                effect, procs[r] = _select(pstep(procs[r], d, defs), rngs[r])
+                effect, procs[r] = _select(pstep(procs[r], d, defs), tape, r)
                 post[r] = d.update(effect).values
             except Exception as exc:
                 if r:
-                    _advance(env, post[:r], u[:r], space, first, i)
+                    _advance(env, post[:r], tape.next_step()[:r], space, first, i)
                 raise _run_failed(first + r, i, exc) from exc
-            u[r] = [rngs[r].uniform01() for _ in range(env.draws)]
-        vals = _advance(env, post, u, space, first, i)
+        vals = _advance(env, post, tape.next_step(), space, first, i)
         yield vals
 
 
@@ -569,9 +577,3 @@ def _fan_out(fn, tasks: list, threads: int):
         return
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         yield from pool.map(fn, tasks)
-
-
-def _partition(N: int, parts: int) -> list[range]:
-    parts = max(1, min(parts, N))
-    size = math.ceil(N / parts)
-    return [range(lo, min(lo + size, N)) for lo in range(0, N, size)]

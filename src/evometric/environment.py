@@ -14,9 +14,9 @@ A block may be row- or column-major (the lockstep simulators and the
 compiled programs keep their blocks in Fortran order); a kernel may return
 either layout, and the result must not depend on it.
 ``values.copy(order="K")`` keeps the layout it is given.  The uniforms are
-column-major on every path (the draw tape's steps and the interpreter's
-buffer alike), so each column ``u[:, j]`` is contiguous; a kernel must not
-rely on that layout either.
+column-major on every path (every path reads them from a draw tape), so
+each column ``u[:, j]`` is contiguous; a kernel must not rely on that
+layout either.
 
 A kernel runs at every step of every run, on every execution path.  A
 fast one allocates its result once and computes every value with ``out=``
@@ -24,7 +24,7 @@ into that result or into scratch vectors it made itself, since each
 temporary of an array expression costs an allocation and a pass through
 memory.  It never writes into ``values`` or ``u``, not even as scratch:
 they may be views of a run's block, of the draw tape, or of the
-interpreter's reused buffers.  Written so, the tanks kernel costs 29 %
+interpreter's reused buffer.  Written so, the tanks kernel costs 29 %
 less per call at 5000 rows and 17 % less at 100 rows than as array
 expressions (2-core x86, numpy 2.4), with the same bits.
 

@@ -595,10 +595,7 @@ class _EngineRun:
         self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
         self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
         self.t = 0
-        if self.env.draws:
-            self.tape = UniformTape(keys, n, self.env.draws, steps)
-        else:
-            self.tape, self.no_draws = None, np.empty((n, 0))
+        self.tape = UniformTape(keys, n, self.env.draws, steps)
 
     def current(self) -> np.ndarray:
         return self.vals
@@ -666,7 +663,7 @@ class _EngineRun:
                     out[:, ix[_sv("temp_fake", s)]] = np.where(inside, -att.tf, 0.0)
 
         # --- environment on the post-effect state ---
-        u = self.tape.next_step() if self.tape else self.no_draws
+        u = self.tape.next_step()
         self.vals = self.env.advance(out, u, self.space)
         self.t += 1
         return self.vals

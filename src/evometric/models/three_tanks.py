@@ -325,10 +325,7 @@ class _TanksRun:
         n = len(initial)
         # column-major, as the engine's run: each column is contiguous
         self.vals = np.array(initial, order="F")
-        if self.env.draws:
-            self.tape = UniformTape(keys, n, self.env.draws, steps)
-        else:
-            self.tape, self.no_draws = None, np.empty((n, 0))
+        self.tape = UniformTape(keys, n, self.env.draws, steps)
 
     def current(self) -> np.ndarray:
         return self.vals
@@ -350,6 +347,6 @@ class _TanksRun:
             l3 > hi, np.minimum(p.q_max, q3 + p.q_step),
             np.where(l3 < lo, np.maximum(0.0, q3 - p.q_step), q3),
         )
-        u = self.tape.next_step() if self.tape else self.no_draws
+        u = self.tape.next_step()
         self.vals = self.env.advance(post, u, self.space)
         return self.vals

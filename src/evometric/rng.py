@@ -12,12 +12,13 @@ A stream is a pure function of (key, counter): word ``j`` of the stream is
 word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  Every
 uniform, scalar or on a tape, comes from :func:`_philox_words`, which moves
 the Philox bit generator of its thread's one numpy ``Generator`` to the
-(key, counter) asked for (no entropy is gathered) and lets
+(key, counter) asked for, row by row (no entropy is gathered), and lets
 ``Generator.random`` turn each word ``x`` into ``(x >> 11) * 2**-53``.  One
 subtraction per block reflects that into ``1 - (x >> 11) * 2**-53`` in
 (0, 1], so draw ``j`` equals ``1 - Generator(Philox(key=k)).random()`` at
-position ``j``.
-"""
+position ``j``.  Since a word depends on nothing but its key and position,
+the rows of a tape may stand at different positions of their streams and
+still read what their scalar streams would."""
 
 from __future__ import annotations
 
@@ -90,14 +91,14 @@ def tape_chunk(steps: int) -> int:
 _local = threading.local()  # each thread's one numpy Generator over a Philox bit generator
 
 
-def _philox_words(keys, first: int, out: np.ndarray) -> np.ndarray:
-    """The uniforms of words ``first ..`` of the stream of each key in
-    ``keys``, into the rows of the float64 array ``out``, which it returns.
+def _philox_words(keys, first, out: np.ndarray) -> np.ndarray:
+    """The uniforms of words ``first[i] ..`` of the stream of key ``i`` of
+    ``keys``, into row ``i`` of the float64 array ``out``, which it returns.
     Each row is ``Generator.random`` of its words, and the block is then
     reflected into (0, 1].  The thread's generator is made on first use, so
-    importing this module does not import ``numpy.random``.  A ``first``
+    importing this module does not import ``numpy.random``.  A first word
     inside a Philox block regenerates that block and skips the words before
-    ``first``."""
+    it."""
     try:
         gen = _local.gen
     except AttributeError:
@@ -105,11 +106,15 @@ def _philox_words(keys, first: int, out: np.ndarray) -> np.ndarray:
 
         gen = _local.gen = Generator(Philox(0))  # a fixed seed: no entropy is gathered
     bitgen = gen.bit_generator
-    counter, skip = divmod(first, _PHILOX_WORDS)
-    position = {"counter": [counter, 0, 0, 0], "key": None}
+    position = {"counter": None, "key": None}
     state = {"bit_generator": "Philox", "state": position, "buffer": [0, 0, 0, 0],
              "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
-    for row, key in zip(out, keys):
+    at = None
+    for row, key, word in zip(out, keys, first):
+        if word != at:  # the rows of a tape mostly share their position
+            at = word
+            counter, skip = divmod(word, _PHILOX_WORDS)
+            position["counter"] = [counter, 0, 0, 0]
         position["key"] = key
         bitgen.state = state
         if skip:
@@ -152,7 +157,7 @@ class RandomStream:
         """Uniform double in (0, 1]."""
         if self._pos >= len(self._buf):
             size = _BLOCK if self._words else _FIRST_BLOCK
-            self._buf = _philox_words((self.key,), self._words, np.empty((1, size)))[0].tolist()
+            self._buf = _philox_words((self.key,), (self._words,), np.empty((1, size)))[0].tolist()
             self._words += size
             self._pos = 0
         u = self._buf[self._pos]
@@ -172,49 +177,74 @@ class RandomStream:
 
 
 class UniformTape:
-    """Chunked per-run uniform draws for lockstep simulation.
+    """Buffered uniform draws of a block of runs, each row on its own cursor.
 
-    Run ``i`` reads the stream of key ``i`` of ``keys``, the keys of a
-    block as two uint64 arrays (:func:`run_keys`): the (0, 1] sequence its
-    scalar :class:`RandomStream` would produce, ``draws_per_step`` values
-    per step, one Fortran-ordered (n_runs, draws_per_step) array per call
-    to :meth:`next_step`.
+    Row ``i`` reads the (0, 1] sequence of the stream of key ``i`` of
+    ``keys`` (two uint64 arrays, :func:`run_keys`), as its scalar
+    :class:`RandomStream` would.  :meth:`next_step` reads ``draws_per_step``
+    words of every row, as one Fortran-ordered (n, draws_per_step) array;
+    :meth:`uniform01` reads one word of one row, a process uniform.
 
-    Draws are made ``tape_chunk(steps)`` steps at a time, so a horizon
-    shorter than a chunk draws only the steps it uses, into a new
-    draw-major (steps, draws, n_runs) buffer, ``_TAPE_ROWS`` runs' uniforms
-    at a time from :func:`_philox_words` on the thread's one generator.
+    The buffer holds ``tape_chunk(steps) * max(1, draws_per_step)`` words
+    per row, word-major, filled ``_TAPE_ROWS`` rows at a time by
+    :func:`_philox_words`.  A read past a row's buffered words refills
+    every row from its own cursor.  While the rows have read alike (the
+    fast paths read whole steps only, so a horizon shorter than a chunk
+    draws only the steps it uses) a step is a contiguous slice of the
+    buffer; after process reads it is a gather until the next refill.
+    Nothing is drawn before the first read, so a tape of 0 draws per step
+    read by steps only draws nothing.  ``n_runs`` is not read; it stays
+    because the benchmark's tracer (``perfbench/tracer.py``) reads it
+    positionally.
     """
 
     def __init__(self, keys, n_runs: int, draws_per_step: int, steps: int):
-        if draws_per_step < 1:
-            raise ValueError("a tape needs draws_per_step >= 1")
         self._keys = list(zip(*(k.tolist() for k in keys)))
         self._draws = draws_per_step
-        self._chunk = tape_chunk(steps)
-        self._words = 0  # words each run has consumed before the buffered chunk
-        self._buf: np.ndarray | None = None
-        self._pos = 0
+        self._width = tape_chunk(steps) * max(1, draws_per_step)  # words a fill buffers per row
+        self._base = [0] * len(self._keys)  # the stream word at each row's buffer position 0
+        self._at: int | list = 0  # the buffer position of the next word, shared or per row
+        self._buf = np.empty((0, len(self._keys)))
 
     def _fill(self) -> None:
-        n, steps, draws = len(self._keys), self._chunk, self._draws
-        self._buf = None  # the drawn chunk is not held while the next is drawn
-        buf = np.empty((steps, draws, n), dtype=np.float64)
-        rows_buf = np.empty((min(n, _TAPE_ROWS), steps * draws))
+        at = self._at
+        first = ([b + at for b in self._base] if type(at) is int
+                 else [b + a for b, a in zip(self._base, at)])
+        n, width = len(self._keys), self._width
+        self._buf = None  # the drawn words are not held while the next are drawn
+        buf = np.empty((width, n), dtype=np.float64)
+        rows_buf = np.empty((min(n, _TAPE_ROWS), width))
         for lo in range(0, n, _TAPE_ROWS):
-            keys = self._keys[lo:lo + _TAPE_ROWS]
-            rows = len(keys)
-            u = _philox_words(keys, self._words, rows_buf[:rows])
-            buf[:, :, lo:lo + rows] = u.reshape(rows, steps, draws).transpose(1, 2, 0)
-        self._buf = buf
-        self._words += steps * draws
-        self._pos = 0
+            hi = lo + _TAPE_ROWS
+            u = _philox_words(self._keys[lo:hi], first[lo:hi], rows_buf[:n - lo])
+            buf[:, lo:lo + len(u)] = u.T
+        self._buf, self._base, self._at = buf, first, 0
 
     def next_step(self) -> np.ndarray:
         """(n_runs, draws_per_step) uniforms in (0, 1] for the next step,
         one contiguous column per draw."""
-        if self._buf is None or self._pos >= self._chunk:
+        at, draws = self._at, self._draws
+        if type(at) is int:
+            if at + draws > len(self._buf):
+                self._fill()
+                at = 0
+            self._at = at + draws
+            return self._buf[at:at + draws].T
+        if max(at) + draws > len(self._buf):
             self._fill()
-        u = self._buf[self._pos].T
-        self._pos += 1
-        return u
+            return self.next_step()
+        pos = np.array(at)
+        self._at = (pos + draws).tolist()
+        return self._buf[pos + np.arange(draws)[:, None], np.arange(len(pos))].T
+
+    def uniform01(self, row: int) -> float:
+        """The next uniform in (0, 1] of row ``row`` alone."""
+        at = self._at
+        if type(at) is int:
+            at = self._at = [at] * len(self._keys)
+        if at[row] >= len(self._buf):
+            self._fill()
+            at = self._at = [0] * len(self._keys)
+        a = at[row]
+        at[row] = a + 1
+        return float(self._buf[a, row])

@@ -182,9 +182,10 @@ class TestEstimate:
         for i, conf in enumerate(traj):
             assert tuple(E.states[0, i, :]) == conf.data.values
 
-    def test_exchange_property(self, toy_space):
+    def test_exchange_property(self, toy_space, monkeypatch):
         # column i of every step belongs to the trajectory of run i, also
         # across the interpreter's blocks of runs
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # blocks of 64 runs
         c = toy_configuration(toy_space)
         E = estimate(c, 6, 300, seed=13)
         base = RandomStream.from_seed(13)

@@ -20,19 +20,19 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from evometric.cli import main as cli_main
+from evometric.dataspace import DataSpace, VarSpec
 from evometric.engine import Configuration, estimate, estimate_penalties
 from evometric.models.engine_system import AttackConfig, engine_penalties, engine_system
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
 from evometric.process import Call, Const, If, Op, PChoice, Prefix, Var, tick
-from dataclasses import replace
 
 from conftest import toy_kernel, toy_process
-from evometric.dataspace import DataSpace, VarSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -141,13 +141,14 @@ def _same(got, want, where: str) -> None:
 
 
 def _cell(text: str):
-    """A CSV cell as the writer made it: a float cell is the repr of a float."""
-    if any(ch in text for ch in ".en") and text not in ("", "nan"):
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    return text
+    """A CSV cell as the writer made it: a float cell is the repr of a
+    float, an integer cell has digits only."""
+    if text.lstrip("-").isdigit():
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _parsed(path: Path):

@@ -141,9 +141,35 @@ class TestStreamEquivalence:
             want = np.concatenate([tape.next_step() for tape in alone])
             assert np.array_equal(joint.next_step(), want)
 
-    def test_tape_without_draws_rejected(self):
-        with pytest.raises(ValueError):
-            UniformTape(run_keys([((1, 2), 0, 3)]), 3, draws_per_step=0, steps=5)
+    def test_a_tape_without_draws_returns_empty_blocks_and_draws_nothing(self, monkeypatch):
+        calls = []
+        words = rng._philox_words
+        monkeypatch.setattr(rng, "_philox_words", lambda *args: calls.append(args) or words(*args))
+        tape = UniformTape(run_keys([((1, 2), 0, 3)]), 3, draws_per_step=0, steps=5)
+        for _ in range(5):
+            assert tape.next_step().shape == (3, 0)
+        assert calls == []
+
+    @given(draws=st.integers(0, 3), n=st.sampled_from([1, 2, 5, _TAPE_ROWS + 3]),
+           chunk=st.integers(1, 9), steps=st.integers(0, 20), first=st.integers(0, 50),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_rows_read_apart_equal_their_streams(self, draws, n, chunk, steps, first, data):
+        # on each step some rows read process uniforms, one or more, then
+        # every row reads its draws; short chunks refill the tape with the
+        # rows at different positions, mostly inside a Philox block
+        base = RandomStream.from_seed(first)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "TAPE_CHUNK_STEPS", chunk)
+            tape = UniformTape(run_keys([(base.key, first, n)]), n, draws, steps)
+        streams = [base.child(first + i) for i in range(n)]
+        readers = st.lists(st.integers(0, n - 1), max_size=2 * n)
+        for _ in range(steps):
+            for r in data.draw(readers):
+                assert tape.uniform01(r) == streams[r].uniform01()
+            u = tape.next_step()
+            assert u.shape == (n, draws) and u.flags.f_contiguous
+            assert u.tolist() == [[s.uniform01() for _ in range(draws)] for s in streams]
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_a_horizon_shorter_than_two_steps_draws_one_step_at_a_time(self, steps):
