@@ -28,9 +28,19 @@ import numpy as np
 from evometric.cli import main as cli_main
 from evometric.dataspace import DataSpace, VarSpec
 from evometric.engine import Configuration, estimate, estimate_penalties
-from evometric.models.engine_system import AttackConfig, engine_penalties, engine_system
+from evometric.environment import EnvironmentEvolution
+from evometric.errors import SimulationError
+from evometric.metric import ObservationTimes, constant_discount, distance
+from evometric.models.engine_system import (
+    AttackConfig,
+    SawWindowSampler,
+    engine_penalties,
+    engine_system,
+)
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
 from evometric.process import Call, Const, If, Op, PChoice, Prefix, Var, tick
+from evometric.robustness import RobustnessSpec, UniformResampler, estimate_adaptability
+from evometric.robustness import estimate_robustness
 
 from conftest import toy_kernel, toy_process
 
@@ -111,12 +121,125 @@ def _engine_saw() -> dict:
     return digests["interpreter"]
 
 
+def _tanks_estimate_fast_paths() -> dict:
+    """A tank estimate on the lockstep and on the compiled program; they
+    must agree."""
+    c = tanks_configuration(scenario=2, init={"l1": 4.0, "l2": 6.0, "l3": 5.0})
+    lockstep = estimate(c, 12, 6, seed=29).states
+    assert lockstep.tobytes() == estimate(replace(c, lockstep=None), 12, 6, seed=29).states.tobytes()
+    return {"values": lockstep.tolist()}
+
+
+def _tanks_robustness_window() -> dict:
+    """Tank robustness with the evolution filter over a window of steps."""
+    c = tanks_configuration(scenario=1, init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
+    pens = tanks_penalties(c.env.params)
+    spec = RobustnessSpec(rho=pens["l3"], rho_target=pens["l1"], interval=(2, 5),
+                          tau_tilde=3, eta1=0.1, eta2=0.3, M=2, filter_mode="evolution")
+    rep = estimate_robustness(spec, c, UniformResampler(("l2", "l3")),
+                              ObservationTimes.range(12), N=8, ell=2, seed=37, budget=40)
+    return rep.to_json_dict()
+
+
+def _engine_saw_robustness() -> dict:
+    """The engine saw question of criterion 9 at a small size."""
+    base = engine_system(attacks=(AttackConfig("saw", "L", tf=0.6, awml=1000),))
+    pens = engine_penalties(False, awml=1000)
+    spec = RobustnessSpec(rho=pens["window_L"], rho_target=pens["fn_L"], interval=(0, 0),
+                          tau_tilde=0, eta1=0.1, eta2=0.2, M=2, filter_mode="evolution")
+    rep = estimate_robustness(spec, base, SawWindowSampler("L", 1000),
+                              ObservationTimes.range(300, stride=10), N=6, ell=2, seed=41,
+                              budget=80)
+    return rep.to_json_dict()
+
+
+def _tanks_distance_both_ways() -> dict:
+    """The distance between the two tank scenarios, in each direction."""
+    c1, c2 = tanks_configuration(scenario=1), tanks_configuration(scenario=2)
+    rho = tanks_penalties(c1.env.params)["l3"]
+    obs, one = ObservationTimes.range(15), constant_discount()
+    return {"forward": distance(c1, c2, rho, one, obs, N=10, ell=2, seed=43).to_json_dict(),
+            "reverse": distance(c2, c1, rho, one, obs, N=10, ell=2, seed=47).to_json_dict()}
+
+
+def _tanks_adaptability_interpreter() -> dict:
+    """Adaptability on the interpreter in this process, where each
+    candidate's penalties go to the W fold."""
+    c = tanks_configuration(scenario=1, init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
+    rho = tanks_penalties(c.env.params)["l3"]
+    rep = estimate_adaptability(rho, 2, 0.3, c, UniformResampler(("q1", "l2", "l3")),
+                                ObservationTimes.range(8), N=6, ell=1, seed=53, M=2,
+                                budget=40, threads=1, use_fast_path=False)
+    return rep.to_json_dict()
+
+
+class NaNFromStep4(EnvironmentEvolution):
+    """x counts the steps and z becomes the row's uniform; y becomes NaN
+    in every row whose uniform exceeds 0.9 once x reaches 4."""
+
+    id = "nan-from-4"
+    draws = 1
+
+    def sample_batch(self, values, u):
+        out = values.copy()
+        out[:, 0] += 1.0
+        out[:, 1] = u[:, 0]
+        out[:, 2] = np.where((out[:, 0] >= 4.0) & (u[:, 0] > 0.9), np.nan, values[:, 2])
+        return out
+
+
+def failing_configuration() -> Configuration:
+    """From step 3 on, the process writes sqrt(z - 0.2), which fails in
+    every row whose z (its last uniform) is below 0.2, and 10 x into w,
+    which is clamped to 20.  Its steps are Diracs, so the compiled
+    program takes it."""
+    space = DataSpace([VarSpec("x", 0.0, 100.0), VarSpec("z", 0.0, 1.0),
+                       VarSpec("y", 0.0, 100.0), VarSpec("w", 0.0, 20.0)])
+    ten_x = Op("*", (Const(10.0), Var("x")))
+    body = If(Op(">=", (Var("x"), Const(3.0))),
+              Prefix((Op("sqrt", (Op("-", (Var("z"), Const(0.2))),)), ten_x), ("y", "w"),
+                     Call("P")),
+              Prefix((ten_x,), ("w",), Call("P")))
+    return Configuration(Call("P"), space.state([0.0, 0.5, 0.0, 0.0]), NaNFromStep4(),
+                         {"P": body}).validated()
+
+
+def _failures() -> dict:
+    """The failure raised, and the clamps counted, on each path.  At seed
+    0 the process of row 6 fails at step 3, and the kernel has made row 2
+    NaN there; at seed 2 the process of row 7 fails, and no row before it."""
+    c = failing_configuration()
+    out = {}
+    for seed in (0, 2):
+        for name, threads, fast in (("compiled", 1, True), ("interpreter", 1, False),
+                                    ("interpreter, 2 workers", 2, False)):
+            before = c.space.clamp_events
+            try:
+                estimate(c, 6, 12, seed, threads=threads, use_fast_path=fast)
+            except SimulationError as exc:
+                got = {"type": type(exc).__name__, "run": exc.run, "step": exc.step,
+                       "message": str(exc)}
+            else:
+                raise AssertionError(f"seed {seed} on {name}: no failure")
+            # a worker process counts its clamps in its own copy of the space
+            if threads == 1:
+                got["clamp_events"] = c.space.clamp_events - before
+            out[f"seed {seed}, {name}"] = got
+    return out
+
+
 def compute_pins() -> dict:
     return {
         "toy_estimate_interpreter_threads_1": _toy_estimate(1),
         "toy_estimate_interpreter_threads_2": _toy_estimate(2),
         "tanks_choice_penalties_interpreter": _tanks_choice_penalties(),
         "engine_saw_every_path": _engine_saw(),
+        "tanks_estimate_fast_paths": _tanks_estimate_fast_paths(),
+        "tanks_robustness_evolution_window": _tanks_robustness_window(),
+        "engine_saw_robustness": _engine_saw_robustness(),
+        "tanks_distance_both_directions": _tanks_distance_both_ways(),
+        "tanks_adaptability_interpreter_threads_1": _tanks_adaptability_interpreter(),
+        "failures": _failures(),
     }
 
 
