@@ -51,10 +51,11 @@ rules and counted in ``clamp_events``.  The configuration's environment
 kernel then steps the whole block on ``UniformTape`` draws, which are the
 draws the interpreter takes, since a Dirac step draws none.
 
-A step where some row fails is finished as the interpreter finishes it: the
-environment of the rows before the least failing row r is stepped, then
-``pstep`` runs on row r itself and its exception is raised, so both paths
-report the same run, step and message.
+A step where some row fails is handed to the interpreter: its block run
+(``engine._InterpretedRun``) takes the step again from the block's values,
+draw tape and process terms, and raises the failure.  So the rule for the
+least failing row, and its clamp count, exist only in the reference code,
+and both paths report the same run, step, message and ``clamp_events``.
 
 The compiler declines with :class:`PreconditionError` and a reason when a
 reachable step is not a Dirac by construction, when a ``Call`` is undefined
@@ -80,8 +81,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataspace import DataSpace, DataState, clamp_array
-from .errors import EvoMetricError, PreconditionError, SimulationError
+from .dataspace import DataSpace, clamp_array
+from .engine import _InterpretedRun
+from .errors import EvoMetricError, PreconditionError
 from .process import (
     WEIGHT_TOL,
     Call,
@@ -95,7 +97,6 @@ from .process import (
     SyncPar,
     Var,
     _eval,
-    pstep,
 )
 from .rng import UniformTape
 
@@ -983,7 +984,7 @@ class Program(NamedTuple):
 
 class _ProgramRun:
     def __init__(self, prog: Program, c, keys, horizon: int, initial):
-        self.prog, self.env, self.space, self.defs = prog, c.env, c.space, c.defs
+        self.prog, self.c, self.env, self.space = prog, c, c.env, c.space
         n = len(initial)
         # column-major, as the lockstep runs: every column is contiguous
         self.vals = np.array(initial, order="F")
@@ -994,29 +995,15 @@ class _ProgramRun:
         return self.vals
 
     def step(self) -> np.ndarray:
-        self.post, ctrl, fail, self.clamped = self.prog.run(self.vals, self.ctrl)
-        u = self.tape.next_step()
-        if fail is not None:
-            self._fail(int(fail.argmax()), u)
-        if self.clamped:
-            self._count_clamps(len(self.vals))
+        post, ctrl, fail, clamped = self.prog.run(self.vals, self.ctrl)
+        if fail is not None:  # the interpreter finishes the step and raises its failure
+            terms = self.prog.terms
+            _InterpretedRun(self.c, self.tape, self.vals,
+                            [terms[i] for i in self.ctrl.tolist()]).step()
+            raise RuntimeError("a compiled step fails where the interpreter's does not")
+        if clamped:
+            self.space.clamp_events += sum(
+                len(post) if m is None else int(np.count_nonzero(m)) for m in clamped)
         self.ctrl = ctrl
-        self.vals = self.env.advance(self.post, u, self.space)
+        self.vals = self.env.advance(post, self.tape.next_step(), self.space)
         return self.vals
-
-    def _count_clamps(self, upto: int) -> None:
-        self.space.clamp_events += sum(
-            upto if m is None else int(np.count_nonzero(m[:upto])) for m in self.clamped)
-
-    def _fail(self, r: int, u) -> None:
-        """Ends a step on which the process of row r, and of no earlier row,
-        fails, as ``engine._interpret_steps`` ends it."""
-        self._count_clamps(r)
-        if r:
-            self.env.advance(self.post[:r], u[:r], self.space)
-        d = DataState(self.space, tuple(self.vals[r].tolist()))
-        try:
-            d.update(pstep(self.prog.terms[int(self.ctrl[r])], d, self.defs).triples[0][1])
-        except Exception as exc:
-            raise SimulationError(str(exc), run=r) from exc
-        raise RuntimeError(f"the compiled step fails on row {r}, the interpreter does not")

@@ -8,10 +8,7 @@ independent trajectories on child random streams and collects, per time step,
 the N sampled data states (the empirical evolution sequence);
 ``estimate_penalties`` reads the same runs through penalties at the
 observation times without keeping the states, into a step-major (P, N, T)
-array or, given a consumer, a step at a time.  When one fast-path block
-holds every run, a step is handed over as soon as it is simulated, so a
-caller that folds the steps (the robustness estimators fold W a chunk of
-steps at a time) never holds the (P, N, T) block.
+array or, given a consumer, a step at a time.
 
 Every estimate is a table of rows, one per run: the run's stream key
 (``rng.run_keys``) and the values it starts from.  ``estimate_penalties``
@@ -31,20 +28,30 @@ three execution paths; the first that takes the configuration and the
 table runs it:
 
 * a per-model vectorized lockstep simulator attached to the configuration
-  (the built-in models' hand-written numpy twins of their terms), in this
-  process;
-* the compiled program of the process (:mod:`.compiled`), in this process,
-  when each of its reachable steps is a Dirac by construction and every
-  initial data state is admissible (the compiler lists what it declines);
-* the reference interpreter, which steps the process of each row as
-  ``sim_step`` does, reading the process uniforms of the row's stream from
-  the tape one row at a time, fanned out over a process pool
-  (``_fan_out``) when threads > 1.
+  (the built-in models' hand-written numpy twins of their terms);
+* the compiled program of the process (:mod:`.compiled`), when each of its
+  reachable steps is a Dirac by construction and every initial data state
+  is admissible (the compiler lists what it declines);
+* the reference interpreter (``_InterpretedRun``), which steps the process
+  of each row as ``sim_step`` does, reading the process uniforms of the
+  row's stream from the tape one row at a time.
 
-Whichever path moves the process, the configuration's one batch kernel
-then steps the whole block (``EnvironmentEvolution.advance``, which also
-clamps), and a failing process, a failing kernel or a NaN it produces is
-reported alike, naming the run and the step.
+Each path's ``start(c, keys, k, initial)`` returns a run of a block whose
+``current()`` and ``step()`` give its values, a failing step raising
+:class:`SimulationError` with the block's row.  After the process moves,
+the configuration's one batch kernel steps the whole block
+(``EnvironmentEvolution.advance``, which also clamps), and a failing
+process, a failing kernel or a NaN it produces is reported alike, naming
+the run and the step.  The compiled path hands a failing step to the
+interpreter, which finishes it, so only the reference code decides the
+run reported.
+
+Blocks run in this process, except the interpreter's at threads > 1,
+which fan out over a process pool (``_fan_out``).  With a consumer, when
+every row fits one block in this process, each step is handed over as it
+is simulated, on every path, so a caller that folds the steps (the
+robustness estimators fold W a chunk of steps at a time) never holds the
+(P, N, T) block.
 
 The lockstep declines when its ``start`` raises ``PreconditionError``
 because it is bound to another process term (for instance one advanced by
@@ -60,6 +67,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -332,13 +340,14 @@ def estimate_penalties(
     ``consumer``, when given, is called as ``consumer(j, row)`` for each
     observation time ``obs_times[j]``, in order, with the (len(penalties),
     N) penalties of that step (valid during the call only), and the call
-    returns None.  When a fast path takes all N runs in one block (see
-    ``_run``), the rows go to the consumer as their steps are simulated,
-    so no array of the whole horizon is held.  Otherwise (the interpreter,
-    or more runs than one block holds) the array is filled first and then
-    handed over a column at a time.  The consumer sees column 0 again when
-    a call of several segments failed after some of its steps were handed
-    over and its segments are estimated again.
+    returns None.  When all N runs fit one block in this process (see
+    ``_run``), on any path, the rows go to the consumer as their steps are
+    simulated, so no array of the whole horizon is held.  Otherwise (more
+    runs than one block holds, or the interpreter fanned out at ``threads``
+    > 1) the array is filled first and then handed over a column at a
+    time.  The consumer sees column 0 again when a call of several
+    segments failed after some of its steps were handed over and its
+    segments are estimated again.
     """
     _check_counts(k, N)
     obs = list(obs_times)
@@ -380,10 +389,13 @@ def _penalty_array(P: int, N: int, T: int) -> np.ndarray:
 
 
 def _check_counts(k: int, N: int) -> None:
-    if N < 1:
-        raise PreconditionError(f"sample count must be >= 1, got {N}")
-    if k < 0:
-        raise PreconditionError(f"step count must be >= 0, got {k}")
+    for what, n, least in (("sample count", N, 1), ("step count", k, 0)):
+        try:
+            operator.index(n)
+        except TypeError:
+            raise PreconditionError(f"{what} must be an integer, got {n!r}") from None
+        if n < least:
+            raise PreconditionError(f"{what} must be >= {least}, got {n}")
 
 
 def _store_steps(steps, dest: np.ndarray) -> None:
@@ -421,17 +433,15 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     block's (n, nvars) values at steps 0..k.  Every path reads its block's
     draws from one ``UniformTape``, the one buffer that grows with the
     horizon, and one rule sizes the blocks: at least 64 runs, as many as
-    keep the tape within ``_BLOCK_BYTES``.  A fast path (the model's
-    lockstep simulator, else the compiled program) drives them in this
-    process, and so does the interpreter at ``threads`` <= 1, when
-    ``use_fast_path`` is off or both decline the configuration or its
-    initial states.  At more threads the interpreter's blocks are made
-    smaller where needed to give each worker one, and are fanned out.
+    keep the tape within ``_BLOCK_BYTES``.  Every path runs a block as a
+    run of ``_start``, in this process, except the interpreter's at
+    ``threads`` > 1, made smaller where needed to give each worker one.
 
     ``dest`` is the block's rows of ``hold()``, an array with the run axis
-    first, which the call returns.  With a ``consumer``, when a fast path
-    holds every row in one block, ``dest`` is the consumer, which gets each
-    step as it is simulated, and the call holds nothing and returns None.
+    first, which the call returns.  With a ``consumer``, when every row
+    fits one block in this process, ``dest`` is the consumer, which gets
+    each step as it is simulated, and the call holds nothing and returns
+    None.
 
     Each block returns its first failing run instead of raising it, and the
     failure raised is the least (step, row) over all blocks, so it does not
@@ -439,31 +449,27 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     """
     N = len(table.initial)
     rows = max(64, _BLOCK_BYTES // (8 * max(1, c.env.draws) * tape_chunk(k)))
-    fast = _start_fast_path(c, table, k, rows) if use_fast_path else None
-    log.debug("%s path: %d runs of %d steps%s", fast[0] if fast else "interpreter", N, k,
+    name, start, sim = _start(c, table, k, rows, use_fast_path)
+    log.debug("%s path: %d runs of %d steps%s", name, N, k,
               f" in {len(table.data)} segments" if len(table.data) > 1 else "")
-    stream = fast and consumer is not None and N <= rows
-    out = None if stream else hold()
     failures = []
-    if fast or threads <= 1:  # in this process, straight into the rows of out
-        _, start, sim = fast or (None, None, None)
-        for lo in range(0, N, rows):
-            keys, initial = _rows(table, lo, lo + rows)
-            if not fast:
-                steps = _interpret_steps(c, k, keys, initial, lo)
-            else:
-                if lo:
-                    sim = start(c, keys, k, initial)
-                steps = _lockstep_steps(sim, k, lo)
-            dest = consumer if stream else out[lo:lo + rows]
-            failures.append(_reduce_block(fill, steps, dest))
-    else:
+    if name == "interpreter" and threads > 1:
+        out = hold()
         rows = min(rows, -(-N // threads))  # a block for each worker
         firsts = range(0, N, rows)
         tasks = [(c, k, *_rows(table, lo, lo + rows), lo, fill, out.shape[1:]) for lo in firsts]
         for lo, (part, failure) in zip(firsts, _fan_out(_interpret_block, tasks, threads)):
             out[lo:lo + rows] = np.moveaxis(part, -1, 0)
             failures.append(failure)
+    else:  # in this process, straight into the rows of out or to the consumer
+        stream = consumer is not None and N <= rows
+        out = None if stream else hold()
+        for lo in range(0, N, rows):
+            if lo:
+                keys, initial = _rows(table, lo, lo + rows)
+                sim = start(c, keys, k, initial)
+            dest = consumer if stream else out[lo:lo + rows]
+            failures.append(_reduce_block(fill, _steps(sim, k, lo), dest))
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: (f.step, f.run))
@@ -475,38 +481,43 @@ def _rows(table, lo: int, hi: int) -> tuple:
     return [words[lo:hi] for words in table.keys], table.initial[lo:hi]
 
 
-def _start_fast_path(c, table, k, rows):
+def _start(c, table, k, rows, use_fast_path):
     """(its name, ``start``, the run of the table's first ``rows`` rows) of
-    the first fast path that takes the configuration and the table, else
-    None.  The compiled program must admit every segment's data state."""
+    the first path that takes the configuration and the table: with
+    ``use_fast_path``, the lockstep simulator, else the compiled program,
+    which must admit every segment's data state; else the interpreter."""
     keys, initial = _rows(table, 0, rows)
-    if c.lockstep is not None:
-        try:
-            return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
-        except PreconditionError as exc:
-            log.debug("lockstep simulator declined: %s", exc)
-    # imported on first use: a lockstep-served or interpreted estimate, and
-    # importing the package, do not pay for compiling the module
-    from . import compiled
+    if use_fast_path:
+        if c.lockstep is not None:
+            try:
+                return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
+            except PreconditionError as exc:
+                log.debug("lockstep simulator declined: %s", exc)
+        # imported on first use: a lockstep-served or interpreted estimate, and
+        # importing the package, do not pay for compiling the module
+        from . import compiled
 
-    try:
-        program = compiled.program(c, table.data)
-    except PreconditionError as exc:
-        log.debug("process not compiled, running the interpreter: %s", exc)
-        return None
-    return "compiled", program.start, program.start(c, keys, k, initial)
+        try:
+            program = compiled.program(c, table.data)
+        except PreconditionError as exc:
+            log.debug("process not compiled, running the interpreter: %s", exc)
+        else:
+            return "compiled", program.start, program.start(c, keys, k, initial)
+    return "interpreter", _InterpretedRun.start, _InterpretedRun.start(c, keys, k, initial)
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:
     """``fill(steps, dest)``; the block's first failing run is returned."""
     try:
         fill(steps, dest)
-    except SimulationError as exc:  # raised by the step generators only
+    except SimulationError as exc:  # raised by the step generator only
         return exc
     return None
 
 
-def _lockstep_steps(sim, k: int, first: int):
+def _steps(sim, k: int, first: int):
+    """The values of a block's run ``sim`` at steps 0..k; a failing step
+    names its run as the table's row, ``first`` being the block's first."""
     yield sim.current()
     for i in range(k):
         try:
@@ -522,48 +533,48 @@ def _interpret_block(task) -> tuple[np.ndarray, SimulationError | None]:
     in the step-major layout of the penalties, and its first failing run."""
     c, k, keys, initial, first, fill, shape = task
     part = np.empty(shape + (len(initial),), dtype=np.float64)
-    return part, _reduce_block(fill, _interpret_steps(c, k, keys, initial, first),
-                               np.moveaxis(part, -1, 0))
+    sim = _InterpretedRun.start(c, keys, k, initial)
+    return part, _reduce_block(fill, _steps(sim, k, first), np.moveaxis(part, -1, 0))
 
 
-def _interpret_steps(c: Configuration, k: int, keys, initial: np.ndarray, first: int):
-    """Values (n, nvars) at steps 0..k of the table's rows from ``first``
-    on: each starts from its row of ``initial`` and reads from the stream
-    of its key in ``keys``, on the block's draw tape, what ``sim_step``
-    draws: a process uniform when its step has more than one triple, then
-    the environment's draws.
-
-    Each step moves the process of every run, then the environment of the
-    whole block in one kernel call.  A failing step names its least failing
-    run: when the process of run r fails, the environment of the runs
-    before r is stepped first, and a failure there is the one reported.
+class _InterpretedRun:
+    """The interpreter's run of a block: each row steps its own process
+    term as ``sim_step`` does, reading from its stream on the block's draw
+    tape what ``sim_step`` draws (a process uniform when its step has more
+    than one triple, then the environment's draws), and the kernel then
+    steps the whole block.  A failing step names its least failing row:
+    when the process of row r fails, the environment of the rows before r
+    is stepped first, and a failure there is the one raised.
     """
-    n = len(initial)
-    env, space, defs = c.env, c.space, c.defs
-    tape = UniformTape(keys, n, env.draws, k)
-    procs = [c.process] * n
-    vals = np.array(initial)
-    post = np.empty_like(vals)
-    yield vals
-    for i in range(k):
-        for r, row in enumerate(vals.tolist()):
+
+    def __init__(self, c: Configuration, tape: UniformTape, vals: np.ndarray, procs: list):
+        self.env, self.space, self.defs = c.env, c.space, c.defs
+        self.tape, self.vals, self.procs = tape, vals, procs
+        self.post = np.empty_like(vals)
+
+    @classmethod
+    def start(cls, c: Configuration, keys, k: int, initial) -> "_InterpretedRun":
+        """Run i of ``c`` starts from row i of ``initial`` on key i of ``keys``."""
+        n = len(initial)
+        return cls(c, UniformTape(keys, n, c.env.draws, k), np.array(initial), [c.process] * n)
+
+    def current(self) -> np.ndarray:
+        return self.vals
+
+    def step(self) -> np.ndarray:
+        env, space, defs, tape, procs, post = (self.env, self.space, self.defs, self.tape,
+                                               self.procs, self.post)
+        for r, row in enumerate(self.vals.tolist()):
             try:
                 d = DataState(space, tuple(row))
                 effect, procs[r] = _select(pstep(procs[r], d, defs), tape, r)
                 post[r] = d.update(effect).values
             except Exception as exc:
                 if r:
-                    _advance(env, post[:r], tape.next_step()[:r], space, first, i)
-                raise _run_failed(first + r, i, exc) from exc
-        vals = _advance(env, post, tape.next_step(), space, first, i)
-        yield vals
-
-
-def _advance(env, post, u, space, first: int, step: int) -> np.ndarray:
-    try:
-        return env.advance(post, u, space)
-    except SimulationError as exc:
-        raise _run_failed(first + exc.run, step, exc) from exc.__cause__
+                    env.advance(post[:r], tape.next_step()[:r], space)
+                raise SimulationError(str(exc), run=r) from exc
+        self.vals = env.advance(post, tape.next_step(), space)
+        return self.vals
 
 
 def _run_failed(run: int, step: int, exc: Exception) -> SimulationError:

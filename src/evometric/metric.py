@@ -11,6 +11,7 @@ O(lN log lN).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -283,7 +284,11 @@ def distance(
 
 
 def _check_scale(ell) -> None:
-    if ell < 1 or int(ell) != ell:
+    try:
+        positive = operator.index(ell) >= 1
+    except TypeError:
+        positive = False
+    if not positive:
         raise PreconditionError(f"scale factor must be a positive integer, got {ell}")
 
 

@@ -2,11 +2,11 @@
 
 Every stream is a counter-based Philox4x64-10 generator identified by a
 128-bit key.  Child keys are derived by hashing an index into the parent key
-(splitmix64 chain, :func:`_fold_in`), so the stream used by run ``i`` of an
-experiment depends only on the experiment seed and ``i`` -- never on
-scheduling or worker count.  :func:`run_keys` derives the keys of the runs
-of an estimate in vectorized folds (:func:`_fold_in_many`) with the same
-arithmetic, and :class:`UniformTape` reads its runs' keys from that table.
+(a splitmix64 chain, :func:`_fold_in_many`), so the stream used by run ``i``
+of an experiment depends only on the experiment seed and ``i`` -- never on
+scheduling or worker count.  :meth:`RandomStream.child` folds one index,
+:func:`run_keys` the indices of the runs of an estimate, and
+:class:`UniformTape` reads its runs' keys from that table.
 
 A stream is a pure function of (key, counter): word ``j`` of the stream is
 word ``j mod 4`` of the Philox block at counter ``j // 4 + 1``.  Every
@@ -39,25 +39,8 @@ _TAPE_ROWS = 128   # runs per block of tape uniforms; 64 made its transposing co
 TAPE_CHUNK_STEPS = 256  # longest UniformTape chunk
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _fold_in(key: tuple[int, int], index: int) -> tuple[int, int]:
-    """Derive a child key by hashing ``index`` into ``key``; order-sensitive."""
-    if index < 0:
-        raise ValueError(f"stream index must be non-negative, got {index}")
-    h = _splitmix64(key[0] ^ _splitmix64((index + 1) & _MASK64))
-    k0 = _splitmix64(h ^ key[1])
-    k1 = _splitmix64((key[1] + h + index) & _MASK64)
-    return k0, k1
-
-
 def _splitmix64_many(x: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps modulo 2**64, as the masks do above
+    # uint64 array arithmetic wraps modulo 2**64
     x = x + np.uint64(_GOLDEN)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
@@ -65,7 +48,8 @@ def _splitmix64_many(x: np.ndarray) -> np.ndarray:
 
 
 def _fold_in_many(key: tuple[int, int], first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_fold_in(key, i)`` for ``i`` in ``first .. first + n - 1`` as two uint64 arrays."""
+    """The child keys of ``key`` at indices ``first .. first + n - 1``, as
+    two uint64 arrays; the fold is order-sensitive."""
     if first < 0:
         raise ValueError(f"stream index must be non-negative, got {first}")
     index = np.arange(n, dtype=np.uint64) + np.uint64(first)
@@ -77,8 +61,8 @@ def _fold_in_many(key: tuple[int, int], first: int, n: int) -> tuple[np.ndarray,
 
 def run_keys(segments) -> tuple[np.ndarray, np.ndarray]:
     """The keys of the runs of consecutive ``(key, first, n)`` segments, in
-    order: ``_fold_in(key, i)`` for ``i`` in ``first .. first + n - 1`` of
-    each segment, as two uint64 arrays."""
+    order: the child keys of ``key`` at ``first .. first + n - 1`` of each
+    segment, as two uint64 arrays."""
     k0, k1 = zip(*(_fold_in_many(key, first, n) for key, first, n in segments))
     return np.concatenate(k0), np.concatenate(k1)
 
@@ -149,7 +133,8 @@ class RandomStream:
 
     def child(self, index: int) -> "RandomStream":
         """Statistically independent stream derived from (this stream, index)."""
-        return RandomStream(_fold_in(self.key, index))
+        k0, k1 = _fold_in_many(self.key, index, 1)
+        return RandomStream((int(k0[0]), int(k1[0])))
 
     # -- scalar draws ------------------------------------------------------
 

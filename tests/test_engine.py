@@ -22,7 +22,7 @@ from evometric.errors import (
     SimulationError,
 )
 from evometric.dataspace import DataState, VarPenalty
-from evometric.metric import ObservationTimes
+from evometric.metric import ObservationTimes, constant_discount, distance
 from evometric.models.three_tanks import (
     ThreeTanksParams,
     tanks_configuration,
@@ -31,7 +31,13 @@ from evometric.models.three_tanks import (
 )
 from evometric.process import Call, Const, Op, PChoice, Prefix, Var, tick
 from evometric.rng import RandomStream
-from evometric.robustness import RobustnessSpec, UniformResampler, estimate_robustness
+from evometric.robustness import (
+    RobustnessSpec,
+    UniformResampler,
+    estimate_adaptability,
+    estimate_reliability,
+    estimate_robustness,
+)
 
 from conftest import toy_kernel, toy_process
 from enumeration import enumerate_data_marginal
@@ -471,6 +477,30 @@ class TestPenaltyConsumer:
         assert peak < block / 4, (peak, block)
 
 
+    def test_the_interpreter_hands_each_step_over_as_it_is_simulated(self, toy_space):
+        """At one thread the interpreter streams as the fast paths do: 48
+        runs of 1500 steps, every step observed, hold far less than their
+        (1, N, k + 1) penalties.  The process only ticks and the kernel
+        draws nothing, so the run is cheap under tracemalloc."""
+        c = Configuration(Call("Loop"), toy_space.state([1.0, 0.0]), IdentityKernel(),
+                          loop_defs()).validated()
+        rho = VarPenalty("x")
+        N, k = 48, 1500
+        seen = []
+        estimate_penalties(c, 3, N, 5, [rho], range(4), use_fast_path=False,
+                           consumer=lambda j, row: None)
+        tracemalloc.start()
+        try:
+            estimate_penalties(c, k, N, 5, [rho], range(k + 1), use_fast_path=False,
+                               consumer=lambda j, row: seen.append(j))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == list(range(k + 1))
+        block = N * (k + 1) * 8
+        assert peak < block / 2, (peak, block)
+
+
 class TestDeclinedFastPath:
     def test_foreign_process_falls_back_to_the_interpreter(self):
         # the tank lockstep attached to a controller it was not built for
@@ -537,6 +567,63 @@ class TestDeclinedFastPath:
                  for d, s, n in segments]
         assert fast.tobytes() == np.concatenate(alone, axis=1).transpose(2, 0, 1).tobytes()
         assert fast.tobytes() == rows(False).tobytes()
+
+
+class TestCountsAreIntegers:
+    """A run or step count or a scale factor that ``operator.index``
+    refuses, such as 10.0, is a precondition error on every public
+    estimator, before anything runs."""
+
+    CALLS = {
+        "estimate k": (lambda c, rho, obs: estimate(c, 5.0, 10, 1),
+                       "step count must be an integer, got 5.0"),
+        "estimate N": (lambda c, rho, obs: estimate(c, 5, 10.0, 1),
+                       "sample count must be an integer, got 10.0"),
+        "estimate_penalties N": (
+            lambda c, rho, obs: estimate_penalties(c, 5, 10.0, 1, [rho], [0, 5]),
+            "sample count must be an integer, got 10.0"),
+        "estimate_penalties segment": (
+            lambda c, rho, obs: estimate_penalties(c, 5, 4, None, [rho], [0, 5],
+                                                   segments=[(c.data, 1, 2.0), (c.data, 2, 2)]),
+            "sample count must be an integer, got 2.0"),
+        "distance ell": (
+            lambda c, rho, obs: distance(c, c, rho, constant_discount(), obs, N=10, ell=2.0,
+                                         seed=1),
+            "scale factor must be a positive integer, got 2.0"),
+        "distance N": (
+            lambda c, rho, obs: distance(c, c, rho, constant_discount(), obs, N=10.0, ell=2,
+                                         seed=1),
+            "sample count must be an integer, got 10.0"),
+        "robustness N": (
+            lambda c, rho, obs: estimate_robustness(
+                RobustnessSpec(rho, rho, (0, 0), 0, 0.5, 0.5, 1), c,
+                UniformResampler(("x",)), obs, N=4.0, ell=1, seed=1),
+            "sample count must be an integer, got 4.0"),
+        "adaptability ell": (
+            lambda c, rho, obs: estimate_adaptability(rho, 0, 0.5, c, UniformResampler(("x",)),
+                                                      obs, N=4, ell=1.0, seed=1, M=1),
+            "scale factor must be a positive integer, got 1.0"),
+        "reliability N": (
+            lambda c, rho, obs: estimate_reliability(rho, 0.5, c, UniformResampler(("x",)),
+                                                     obs, N=np.float64(4), ell=1, seed=1, M=1),
+            "sample count must be an integer, got np.float64(4.0)"),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_a_float_count_is_refused(self, name, toy_space):
+        call, message = self.CALLS[name]
+        with pytest.raises(PreconditionError) as err:
+            call(toy_configuration(toy_space), VarPenalty("y"), ObservationTimes.range(5))
+        assert str(err.value) == message
+
+    def test_an_integer_of_another_type_is_accepted(self, toy_space):
+        c = toy_configuration(toy_space)
+        want = estimate(c, 5, 10, 1).states
+        assert estimate(c, np.int64(5), np.uint8(10), 1).states.tobytes() == want.tobytes()
+        rho, obs = VarPenalty("y"), ObservationTimes.range(5)
+        assert distance(c, c, rho, constant_discount(), obs, N=np.int32(4), ell=np.int64(2),
+                        seed=1) == distance(c, c, rho, constant_discount(), obs, N=4, ell=2,
+                                            seed=1)
 
 
 class TestEnumerationOracle:

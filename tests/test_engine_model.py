@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from evometric.models.engine_system import (
     engine_space,
     engine_system,
 )
-from evometric.process import validate
+from evometric.process import SyncPar, validate
 from evometric.rng import RandomStream
 
 
@@ -302,6 +304,27 @@ class TestLockstepEquivalence:
         assert np.array_equal(fast.states, slow.states)
         assert (fast.states[:, 1, c.space.index("temp_L")] == -50.0).all()
         assert (fast.states[:, 2, c.space.index("p1_L")] == -50.0).all()
+
+    @pytest.mark.parametrize("foreign", ["process", "definitions"])
+    def test_a_foreign_configuration_is_declined_and_compiled(self, foreign, caplog):
+        # the twin is bound to the process and definitions it was built for:
+        # given the body of Eng_L in place of the call, or the definitions of
+        # another threshold, it declines, and the compiled program runs
+        c = engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),))
+        if foreign == "process":
+            c = replace(c, process=SyncPar(c.defs["Eng_L"], c.process.right))
+        else:
+            other = engine_system(EngineParams(threshold=99.0),
+                                  attacks=(AttackConfig.parse("sen:L:0.4"),))
+            c = replace(other, lockstep=c.lockstep)
+        with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
+            fast = estimate(c, 40, 6, seed=13)
+        messages = [r.getMessage() for r in caplog.records]
+        assert "lockstep simulator declined: lockstep simulator is bound to the initial " \
+               "engine process" in messages
+        assert "compiled path: 6 runs of 40 steps" in messages
+        assert fast.states.tobytes() == estimate(c, 40, 6, seed=13,
+                                                 use_fast_path=False).states.tobytes()
 
     def test_penalty_streaming_matches(self):
         c = engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),))

@@ -16,13 +16,27 @@ from evometric.rng import (
     _TAPE_ROWS,
     RandomStream,
     UniformTape,
-    _fold_in,
     _fold_in_many,
     run_keys,
     tape_chunk,
 )
 
 words64 = st.integers(0, 2**64 - 1)
+MASK64 = 2**64 - 1
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def _fold_in(key: tuple[int, int], index: int) -> tuple[int, int]:
+    """The child key of ``key`` at ``index`` in Python integers, one at a
+    time: the oracle of ``_fold_in_many``."""
+    h = _splitmix64(key[0] ^ _splitmix64((index + 1) & MASK64))
+    return _splitmix64(h ^ key[1]), _splitmix64((key[1] + h + index) & MASK64)
 
 
 class TestDeterminism:
@@ -99,6 +113,11 @@ class TestStreamEquivalence:
         assert list(zip(v0.tolist(), v1.tolist())) == [
             _fold_in((k0, k1), first + i) for i in range(n)
         ]
+
+    @given(k0=words64, k1=words64, index=words64)
+    @settings(max_examples=50)
+    def test_a_child_key_is_the_scalar_fold(self, k0, k1, index):
+        assert RandomStream((k0, k1)).child(index).key == _fold_in((k0, k1), index)
 
     def test_vectorized_fold_rejects_negative_index(self):
         with pytest.raises(ValueError):

@@ -515,6 +515,8 @@ class TestStreamedFold:
              seed=2)
     @example(question=streamed_question("interpreter, 2 workers", 40, "evolution", 35, 0.5,
                                         2, 5, 2, False), seed=3)
+    @example(question=streamed_question("interpreter", 40, "evolution", 35, 0.5, 2, 5, 2,
+                                        False), seed=4)  # streamed over two chunks
     @settings(max_examples=80, deadline=None)
     def test_equals_the_materialised_estimates(self, question, seed):
         spec, c, sampler, obs, N, ell, path, small_blocks = question
@@ -681,7 +683,7 @@ class TestFailuresOfASharedBlock:
                 rho, 0, 0.9, c, Values(3.0), ObservationTimes.range(k), N=10, ell=2,
                 seed=5, M=1, use_fast_path=fast))
             assert got == want
-            assert folds == ([_W_CHUNK] if fast else [])
+            assert folds == [_W_CHUNK]
 
     def test_a_shared_block_that_fails_alone_starts_the_fold_over(self):
         """A penalty that fails only on a block of more rows than a
