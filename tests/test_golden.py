@@ -130,6 +130,32 @@ def _tanks_estimate_fast_paths() -> dict:
     return {"values": lockstep.tolist()}
 
 
+def _engine_dual_attacks_every_path() -> dict:
+    """The dual engine under an actuator attack on the left and a sensor
+    attack on the right, on every path; they must agree."""
+    c = engine_system(attacks=(AttackConfig.parse("act:L:1.8"), AttackConfig.parse("sen:R:0.4")),
+                      dual=True)
+    pens = engine_penalties(True)
+    rhos = [pens["fn"], pens["fp"], pens["stress_L"]]
+    paths = {"lockstep": (c, True), "compiled": (replace(c, lockstep=None), True),
+             "interpreter": (c, False)}
+    digests = {name: _sha256(estimate_penalties(cfg, 1000, 3, 59, rhos, range(1001),
+                                                use_fast_path=fast))
+               for name, (cfg, fast) in paths.items()}
+    assert len({d["sha256"] for d in digests.values()}) == 1, digests
+    return digests["interpreter"]
+
+
+def _tanks_scenario_2_lockstep() -> dict:
+    """A scenario-2 tank estimate on the lockstep, from a state where both
+    pumps move both ways and meet their bounds; the interpreter must agree."""
+    c = tanks_configuration(scenario=2, init={"q1": 0.6, "q2": 5.0, "q3": 5.5, "l1": 10.8,
+                                              "l2": 5.0, "l3": 14.0})
+    lockstep = estimate(c, 80, 8, seed=61).states
+    assert lockstep.tobytes() == estimate(c, 80, 8, seed=61, use_fast_path=False).states.tobytes()
+    return {"values": lockstep.tolist()}
+
+
 def _tanks_robustness_window() -> dict:
     """Tank robustness with the evolution filter over a window of steps."""
     c = tanks_configuration(scenario=1, init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
@@ -235,6 +261,8 @@ def compute_pins() -> dict:
         "tanks_choice_penalties_interpreter": _tanks_choice_penalties(),
         "engine_saw_every_path": _engine_saw(),
         "tanks_estimate_fast_paths": _tanks_estimate_fast_paths(),
+        "engine_dual_act_sen_every_path": _engine_dual_attacks_every_path(),
+        "tanks_scenario_2_lockstep": _tanks_scenario_2_lockstep(),
         "tanks_robustness_evolution_window": _tanks_robustness_window(),
         "engine_saw_robustness": _engine_saw_robustness(),
         "tanks_distance_both_directions": _tanks_distance_both_ways(),
