@@ -977,19 +977,20 @@ class Program(NamedTuple):
     source: str  # the source of ``run``
 
     def start(self, c, keys, horizon: int, initial) -> "_ProgramRun":
-        """Runs of ``c`` as the models' lockstep simulators start them: run i
-        starts from row i of ``initial`` on key i of ``keys``."""
-        return _ProgramRun(self, c, keys, horizon, initial)
+        """Run i of ``c`` starts from row i of ``initial`` on key i of
+        ``keys``, on a draw tape of its own."""
+        return _ProgramRun(self, c, UniformTape(keys, len(initial), c.env.draws, horizon), initial)
 
 
 class _ProgramRun:
-    def __init__(self, prog: Program, c, keys, horizon: int, initial):
-        self.prog, self.c, self.env, self.space = prog, c, c.env, c.space
-        n = len(initial)
-        # column-major, as the lockstep runs: every column is contiguous
+    """A block of runs of a program, reading its draws from ``tape``.  The
+    built-in models' lockstep shells start it on a tape they build."""
+
+    def __init__(self, prog: Program, c, tape: UniformTape, initial):
+        self.prog, self.c, self.env, self.space, self.tape = prog, c, c.env, c.space, tape
+        # column-major: every column is contiguous
         self.vals = np.array(initial, order="F")
-        self.ctrl = np.zeros(n, dtype=np.intp)  # the control id of each row
-        self.tape = UniformTape(keys, n, self.env.draws, horizon)
+        self.ctrl = np.zeros(len(initial), dtype=np.intp)  # the control id of each row
 
     def current(self) -> np.ndarray:
         return self.vals

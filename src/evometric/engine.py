@@ -24,17 +24,19 @@ initial values, and reads its rows' streams from one draw tape
 rows as keep the tape within ``_BLOCK_BYTES``, whatever the horizon (the
 interpreter splits them further to give each worker a block).  Any split
 of the rows gives the same bits, whatever the worker count, and so do the
-three execution paths; the first that takes the configuration and the
+two execution paths; the first that takes the configuration and the
 table runs it:
 
-* a per-model vectorized lockstep simulator attached to the configuration
-  (the built-in models' hand-written numpy twins of their terms);
 * the compiled program of the process (:mod:`.compiled`), when each of its
   reachable steps is a Dirac by construction and every initial data state
   is admissible (the compiler lists what it declines);
 * the reference interpreter (``_InterpretedRun``), which steps the process
   of each row as ``sim_step`` does, reading the process uniforms of the
   row's stream from the tape one row at a time.
+
+A built-in model's lockstep shell (``Configuration.lockstep``, kept only
+while the benchmark counts runs through it) starts the compiled path's
+runs of its own model, on a draw tape it builds itself.
 
 Each path's ``start(c, keys, k, initial)`` returns a run of a block whose
 ``current()`` and ``step()`` give its values, a failing step raising
@@ -53,13 +55,12 @@ is simulated, on every path, so a caller that folds the steps (the
 robustness estimators fold W a chunk of steps at a time) never holds the
 (P, N, T) block.
 
-The lockstep declines when its ``start`` raises ``PreconditionError``
-because it is bound to another process term (for instance one advanced by
-``sim_step``).  Each decline of a fast path is logged at DEBUG level with
-its reason, and each call of ``_run`` logs the path that served it with its
-runs and steps.
-``use_fast_path=False`` (``--no-fast-path`` on the command line) skips both
-fast paths and forces the interpreter.
+A shell declines, raising ``PreconditionError``, a process term other
+than its model's (for instance one advanced by ``sim_step``).  Each
+decline is logged at DEBUG level with its reason, and each call of
+``_run`` logs the path that served it with its runs and steps.
+``use_fast_path=False`` (``--no-fast-path`` on the command line) skips the
+compiled path and forces the interpreter.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class Configuration:
     """A process, a data state, and an environment evolution.
 
     ``defs`` is the recursion table for process variables.  ``lockstep`` is
-    an optional vectorized simulator provided by built-in models; it must be
-    observationally identical to the reference interpreter.
+    the built-in models' shell over the compiled program (see the module
+    docstring), ``None`` elsewhere.
     """
 
     process: Process
@@ -484,17 +485,13 @@ def _rows(table, lo: int, hi: int) -> tuple:
 def _start(c, table, k, rows, use_fast_path):
     """(its name, ``start``, the run of the table's first ``rows`` rows) of
     the first path that takes the configuration and the table: with
-    ``use_fast_path``, the lockstep simulator, else the compiled program,
-    which must admit every segment's data state; else the interpreter."""
+    ``use_fast_path``, the compiled program, which must admit every
+    segment's data state, started by the lockstep shell unless it declines;
+    else the interpreter."""
     keys, initial = _rows(table, 0, rows)
     if use_fast_path:
-        if c.lockstep is not None:
-            try:
-                return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
-            except PreconditionError as exc:
-                log.debug("lockstep simulator declined: %s", exc)
-        # imported on first use: a lockstep-served or interpreted estimate, and
-        # importing the package, do not pay for compiling the module
+        # imported on first use: importing the package does not pay for
+        # importing the compiler
         from . import compiled
 
         try:
@@ -502,6 +499,11 @@ def _start(c, table, k, rows, use_fast_path):
         except PreconditionError as exc:
             log.debug("process not compiled, running the interpreter: %s", exc)
         else:
+            if c.lockstep is not None:
+                try:
+                    return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
+                except PreconditionError as exc:
+                    log.debug("lockstep simulator declined: %s", exc)
             return "compiled", program.start, program.start(c, keys, k, initial)
     return "interpreter", _InterpretedRun.start, _InterpretedRun.start(c, keys, k, initial)
 

@@ -352,7 +352,7 @@ def engine_system(
             raise StructuralError(f"unknown initial-state variables {unknown}")
         values.update(init)
     data = space.state(values)
-    lockstep = EngineLockstep(params, attacks, dual, process, tuple(sorted(defs.items())))
+    lockstep = EngineLockstep(process, tuple(sorted(defs.items())))
     cfg = Configuration(process, data, env, defs, lockstep)
     # actuator attacks share the coolant variable with the controller by design
     return cfg.validated(tolerate_write_overlap=True)
@@ -553,21 +553,19 @@ def engine_manifest(params: EngineParams, dual: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized lockstep simulator
+# Lockstep shell: the compiled program, started where the benchmark counts it
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EngineLockstep:
-    """Per-run automaton for the controller phase; every other process write
-    is a pure function of the current values.  After the process effects the
-    configuration's environment kernel steps the whole block."""
+    """Starts the runs of the engine system it was built for as its compiled
+    program's run (:mod:`..compiled`), on a tape built through this module's
+    ``UniformTape`` name.  Kept only because the benchmark's tracer counts
+    lockstep runs at this ``start`` and tape streams at that name."""
 
-    params: EngineParams
-    attacks: tuple
-    dual: bool
     expected_process: Process
-    expected_defs: tuple = ()  # sorted (name, body) pairs of the bound system
+    expected_defs: tuple  # sorted (name, body) pairs of the bound system
 
     def start(self, c: Configuration, keys, steps: int, initial):
         """Run i of ``c`` starts from row i of ``initial`` on key i of ``keys``."""
@@ -576,94 +574,7 @@ class EngineLockstep:
             raise PreconditionError(
                 "lockstep simulator is bound to the initial engine process"
             )
-        return _EngineRun(self, c, keys, steps, initial)
+        from ..compiled import _ProgramRun, program
 
-
-class _EngineRun:
-    # controller phases: 0 read-guard, 1..4 cooling ticks, 5 check;
-    # act-attack state per side: False idle, True hold.  The block is
-    # column-major (Fortran order): every step reads and writes whole
-    # columns, which are then contiguous.
-    def __init__(self, cfg: EngineLockstep, c: Configuration, keys, steps: int, initial):
-        self.cfg = cfg
-        self.p = cfg.params
-        self.sides = ("L", "R") if cfg.dual else ("L",)
-        self.env, self.space = c.env, c.space
-        self.ix = {name: i for i, name in enumerate(self.space.names)}
-        n = len(initial)
-        self.vals = np.array(initial, order="F")
-        self.phase = {s: np.zeros(n, dtype=np.int64) for s in self.sides}
-        self.armed = {a.side: np.zeros(n, dtype=bool) for a in cfg.attacks if a.kind == "act"}
-        self.t = 0
-        self.tape = UniformTape(keys, n, self.env.draws, steps)
-
-    def current(self) -> np.ndarray:
-        return self.vals
-
-    def _col(self, name: str, side: str | None = None) -> np.ndarray:
-        return self.vals[:, self.ix[_sv(name, side) if side else name]]
-
-    def step(self) -> np.ndarray:
-        p = self.p
-        ix = self.ix
-        out = self.vals.copy(order="K")
-
-        # --- process effects (synchronous; attacks applied last) ---
-        for s in self.sides:
-            temp = self._col("temp", s)
-            cool = self._col("cool", s)
-            ch_speed = self._col("ch_speed", s)
-            ch_in = self._col("ch_speed_R_to_L" if s == "L" else "ch_speed_L_to_R")
-            ph = self.phase[s]
-
-            guard_cold = (temp + self._col("temp_fake", s)) < p.threshold
-            at_guard = ph == 0
-            at_check = ph == 5
-            cool_new = np.where(at_guard & ~guard_cold, ON, np.where(at_check, OFF, cool))
-            speed_new = np.where(
-                at_check, np.where(ch_speed == SLOW, SLOW, ch_in), self._col("speed", s)
-            )
-            self.phase[s] = np.where(
-                at_guard, np.where(guard_cold, 5, 1), np.where(at_check, 0, ph + 1)
-            )
-
-            warn = (temp > p.max_temp) & (cool == OFF)
-            out[:, ix[_sv("cool", s)]] = cool_new
-            out[:, ix[_sv("speed", s)]] = speed_new
-            out[:, ix[_sv("ch_warning", s)]] = np.where(warn, HOT, OK)
-            out[:, ix[_sv("ch_speed", s)]] = np.where(warn, SLOW, HALF)
-            ch_out = "ch_speed_L_to_R" if s == "L" else "ch_speed_R_to_L"
-            out[:, ix[ch_out]] = np.where(warn, FULL, HALF)
-
-        if self.cfg.dual:
-            wl = self._col("ch_warning", "L") == HOT
-            wr = self._col("ch_warning", "R") == HOT
-            out[:, ix["ch_alarm"]] = np.where(
-                wl & wr, BOTH, np.where(wl, LEFT, np.where(wr, RIGHT, NONE))
-            )
-
-        for att in self.cfg.attacks:
-            s = att.side
-            if att.kind == "act":
-                limit = np.where(self.armed[s], p.max_temp, p.max_temp - att.ac)
-                active = self._col("temp", s) < limit
-                out[:, ix[_sv("cool", s)]] = np.where(
-                    active, OFF, out[:, ix[_sv("cool", s)]]
-                )
-                self.armed[s] = active
-            elif att.kind == "sen":
-                out[:, ix[_sv("temp_fake", s)]] = -att.tf
-            else:  # saw
-                if self.t == 0:
-                    out[:, ix[_sv("aw_l", s)]] = self._col("left", s)
-                    out[:, ix[_sv("aw_r", s)]] = self._col("right", s)
-                else:
-                    cs = self._col("cs")
-                    inside = (self._col("aw_l", s) <= cs) & (cs <= self._col("aw_r", s))
-                    out[:, ix[_sv("temp_fake", s)]] = np.where(inside, -att.tf, 0.0)
-
-        # --- environment on the post-effect state ---
-        u = self.tape.next_step()
-        self.vals = self.env.advance(out, u, self.space)
-        self.t += 1
-        return self.vals
+        return _ProgramRun(program(c), c, UniformTape(keys, len(initial), c.env.draws, steps),
+                           initial)

