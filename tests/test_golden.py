@@ -179,6 +179,30 @@ def _engine_saw_robustness() -> dict:
     return rep.to_json_dict()
 
 
+def _tanks_adapt_benchmark_call() -> dict:
+    """The benchmark's ``tanks-adapt`` call, whole: 5000-run candidate
+    blocks of the compiled tank program over 150 steps."""
+    c = tanks_configuration(scenario=1, init={"l1": 5.0, "l2": 5.0, "l3": 5.0})
+    rho = tanks_penalties(c.env.params)["l3"]
+    rep = estimate_adaptability(rho, 30, 0.3, c, UniformResampler(("q1", "q2", "q3", "l2", "l3")),
+                                ObservationTimes.range(150), N=1000, ell=5, seed=67, M=5,
+                                budget=500)
+    return rep.to_json_dict()
+
+
+def _engine_saw_benchmark_call() -> dict:
+    """The benchmark's ``engine-saw`` call at a 2000-step horizon; its
+    report's JSON text is pinned by SHA-256."""
+    base = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),))
+    pens = engine_penalties(False, awml=1000)
+    spec = RobustnessSpec(rho=pens["window_L"], rho_target=pens["fn_L"], interval=(0, 0),
+                          tau_tilde=0, eta1=0.1, eta2=0.2, M=1, filter_mode="evolution")
+    rep = estimate_robustness(spec, base, SawWindowSampler("L", 1000),
+                              ObservationTimes.range(2000), N=100, ell=10, seed=71, budget=400)
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    return {"sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
 def _tanks_distance_both_ways() -> dict:
     """The distance between the two tank scenarios, in each direction."""
     c1, c2 = tanks_configuration(scenario=1), tanks_configuration(scenario=2)
@@ -265,6 +289,8 @@ def compute_pins() -> dict:
         "tanks_scenario_2_lockstep": _tanks_scenario_2_lockstep(),
         "tanks_robustness_evolution_window": _tanks_robustness_window(),
         "engine_saw_robustness": _engine_saw_robustness(),
+        "tanks_adapt_benchmark_call": _tanks_adapt_benchmark_call(),
+        "engine_saw_benchmark_call": _engine_saw_benchmark_call(),
         "tanks_distance_both_directions": _tanks_distance_both_ways(),
         "tanks_adaptability_interpreter_threads_1": _tanks_adaptability_interpreter(),
         "failures": _failures(),
