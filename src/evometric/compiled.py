@@ -30,7 +30,11 @@ per run:
   a term's segment spans only the guards it reads itself.  No gather is
   emitted when every term keeps its own id or all move on to one id;
 * a select between two constants is a gather from a 2-entry table, and
-  every lookup table is read with ``take``.
+  every lookup table is read with ``take``;
+* the step computes every value, failure mask and clamp tally first, and
+  only then writes the written columns into the block it is given, which
+  belongs to the run alone; nothing copies the whole block.  A value that
+  is a bare view of another written column (a swap) is copied first.
 
 A range analysis runs once per expression, when the compiler builds it
 (interval abstract interpretation, Cousot and Cousot, POPL 1977).  Every
@@ -51,9 +55,10 @@ rules and counted in ``clamp_events``.  The configuration's environment
 kernel then steps the whole block on ``UniformTape`` draws, which are the
 draws the interpreter takes, since a Dirac step draws none.
 
-A step where some row fails is handed to the interpreter: its block run
-(``engine._InterpretedRun``) takes the step again from the block's values,
-draw tape and process terms, and raises the failure.  So the rule for the
+A step where some row fails returns before its first write and is handed
+to the interpreter: its block run (``engine._InterpretedRun``) takes the
+step again from the untouched block, draw tape and process terms, and
+raises the failure.  So the rule for the
 least failing row, and its clamp count, exist only in the reference code,
 and both paths report the same run, step, message and ``clamp_events``.
 
@@ -836,14 +841,16 @@ class _Lowering:
 
     def build(self) -> tuple:
         """(the step function, its source).  The function maps (pre-step
-        block, control ids) to (post-step block, next control ids, failing
-        rows or None, clamped rows per tally)."""
+        block, control ids) to (the same block, next control ids, failing
+        rows or None, clamped rows per tally).  Unless a row fails, it
+        writes the post-step values of the written columns into the block
+        it is given; a step where a row fails leaves the block untouched."""
         steps = self.steps
         for tid, step in enumerate(steps):
             self.effects(tid, step.root, ())
 
         written = sorted({c for step in steps for c in _written(step.root)})
-        selects = []
+        selects, writes = [], []
         for col in written:
             groups: dict = {}
             for tid, step in enumerate(steps):
@@ -853,11 +860,15 @@ class _Lowering:
             if len(order) == 1 and order[0][0] is None:
                 continue
             # one statement per group, so that many terms nest no deeper
-            selects.append(f"p = {self.select(col, order[0][0])}")
+            p, first = f"p{col}", self.select(col, order[0][0])
+            if len(order) == 1 and any(first == self.names.get(("col", c)) for c in written
+                                       if c != col):
+                first += ".copy()"  # a view of a column written before it is read
+            selects.append(f"{p} = {first}")
             for tree, terms in order[1:]:
                 rows = self.members(tuple(terms))
-                selects.append(f"p = where({rows}, {self.select(col, tree)}, p)")
-            selects.append(f"post[:, {col}] = p")
+                selects.append(f"{p} = where({rows}, {self.select(col, tree)}, {p})")
+            writes.append(f"v[:, {col}] = {p}")
 
         self.lower_next_ids(_next_ids(steps))
 
@@ -865,12 +876,11 @@ class _Lowering:
         if self.fail_sources:
             body += ["fail = zeros(len(v), dtype=bool)"]
             body += [f"fail |= {s}" for s in self.fail_sources]
-            body += ["fail = fail if fail.any() else None"]
-        else:
-            body += ["fail = None"]
-        # kernels do not modify their input: a step that writes nothing passes v on
-        body += ["post = v.copy(order='K')" if selects else "post = v"] + selects
-        body.append(f"return post, nxt, fail, ({''.join(t + ', ' for t in self.tallies)})")
+            # the interpreter takes the step again from the untouched block
+            body += ["if fail.any():", "    return v, nxt, fail, ()"]
+        # every value is computed before the first write into the block
+        body += selects + writes
+        body.append(f"return v, nxt, None, ({''.join(t + ', ' for t in self.tallies)})")
         if self.loud:
             body = ["with errstate(all='ignore'):"] + ["    " + line for line in body]
             self.env["errstate"] = np.errstate
@@ -973,7 +983,9 @@ class Program(NamedTuple):
     """The control table of one process and the lowered step of its terms."""
 
     terms: tuple  # control id -> process term
-    run: object  # (pre-step block, control ids) -> (post, next ids, failing rows or None, clamps)
+    # (block, control ids) -> (block, next ids, failing rows or None, clamps):
+    # the block is written in place, unless a row fails
+    run: object
     source: str  # the source of ``run``
 
     def start(self, c, keys, horizon: int, initial) -> "_ProgramRun":
@@ -984,11 +996,17 @@ class Program(NamedTuple):
 
 class _ProgramRun:
     """A block of runs of a program, reading its draws from ``tape``.  The
-    built-in models' lockstep shells start it on a tape they build."""
+    built-in models' lockstep shells start it on a tape they build.
+
+    The run owns its block: a private copy of ``initial`` at first, then
+    each step's kernel result (fresh, as ``EnvironmentEvolution.advance``
+    returns it).  A step writes the process's columns into that block, so
+    a block that :meth:`current` or :meth:`step` returns is valid only
+    until the next step."""
 
     def __init__(self, prog: Program, c, tape: UniformTape, initial):
         self.prog, self.c, self.env, self.space, self.tape = prog, c, c.env, c.space, tape
-        # column-major: every column is contiguous
+        # column-major (every column is contiguous), and the run's own
         self.vals = np.array(initial, order="F")
         self.ctrl = np.zeros(len(initial), dtype=np.intp)  # the control id of each row
 
@@ -997,7 +1015,8 @@ class _ProgramRun:
 
     def step(self) -> np.ndarray:
         post, ctrl, fail, clamped = self.prog.run(self.vals, self.ctrl)
-        if fail is not None:  # the interpreter finishes the step and raises its failure
+        if fail is not None:  # the interpreter finishes the step, from the
+            # untouched block, and raises its failure
             terms = self.prog.terms
             _InterpretedRun(self.c, self.tape, self.vals,
                             [terms[i] for i in self.ctrl.tolist()]).step()

@@ -340,10 +340,12 @@ def estimate_penalties(
 
     ``consumer``, when given, is called as ``consumer(j, row)`` for each
     observation time ``obs_times[j]``, in order, with the (len(penalties),
-    N) penalties of that step (valid during the call only), and the call
-    returns None.  When all N runs fit one block in this process (see
-    ``_run``), on any path, the rows go to the consumer as their steps are
-    simulated, so no array of the whole horizon is held.  Otherwise (more
+    N) penalties of that step, and the call returns None.  ``row`` is valid
+    during the call only, like the simulated block it was evaluated on,
+    which the run's next step overwrites; a consumer copies what it keeps.
+    When all N runs fit one block in this process (see ``_run``), on any
+    path, the rows go to the consumer as their steps are simulated, so no
+    array of the whole horizon is held.  Otherwise (more
     runs than one block holds, or the interpreter fanned out at ``threads``
     > 1) the array is filled first and then handed over a column at a
     time.  The consumer sees column 0 again when a call of several
@@ -400,6 +402,8 @@ def _check_counts(k: int, N: int) -> None:
 
 
 def _store_steps(steps, dest: np.ndarray) -> None:
+    """The fill of ``estimate``: copies each step's block into ``dest``
+    before the next step is simulated."""
     for i, vals in enumerate(steps):
         dest[:, i, :] = vals
 
@@ -407,7 +411,9 @@ def _store_steps(steps, dest: np.ndarray) -> None:
 def _store_penalties(penalties, obs, space, steps, dest) -> None:
     """The fill of ``estimate_penalties``: hands the (P, n) penalties of a
     block's observed step to ``dest(j, row)``, j its observation index.
-    An (n, P, T) array ``dest`` gets each row written to its column j."""
+    An (n, P, T) array ``dest`` gets each row written to its column j.
+    The penalties are evaluated on each block as it is yielded, before the
+    run's next step writes into it."""
     if isinstance(dest, np.ndarray):
         dest = partial(_write_column, np.moveaxis(dest, 0, 1))
     col = {t: j for j, t in enumerate(obs)}
@@ -431,7 +437,11 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     The rows are simulated in blocks of ``c``'s process, definitions and
     environment, each from its own initial values on its own stream, and
     ``fill(steps, dest)`` reduces each block, where ``steps`` yields the
-    block's (n, nvars) values at steps 0..k.  Every path reads its block's
+    block's (n, nvars) values at steps 0..k.  A block handed to a fill or
+    to a consumer is valid only until the run's next step, since the
+    compiled path writes that step into the block it returned: a fill
+    copies what it keeps (``_store_steps``) or reduces it at once
+    (``_store_penalties``).  Every path reads its block's
     draws from one ``UniformTape``, the one buffer that grows with the
     horizon, and one rule sizes the blocks: at least 64 runs, as many as
     keep the tape within ``_BLOCK_BYTES``.  Every path runs a block as a
@@ -466,7 +476,7 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
         stream = consumer is not None and N <= rows
         out = None if stream else hold()
         for lo in range(0, N, rows):
-            if lo:
+            if lo or sim is None:
                 keys, initial = _rows(table, lo, lo + rows)
                 sim = start(c, keys, k, initial)
             dest = consumer if stream else out[lo:lo + rows]
@@ -483,12 +493,12 @@ def _rows(table, lo: int, hi: int) -> tuple:
 
 
 def _start(c, table, k, rows, use_fast_path):
-    """(its name, ``start``, the run of the table's first ``rows`` rows) of
-    the first path that takes the configuration and the table: with
-    ``use_fast_path``, the compiled program, which must admit every
+    """(its name, ``start``, the run of the table's first ``rows`` rows or
+    None) of the first path that takes the configuration and the table:
+    with ``use_fast_path``, the compiled program, which must admit every
     segment's data state, started by the lockstep shell unless it declines;
-    else the interpreter."""
-    keys, initial = _rows(table, 0, rows)
+    else the interpreter.  A run is started here only where a decline must
+    be seen: the lockstep shell's."""
     if use_fast_path:
         # imported on first use: importing the package does not pay for
         # importing the compiler
@@ -500,12 +510,13 @@ def _start(c, table, k, rows, use_fast_path):
             log.debug("process not compiled, running the interpreter: %s", exc)
         else:
             if c.lockstep is not None:
+                keys, initial = _rows(table, 0, rows)
                 try:
                     return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
                 except PreconditionError as exc:
                     log.debug("lockstep simulator declined: %s", exc)
-            return "compiled", program.start, program.start(c, keys, k, initial)
-    return "interpreter", _InterpretedRun.start, _InterpretedRun.start(c, keys, k, initial)
+            return "compiled", program.start, None
+    return "interpreter", _InterpretedRun.start, None
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:

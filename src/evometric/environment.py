@@ -22,8 +22,11 @@ fast one allocates its result once and computes every value with ``out=``
 into that result or into scratch vectors it made itself, since each
 temporary of an array expression costs an allocation and a pass through
 memory.  It never writes into ``values`` or ``u``, not even as scratch:
-they may be views of a run's block, of the draw tape, or of the
-interpreter's reused buffer.  Written so, the tanks kernel costs 29 %
+``values`` may be a compiled run's own block, into which the process step
+wrote its columns in place, or the interpreter's reused buffer, and ``u``
+a view of the draw tape.  The clamped result becomes the run's next
+block, which the next compiled step writes into, so a kernel keeps no
+reference to what it returns.  Written so, the tanks kernel costs 29 %
 less per call at 5000 rows and 17 % less at 100 rows than as array
 expressions (2-core x86, numpy 2.4), with the same bits.
 

@@ -238,7 +238,7 @@ class _Fold:
     def __call__(self, j: int, row: np.ndarray) -> None:
         i = j % _W_CHUNK
         width = self.head + self.ell_N
-        self.buf[:, i, :width] = row
+        self.buf[:, i, :width] = row  # ``row`` is valid during this call only
         if j == 0:
             self.rejected = False
         if i == _W_CHUNK - 1 or j == len(self.w) - 1:

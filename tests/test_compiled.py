@@ -13,6 +13,7 @@ clamp events, or raise the same (run, step, message).
 import logging
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -181,17 +182,17 @@ def data_states(space=SPACE):
                        for spec in space.vars)).map(space.state)
 
 
-def _outcome(call, count_clamps):
+def _outcome(call, count_clamps, space=SPACE):
     """The bits of the result, or the failure; with the clamp events the
     call added when ``count_clamps`` (workers count theirs elsewhere)."""
-    before = SPACE.clamp_events
+    before = space.clamp_events
     try:
         result = call()
     except SimulationError as exc:
         got = ("failed", exc.run, exc.step, str(exc))
     else:
         got = np.asarray(getattr(result, "states", result)).tobytes()
-    return got, SPACE.clamp_events - before if count_clamps else None
+    return got, space.clamp_events - before if count_clamps else None
 
 
 @given(system=systems(), k=st.integers(0, 8), N=st.integers(1, 6),
@@ -308,10 +309,93 @@ def test_many_terms_that_write_apart_share_one_step():
                         Prefix((Const(i / 30.0),), ("y",), Call(f"D{(i + 1) % n}")),
                         tick(Call("D0"))) for i in range(n)}
     c = Configuration(Call("D0"), SPACE.state([0.0, 0.0, 0.0, 0.0]), Drift(), defs)
-    assert compiled.program(c).source.count("p = where(") == n
+    # y is column 1: its value is named p1 until it is written
+    assert compiled.program(c).source.count("p1 = where(") == n
     fast = _outcome(lambda: estimate(c, 40, 20, 3, use_fast_path=True), True)
     slow = _outcome(lambda: estimate(c, 40, 20, 3, use_fast_path=False), True)
     assert fast == slow
+
+
+# -- the step writes into the run's own block ----------------------------------
+
+OWN = DataSpace([VarSpec("a", 0.0, 10.0), VarSpec("b", 0.0, 10.0), VarSpec("c", 0.0, 20.0)])
+
+
+class Redraw(EnvironmentEvolution):
+    """a is redrawn in [2, 4]; b and c are kept."""
+
+    id = "redraw-a"
+    draws = 1
+
+    def sample_batch(self, values, u):
+        out = values.copy(order="K")
+        out[:, 0] = 2.0 + 2.0 * u[:, 0]
+        return out
+
+
+class ReadOnly(Redraw):
+    """``Redraw``, returned as a read-only view, as ``np.broadcast_to``
+    makes one; without ``clamped``, the clamp makes the run's block."""
+
+    id = "redraw-a-read-only"
+
+    def sample_batch(self, values, u):
+        out = super().sample_batch(values, u)
+        return np.broadcast_to(out, out.shape)
+
+
+def _own_paths_agree(defs, env, seed=5):
+    """Both estimators on both paths, from P: the same bits and clamp
+    events, or the same failure; returns the interpreter's ``estimate``
+    outcome."""
+    c = Configuration(Call("P"), OWN.state([5.0, 1.0, 0.0]), env, defs)
+    compiled.program(c)
+    k, N = 12, 9
+    pens = [GoalPenalty("a", 0.0, 0.0, 10.0), GoalPenalty("b", 10.0, 0.0, 10.0)]
+    outcomes = []
+    for call in (lambda fast: estimate(c, k, N, seed, use_fast_path=fast),
+                 lambda fast: estimate_penalties(c, k, N, seed, pens, range(k + 1),
+                                                 use_fast_path=fast)):
+        fast, slow = (_outcome(partial(call, f), True, OWN) for f in (True, False))
+        assert fast == slow
+        outcomes.append(slow)
+    return outcomes[0]
+
+
+def test_a_swap_of_two_columns_reads_both_before_writing_either():
+    defs = {"P": Prefix((Var("b"), Var("a")), ("a", "b"), Call("P"))}
+    assert isinstance(_own_paths_agree(defs, Redraw())[0], bytes)
+    c = Configuration(Call("P"), OWN.state([5.0, 1.0, 0.0]), Redraw(), defs)
+    assert compiled.program(c).source.count(".copy()") == 2
+
+
+def test_a_write_reads_the_pre_step_value_of_another_written_column():
+    # each value reads a column the step also writes, in a prefix and
+    # across a synchronous composition, under a guard on a written column
+    defs = {"P": SyncPar(Call("L"), Call("R")),
+            "L": If(Op(">", (Var("a"), Const(3.0))),
+                    Prefix((Op("+", (Var("b"), Const(1.0))),), ("a",), Call("L")),
+                    Prefix((Op("/", (Var("b"), Const(2.0))), Op("-", (Var("c"), Var("a")))),
+                           ("a", "c"), Call("L"))),
+            "R": Prefix((Op("*", (Var("a"), Const(2.0))), Var("a")), ("b", "c"), Call("R"))}
+    assert isinstance(_own_paths_agree(defs, Redraw())[0], bytes)
+
+
+def test_a_failing_step_hands_over_the_untouched_block():
+    # a - 1 is written where sqrt(a - 3) reads a: on the written block every
+    # row would fail and row 0 would be named; 10 a is clamped at 20, and
+    # the rows before the failing one count their clamps
+    body = Prefix((Op("-", (Var("a"), Const(1.0))), Op("sqrt", (Op("-", (Var("a"), Const(3.0))),)),
+                   Op("*", (Const(10.0), Var("a")))), ("a", "b", "c"), Call("P"))
+    got = _own_paths_agree({"P": body}, Redraw(), seed=4)
+    assert got == (("failed", 2, 1, "run 2: step 1: sqrt of negative value -0.970284 in "
+                    "'sqrt(a - 3)'"), 11)
+
+
+def test_a_read_only_kernel_result_is_not_the_block_written():
+    body = Prefix((Var("b"), Op("min", (Op("+", (Var("a"), Const(1.0))), Const(10.0)))),
+                  ("a", "b"), Call("P"))
+    assert isinstance(_own_paths_agree({"P": body}, ReadOnly())[0], bytes)
 
 
 def _step_to(call, f=0.5):
@@ -499,8 +583,9 @@ def test_the_built_in_terms_lower_without_clamps_or_checks(model):
         ref = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),))
         ref = ref.with_data(ref.data.update([("left_L", 5.0), ("right_L", 300.0)]))
     source = compiled.program(Configuration(ref.process, ref.data, ref.env, ref.defs)).source
-    # no clamp, NaN check, failing-row bookkeeping or floating-point error state
-    for code in ("clamp(", "isnan(", "fail |=", "errstate"):
+    # no clamp, NaN check, failing-row bookkeeping, floating-point error
+    # state or copy: the step writes its columns into the run's block
+    for code in ("clamp(", "isnan(", "fail |=", "errstate", ".copy("):
         assert code not in source, source
 
 

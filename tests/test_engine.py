@@ -213,6 +213,23 @@ class TestEstimate:
         b = estimate(c, 5, 12, seed=21, threads=3)
         assert np.array_equal(a.states, b.states)
 
+    def test_a_pool_starts_no_run_in_this_process(self, toy_space, monkeypatch):
+        # at threads=2 the interpreter's blocks are started in the workers;
+        # this process starts none of them
+        c = toy_configuration(toy_space)
+        rho = VarPenalty("x", id="x")
+        want = (estimate(c, 5, 12, seed=21).states,
+                estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5]))
+        started = []
+        start = engine._InterpretedRun.start.__func__
+        monkeypatch.setattr(engine._InterpretedRun, "start", classmethod(
+            lambda cls, *args: started.append(args) or start(cls, *args)))
+        got = (estimate(c, 5, 12, seed=21, threads=2, use_fast_path=False).states,
+               estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=2,
+                                  use_fast_path=False))
+        assert started == []
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_seed_invariance_across_calls(self, toy_space):
         c = toy_configuration(toy_space)
         a = estimate(c, 5, 12, seed=34)
