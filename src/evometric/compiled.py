@@ -31,10 +31,11 @@ per run:
   emitted when every term keeps its own id or all move on to one id;
 * a select between two constants is a gather from a 2-entry table, and
   every lookup table is read with ``take``;
-* the step computes every value, failure mask and clamp tally first, and
-  only then writes the written columns into the block it is given, which
-  belongs to the run alone; nothing copies the whole block.  A value that
-  is a bare view of another written column (a swap) is copied first.
+* the step reads and writes the block through a tuple of its column
+  views; it computes every value, failure mask and clamp tally first, and
+  only then writes the written columns into the block, which belongs to
+  the run alone; nothing copies the whole block.  A value that is a bare
+  view of another written column (a swap) is copied first.
 
 A range analysis runs once per expression, when the compiler builds it
 (interval abstract interpretation, Cousot and Cousot, POPL 1977).  Every
@@ -53,7 +54,11 @@ into +0.0 without counting it, so a write that can be -0.0 keeps its clamp
 there.  Writes that keep their clamp are clamped by ``DataState.update``'s
 rules and counted in ``clamp_events``.  The configuration's environment
 kernel then steps the whole block on ``UniformTape`` draws, which are the
-draws the interpreter takes, since a Dirac step draws none.
+draws the interpreter takes, since a Dirac step draws none: in place, with
+its ``sample_into`` and the declared clamp, when the kernel steps blocks of
+the space in place (``EnvironmentEvolution._steps_in_place``), so the run
+keeps one block from its first step to its last; else through ``advance``,
+whose result becomes the run's block.
 
 A step where some row fails returns before its first write and is handed
 to the interpreter: its block run (``engine._InterpretedRun``) takes the
@@ -811,7 +816,7 @@ class _Lowering:
 
     def pre(self, col: int) -> str:
         """The pre-step values of a column."""
-        return self._name(("col", col), "c", lambda: f"v[:, {col}]")
+        return self._name(("col", col), "c", lambda: f"cols[{col}]")
 
     def lower_next_ids(self, nx: _NextIds) -> None:
         """Emits ``nxt``, the next control ids: one gather from the table,
@@ -840,11 +845,11 @@ class _Lowering:
     # -- the step ------------------------------------------------------------
 
     def build(self) -> tuple:
-        """(the step function, its source).  The function maps (pre-step
-        block, control ids) to (the same block, next control ids, failing
-        rows or None, clamped rows per tally).  Unless a row fails, it
-        writes the post-step values of the written columns into the block
-        it is given; a step where a row fails leaves the block untouched."""
+        """(the step function, its source).  The function maps (the column
+        views of the pre-step block, control ids) to (next control ids,
+        failing rows or None, clamped rows per tally).  Unless a row fails,
+        it writes the post-step values of the written columns into those
+        columns; a step where a row fails leaves the block untouched."""
         steps = self.steps
         for tid, step in enumerate(steps):
             self.effects(tid, step.root, ())
@@ -868,23 +873,23 @@ class _Lowering:
             for tree, terms in order[1:]:
                 rows = self.members(tuple(terms))
                 selects.append(f"{p} = where({rows}, {self.select(col, tree)}, {p})")
-            writes.append(f"v[:, {col}] = {p}")
+            writes.append(f"cols[{col}][...] = {p}")
 
         self.lower_next_ids(_next_ids(steps))
 
         body = self.lines
         if self.fail_sources:
-            body += ["fail = zeros(len(v), dtype=bool)"]
+            body += ["fail = zeros(len(ctrl), dtype=bool)"]
             body += [f"fail |= {s}" for s in self.fail_sources]
             # the interpreter takes the step again from the untouched block
-            body += ["if fail.any():", "    return v, nxt, fail, ()"]
+            body += ["if fail.any():", "    return nxt, fail, ()"]
         # every value is computed before the first write into the block
         body += selects + writes
-        body.append(f"return v, nxt, None, ({''.join(t + ', ' for t in self.tallies)})")
+        body.append(f"return nxt, None, ({''.join(t + ', ' for t in self.tallies)})")
         if self.loud:
             body = ["with errstate(all='ignore'):"] + ["    " + line for line in body]
             self.env["errstate"] = np.errstate
-        source = "def step(v, ctrl):\n" + "".join(f"    {line}\n" for line in body)
+        source = "def step(cols, ctrl):\n" + "".join(f"    {line}\n" for line in body)
         exec(compile(source, "<compiled step>", "exec"), self.env)
         return self.env["step"], source
 
@@ -983,8 +988,8 @@ class Program(NamedTuple):
     """The control table of one process and the lowered step of its terms."""
 
     terms: tuple  # control id -> process term
-    # (block, control ids) -> (block, next ids, failing rows or None, clamps):
-    # the block is written in place, unless a row fails
+    # (column views of the block, control ids) -> (next ids, failing rows or
+    # None, clamps): the block is written in place, unless a row fails
     run: object
     source: str  # the source of ``run``
 
@@ -998,32 +1003,51 @@ class _ProgramRun:
     """A block of runs of a program, reading its draws from ``tape``.  The
     built-in models' lockstep shells start it on a tape they build.
 
-    The run owns its block: a private copy of ``initial`` at first, then
-    each step's kernel result (fresh, as ``EnvironmentEvolution.advance``
-    returns it).  A step writes the process's columns into that block, so
-    a block that :meth:`current` or :meth:`step` returns is valid only
-    until the next step."""
+    The run owns its block, a private copy of ``initial``, column-major,
+    and steps it through ``cols``, the tuple of its column views.  A step
+    writes the process's columns into that block; a kernel that steps the
+    space in place (``EnvironmentEvolution._steps_in_place``, both built-in
+    kernels) then overwrites it with its successors and clamps the declared
+    columns, so the block is one array for the whole run.  Any other kernel
+    steps a copy through ``advance``, whose fresh result becomes the block,
+    with its column views made anew.  Either way a block that
+    :meth:`current` or :meth:`step` returns is valid only until the next
+    step."""
 
     def __init__(self, prog: Program, c, tape: UniformTape, initial):
         self.prog, self.c, self.env, self.space, self.tape = prog, c, c.env, c.space, tape
         # column-major (every column is contiguous), and the run's own
         self.vals = np.array(initial, order="F")
+        self.cols = tuple(self.vals.T)
         self.ctrl = np.zeros(len(initial), dtype=np.intp)  # the control id of each row
+        self.in_place = self.env._steps_in_place(self.space)
 
     def current(self) -> np.ndarray:
         return self.vals
 
     def step(self) -> np.ndarray:
-        post, ctrl, fail, clamped = self.prog.run(self.vals, self.ctrl)
+        vals, env, space = self.vals, self.env, self.space
+        ctrl, fail, clamped = self.prog.run(self.cols, self.ctrl)
         if fail is not None:  # the interpreter finishes the step, from the
             # untouched block, and raises its failure
             terms = self.prog.terms
-            _InterpretedRun(self.c, self.tape, self.vals,
+            _InterpretedRun(self.c, self.tape, vals,
                             [terms[i] for i in self.ctrl.tolist()]).step()
             raise RuntimeError("a compiled step fails where the interpreter's does not")
         if clamped:
-            self.space.clamp_events += sum(
-                len(post) if m is None else int(np.count_nonzero(m)) for m in clamped)
+            space.clamp_events += sum(
+                len(vals) if m is None else int(np.count_nonzero(m)) for m in clamped)
         self.ctrl = ctrl
-        self.vals = self.env.advance(post, self.tape.next_step(), self.space)
-        return self.vals
+        u = self.tape.next_step()
+        if not self.in_place:
+            self.vals = env.advance(vals, u, space)
+            self.cols = tuple(self.vals.T)
+            return self.vals
+        try:
+            env.sample_into(vals, u)
+        except Exception:  # the kernel wrote nothing: its copying step names
+            # the failing row, and raises
+            env.advance(vals, u, space)
+            raise RuntimeError("an in-place kernel step fails where its copy does not")
+        env._clamp(vals, vals, space)
+        return vals

@@ -42,7 +42,9 @@ Each path's ``start(c, keys, k, initial)`` returns a run of a block whose
 ``current()`` and ``step()`` give its values, a failing step raising
 :class:`SimulationError` with the block's row.  After the process moves,
 the configuration's one batch kernel steps the whole block
-(``EnvironmentEvolution.advance``, which also clamps), and a failing
+(``EnvironmentEvolution.advance``, which also clamps; on the compiled
+path a kernel that steps in place overwrites the run's block through its
+``sample_into`` and clamps it as ``advance`` would), and a failing
 process, a failing kernel or a NaN it produces is reported alike, naming
 the run and the step.  The compiled path hands a failing step to the
 interpreter, which finishes it, so only the reference code decides the
@@ -439,9 +441,10 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     ``fill(steps, dest)`` reduces each block, where ``steps`` yields the
     block's (n, nvars) values at steps 0..k.  A block handed to a fill or
     to a consumer is valid only until the run's next step, since the
-    compiled path writes that step into the block it returned: a fill
-    copies what it keeps (``_store_steps``) or reduces it at once
-    (``_store_penalties``).  Every path reads its block's
+    compiled path writes that step into the block it returned (with a
+    kernel that steps in place, such as the built-in ones, the run's block
+    is one array from its first step to its last): a fill copies what it
+    keeps (``_store_steps``) or reduces it at once (``_store_penalties``).  Every path reads its block's
     draws from one ``UniformTape``, the one buffer that grows with the
     horizon, and one rule sizes the blocks: at least 64 runs, as many as
     keep the tape within ``_BLOCK_BYTES``.  Every path runs a block as a

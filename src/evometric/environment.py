@@ -3,8 +3,10 @@
 Every kernel is written once, as a batch kernel: it declares ``draws``, the
 uniforms in (0, 1] it consumes per run and step, and implements
 ``sample_batch(values, u)``, which maps an (n, v) block of data states and
-an (n, draws) block of uniforms to the (n, v) block of successors.  The
-interpreter and the compiled programs both step this one function; the engine clamps its result into the data space, so
+an (n, draws) block of uniforms to the (n, v) block of successors, or the
+in-place hook ``sample_into`` (below), from which the base class makes
+``sample_batch``.  The interpreter and the compiled programs both step
+this one function; the engine clamps its result into the data space, so
 kernels need not clamp.
 
 Kernels must be pure and row-independent (row ``i`` of the result depends
@@ -45,8 +47,25 @@ columns with the same bounds (the tank levels l1..l3) take one maximum and
 one minimum over their 2-D slice, and a lone column stays 1-D.  The NaN
 check and the finite-set compare are skipped, since the promise says
 neither can fire.  A kernel without a declaration (``None``, the default,
-inherited anew by every subclass that overrides ``sample_batch``) and a
-block of any other space get the full ``clamp_batch``.
+inherited anew by every subclass that overrides ``sample_batch`` or
+``sample_into``) and a block of any other space get the full
+``clamp_batch``.
+
+A kernel may instead implement the optional hook ``sample_into(values,
+u)``, which overwrites ``values`` with the successors, before clamping, and
+returns nothing; the base class's ``sample_batch`` is then a copy of the
+block in its own layout followed by ``sample_into``, so the step is still
+written once, and the interpreter, :meth:`EnvironmentEvolution.sample` and
+``advance`` keep stepping a copy.  A ``sample_into`` is pure and
+row-independent as ``sample_batch`` is, leaves ``u`` alone, and writes
+last: every operation that can raise or warn comes before its first write
+into ``values``, so a step that raises leaves the block untouched, bit for
+bit.  The compiled programs step their own block in place through the hook
+when the kernel keeps the base ``sample_batch`` and declares ``clamped``,
+and the block is of the kernel's own space; they then clamp the declared
+columns in place, as ``advance`` does.  A step that raises there is taken
+again through ``advance`` on the untouched block, whose one-row re-run
+names the failing row.  Both built-in kernels are written so.
 
 Measurability of ``d -> E(d)(B)`` is a modelling obligation and is not
 checked at run time.
@@ -76,7 +95,10 @@ __all__ = [
 class EnvironmentEvolution:
     """Base class for environment kernels.
 
-    Subclasses set ``draws`` and implement :meth:`sample_batch`.  ``id``
+    Subclasses set ``draws`` and implement :meth:`sample_batch`, or the
+    optional in-place hook ``sample_into(values, u)``, which overwrites
+    ``values`` with the successors, writing last (see the module
+    docstring); :meth:`sample_batch` is then a copy followed by it.  ``id``
     identifies the kernel in reports.
 
     ``clamped``, when not ``None``, names the variables whose successors a
@@ -85,24 +107,45 @@ class EnvironmentEvolution:
     uniforms in (0, 1]: a fresh result, every other successor admissible,
     no finite-set variable written, and no NaN (see the module docstring).
     Blocks of that space are then clamped on the declared columns only,
-    without the NaN check and the finite-set compare.  A subclass that
-    overrides :meth:`sample_batch` without declaring ``clamped`` again gets
-    ``None``, the full clamp.
+    without the NaN check and the finite-set compare, and a compiled run
+    whose kernel also has ``sample_into`` steps its block in place.  A
+    subclass that overrides :meth:`sample_batch` or ``sample_into`` without
+    declaring ``clamped`` again gets ``None``, the full clamp; one that
+    overrides :meth:`sample_batch` is not stepped in place.
     """
 
     id: str = "environment"
     draws: int = 0
     clamped: tuple[str, ...] | None = None
+    # the optional hook sample_into(values, u): the successors, in place
+    sample_into = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "sample_batch" in cls.__dict__ and "clamped" not in cls.__dict__:
+        own = cls.__dict__
+        if ("sample_batch" in own or "sample_into" in own) and "clamped" not in own:
             cls.clamped = None  # the declaration was made for another step
 
     def sample_batch(self, values: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Successors (n, v) of the states ``values`` (n, v) given the
-        uniforms ``u`` (n, draws), before clamping."""
-        raise NotImplementedError
+        uniforms ``u`` (n, draws), before clamping: by default a copy of
+        ``values`` in its own layout, stepped by ``sample_into``."""
+        if self.sample_into is None:
+            raise NotImplementedError
+        out = values.copy(order="K")
+        self.sample_into(out, u)
+        return out
+
+    def _steps_in_place(self, space: DataSpace) -> bool:
+        """Whether a block of ``space`` is stepped by ``sample_into`` and
+        then clamped in place (``_clamp``): the kernel has the hook, keeps
+        the base :meth:`sample_batch` made from it, and declares ``clamped``
+        with ``space`` as its own."""
+        base = EnvironmentEvolution.sample_batch
+        if self.sample_into is None or type(self).sample_batch is not base:
+            return False
+        own = self._clamp_columns
+        return own is not None and (space is own[0] or space == own[0])
 
     def sample(self, d: DataState, rng: RandomStream) -> DataState:
         """Draw one successor of ``d``: ``draws`` uniforms from ``rng``, then

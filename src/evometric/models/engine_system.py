@@ -365,8 +365,16 @@ class EngineEnv(EnvironmentEvolution):
 
     One uniform per engine side per step draws that side's temperature
     delta, uniform on the interval that the coolant and the speed select.
-    Every updated column is computed in place in its column of the result,
-    a copy of the block in its own layout.
+    The step is :meth:`sample_into`: every updated column is computed in
+    place in its own column of the block, after every value that reads its
+    pre-step value (the hot count and the history shift before temp, fn
+    and fp before stress, cs last).  It writes last: the dual system's fn
+    and fp increments, whose sum of two ``clearance``-weighted terms is the
+    one operation that can overflow, come before the first write.  Every
+    other operation is on admissible values and finite parameters: its
+    results lie within [-52, max(1e15 + 1, 1 + stress_incr)], and the one
+    quotient divides by cs + 1 >= 1, so none can overflow or divide by zero
+    (underflow does not warn).
 
     Declared ``clamped``: temp and sc of each side and cs, which can step
     past their bounds, and in the dual system fn and fp, whose increments
@@ -411,51 +419,11 @@ class EngineEnv(EnvironmentEvolution):
     def _cs_ix(self) -> int:
         return self.space.index("cs")
 
-    def sample_batch(self, values, u):
+    def sample_into(self, values, u):
         p, index = self.params, self.space.index
-        out = values.copy(order="K")  # column writes stay contiguous in an F block
-        cs = values[:, self._cs_ix]
-        cs1 = np.add(cs, 1.0, out=out[:, self._cs_ix])
-        f = np.empty(len(values))  # scratch
-        pick = np.empty(len(values), dtype=np.intp)
-        for j, ix in enumerate(self._side_ix.values()):
-            # delta: low + width * (1 - u) of the interval cool * 3 + speed
-            np.multiply(values[:, ix["cool"]], 3.0, out=f)
-            np.add(f, values[:, ix["speed"]], out=f)
-            np.copyto(pick, f, casting="unsafe")
-            np.subtract(1.0, u[:, j], out=f)
-            np.multiply(_DELTA_WIDTH[pick], f, out=f)
-            np.add(_DELTA_LOW[pick], f, out=f)
-            temp = values[:, ix["temp"]]
-            np.add(temp, f, out=out[:, ix["temp"]])
-
-            # history: p1 <- temp, p2..p6 <- p1..p5 (p1..p6 are contiguous)
-            p1 = ix["p1"]
-            history = values[:, p1:p1 + 6]
-            out[:, p1 + 1:p1 + 6] = history[:, :5]
-            out[:, p1] = temp
-
-            # more than three hot readings, counted over a C-ordered (6, n) block
-            # (a reduction along each row's 6 entries costs twice as much);
-            # in a column-major block history.T is already C-ordered
-            hot_rows = np.greater_equal(history.T, p.max_temp, order="C")
-            hot = np.add.reduce(hot_rows, axis=0, dtype=np.int8) > 3
-            stress = values[:, ix["stress"]]
-            np.add(stress, p.stress_incr, out=f)
-            np.minimum(1.0, f, out=f)
-            np.copyto(out[:, ix["stress"]], f, where=hot)
-            sc = out[:, ix["sc"]]
-            np.add(sc, hot, out=sc)
-
-            warn = values[:, ix["ch_warning"]]
-            np.subtract(stress, warn, out=f)
-            np.maximum(0.0, f, out=f)
-            _average(out[:, ix["fn"]], cs, f, cs1)
-            np.subtract(warn, stress, out=f)
-            np.maximum(0.0, f, out=f)
-            _average(out[:, ix["fp"]], cs, f, cs1)
-
         if self.dual:
+            # the increments, the one sum that can overflow (clearance has no
+            # range check), come before the first write
             alarm = values[:, index("ch_alarm")]
             al = ((alarm == LEFT) | (alarm == BOTH)).astype(np.float64)
             ar = ((alarm == RIGHT) | (alarm == BOTH)).astype(np.float64)
@@ -464,9 +432,52 @@ class EngineEnv(EnvironmentEvolution):
             w = p.clearance
             inc_fn = np.minimum(1.0, w * np.maximum(0.0, sl - al) + w * np.maximum(0.0, sr - ar))
             inc_fp = np.minimum(1.0, w * np.maximum(0.0, al - sl) + w * np.maximum(0.0, ar - sr))
-            _average(out[:, index("fn")], cs, inc_fn, cs1)
-            _average(out[:, index("fp")], cs, inc_fp, cs1)
-        return out
+        cs = values[:, self._cs_ix]
+        cs1 = np.add(cs, 1.0)  # cs is written last: every average reads it
+        f = np.empty(len(values))  # scratch
+        pick = np.empty(len(values), dtype=np.intp)
+        for j, ix in enumerate(self._side_ix.values()):
+            # more than three hot readings, counted over a C-ordered (6, n) block
+            # (a reduction along each row's 6 entries costs twice as much);
+            # in a column-major block history.T is already C-ordered
+            p1 = ix["p1"]
+            history = values[:, p1:p1 + 6]
+            hot_rows = np.greater_equal(history.T, p.max_temp, order="C")
+            hot = np.add.reduce(hot_rows, axis=0, dtype=np.int8) > 3
+
+            # fn and fp average the pre-step stress and warning
+            stress, warn = values[:, ix["stress"]], values[:, ix["ch_warning"]]
+            np.subtract(stress, warn, out=f)
+            np.maximum(0.0, f, out=f)
+            _average(values[:, ix["fn"]], cs, f, cs1)
+            np.subtract(warn, stress, out=f)
+            np.maximum(0.0, f, out=f)
+            _average(values[:, ix["fp"]], cs, f, cs1)
+
+            np.add(stress, p.stress_incr, out=f)
+            np.minimum(1.0, f, out=f)
+            np.copyto(stress, f, where=hot)
+            sc = values[:, ix["sc"]]
+            np.add(sc, hot, out=sc)
+
+            # history: p2..p6 <- p1..p5 (numpy buffers the overlap), p1 <- temp
+            values[:, p1 + 1:p1 + 6] = history[:, :5]
+            temp = values[:, ix["temp"]]
+            values[:, p1] = temp
+
+            # delta: low + width * (1 - u) of the interval cool * 3 + speed
+            np.multiply(values[:, ix["cool"]], 3.0, out=f)
+            np.add(f, values[:, ix["speed"]], out=f)
+            np.copyto(pick, f, casting="unsafe")
+            np.subtract(1.0, u[:, j], out=f)
+            np.multiply(_DELTA_WIDTH[pick], f, out=f)
+            np.add(_DELTA_LOW[pick], f, out=f)
+            np.add(temp, f, out=temp)
+
+        if self.dual:
+            _average(values[:, index("fn")], cs, inc_fn, cs1)
+            _average(values[:, index("fp")], cs, inc_fp, cs1)
+        cs[...] = cs1
 
 
 def _average(mean, cs, inc, cs1) -> None:

@@ -116,8 +116,12 @@ class ThreeTanksEnv(EnvironmentEvolution):
     draw, x = clamp(q_med + sigma_q z) in scenario 1 and clamp(q2 + z) in
     scenario 2.  The flows are q12 = sign(l1 - l2) pipe12 sqrt|l1 - l2|
     and likewise q23, and the levels move by dt times their net inflow.
-    The step is computed in place in its (6, n) result, whose transpose is
-    returned: a column-major (n, 6) block.
+    The step is :meth:`sample_into`: every new value is computed into a
+    (6, n) scratch block, and only then are q2 and the levels, one slice,
+    written into the block.  So a step that raises writes nothing: a level
+    can overflow, since dt has no upper bound (at dt = 1e308 a net inflow
+    above 1.8 overflows the product), and so can a level sum near a bound
+    of +-1e308.
 
     Only the levels are declared ``clamped``.  The parameters are finite and
     every flow |q12|, |q23| <= pipe sqrt(l_max - l_min) is finite, so no
@@ -143,13 +147,12 @@ class ThreeTanksEnv(EnvironmentEvolution):
         p = self.params
         return p.sigma_q, p.pipe12, p.pipe23
 
-    def sample_batch(self, values, u):
+    def sample_into(self, values, u):
         p, dt = self.params, self.params.dt
         sigma_q, pipe12, pipe23 = self._coefficients
         q1, q2, q3, l1, l2, l3 = values.T
-        out = np.empty((6, len(values)))
-        # rows 0 and 2 are scratch until q1 and q3 are copied in at the end
-        a, x, b, new1, new2, new3 = out
+        scratch = np.empty((6, len(values)))
+        a, x, b, new1, new2, new3 = scratch
         # inflow: z = sqrt(-2 log u0) cos(2 pi u1), in a
         np.log(u[:, 0], out=a)
         np.multiply(-2.0, a, out=a)
@@ -177,9 +180,10 @@ class ThreeTanksEnv(EnvironmentEvolution):
         np.subtract(a, q3, out=a)
         np.multiply(dt, a, out=a)
         np.add(l3, a, out=new3)
-        out[0] = q1
-        out[2] = q3
-        return out.T
+        # every value is computed (a level can overflow): only now is the
+        # block written, q2 and then the levels, as one slice
+        q2[...] = x
+        values[:, 3:] = scratch[3:].T
 
 
 def _flow(upper, lower, pipe: float, q, scratch) -> None:

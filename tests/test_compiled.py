@@ -12,6 +12,7 @@ clamp events, or raise the same (run, step, message).
 
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -26,7 +27,9 @@ from evometric.engine import Configuration, estimate, estimate_penalties
 from evometric.environment import EnvironmentEvolution, FiniteKernel, IdentityKernel
 from evometric.errors import EvoMetricError, PreconditionError, SimulationError
 from evometric.metric import ObservationTimes, constant_discount, distance
-from evometric.models.engine_system import AttackConfig, engine_system
+from evometric.models.engine_system import (
+    AttackConfig, EngineParams, engine_penalties, engine_system,
+)
 from evometric.models.three_tanks import tanks_configuration, tanks_penalties
 from evometric.process import (
     _ARITIES, Call, Const, If, Interleave, Op, PChoice, Prefix, SyncPar, Var, _eval, tick,
@@ -396,6 +399,66 @@ def test_a_read_only_kernel_result_is_not_the_block_written():
     body = Prefix((Var("b"), Op("min", (Op("+", (Var("a"), Const(1.0))), Const(10.0)))),
                   ("a", "b"), Call("P"))
     assert isinstance(_own_paths_agree({"P": body}, ReadOnly())[0], bytes)
+
+
+# -- the built-in kernels step the run's block in place -------------------------
+
+
+def _overflowing(model):
+    """A built-in configuration whose first kernel step overflows on every
+    row, with a penalty and the numpy operation that overflows: the dual
+    engine's fn increment at a clearance without a range check, or a tank
+    level at a dt the parameter checks admit."""
+    if model == "engine":
+        c = engine_system(EngineParams(clearance=1.5e308), dual=True,
+                          init={"stress_L": 1.0, "stress_R": 1.0})
+        return c, engine_penalties(True)["fn"], "add"
+    c = tanks_configuration(dt=1e308, init={"l2": 20.0})
+    return c, tanks_penalties(c.env.params)["l1"], "multiply"
+
+
+@pytest.mark.parametrize("model", ["engine", "tanks"])
+def test_an_in_place_kernel_step_that_raises_is_reported_as_the_interpreter_reports_it(model):
+    # under the suite's error::RuntimeWarning filter the overflow raises; the
+    # kernel writes last, so the run takes the step again through advance on
+    # its untouched block, whose one-row re-run names the row
+    c, pen, op = _overflowing(model)
+    assert c.env._steps_in_place(c.space)
+    calls = [partial(estimate_penalties, c, 5, 4, 3, [pen], range(6), use_fast_path=fast)
+             for fast in (True, False)]
+    fast, slow = (_outcome(call, True, c.space) for call in calls)
+    assert fast == slow
+    assert fast[0] == ("failed", 0, 0, f"run 0: step 0: overflow encountered in {op}")
+    for order in "CF":
+        block = np.array([c.data.values] * 3, order=order)
+        before = block.tobytes()
+        with pytest.raises(RuntimeWarning, match=f"overflow encountered in {op}"):
+            c.env.sample_into(block, np.full((3, c.env.draws), 0.5))
+        assert block.tobytes() == before
+
+
+@pytest.mark.parametrize("model", ["engine-saw", "tanks"])
+def test_a_built_in_run_steps_one_block_in_place(model):
+    if model == "tanks":
+        c = tanks_configuration(scenario=2)
+    else:
+        c = engine_system(attacks=(AttackConfig.parse("saw:L:0.6:1000"),))
+        c = c.with_data(c.data.update([("left_L", 5.0), ("right_L", 300.0)]))
+    k = 201
+    run = start_rows(compiled.program(c), c, 1100, 7, k)
+    block = run.current()
+    assert run.step() is block  # the first step also fills the draw tape for every step
+    tracemalloc.start()
+    try:
+        for _ in range(k - 1):
+            assert run.step() is block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no block, nor a copy of one, is allocated per step (the tank kernel's
+    # scratch of six vectors is as large as its six-column block)
+    if model == "engine-saw":
+        assert peak < block.nbytes == 1100 * 23 * 8
 
 
 def _step_to(call, f=0.5):

@@ -352,11 +352,25 @@ def test_only_the_declaring_kernels_skip_the_full_clamp():
     class Same(ThreeTanksEnv):
         pass
 
+    class SteppedInPlace(ThreeTanksEnv):
+        def sample_into(self, values, u):
+            super().sample_into(values, u)
+
     assert IdentityKernel().clamped is None and toy_kernel().clamped is None
     assert Stepped(ThreeTanksParams()).clamped is None  # its own step, undeclared
+    assert SteppedInPlace(ThreeTanksParams()).clamped is None
     assert Same(ThreeTanksParams()).clamped == ("l1", "l2", "l3")
     assert ENGINE_SINGLE.clamped == ("temp_L", "sc_L", "cs")
     assert ENGINE_DUAL.clamped == ("temp_L", "sc_L", "temp_R", "sc_R", "cs", "fn", "fp")
+    # a compiled run steps in place only with the hook, the base sample_batch
+    # made from it, and a declaration on the kernel's own space
+    tanks = ThreeTanksEnv(ThreeTanksParams())
+    assert tanks._steps_in_place(tanks.space) and ENGINE_DUAL._steps_in_place(ENGINE_DUAL.space)
+    assert Same(ThreeTanksParams())._steps_in_place(tanks.space)
+    assert not tanks._steps_in_place(tanks_space(ThreeTanksParams(l_max=30.0)))
+    for env in (Stepped(ThreeTanksParams()), SteppedInPlace(ThreeTanksParams()),
+                IdentityKernel(), Spread()):
+        assert not env._steps_in_place(tanks.space)
 
 
 def test_another_space_takes_the_full_clamp():
@@ -466,6 +480,21 @@ def block(rows, order):
     return np.asfortranarray(values) if order == "F" else values
 
 
+def _equals_its_formula(env, values, u, want):
+    """``sample_batch``, which leaves its inputs as they were, and
+    ``sample_into`` on a C and an F block both give the formula's bits."""
+    before, u_before = values.tobytes(), u.tobytes()
+    got = env.sample_batch(values, u)
+    assert values.tobytes() == before and u.tobytes() == u_before
+    assert got.shape == want.shape
+    assert got.tobytes(order="C") == want.tobytes(order="C")
+    for order in "CF":
+        stepped = np.array(values, order=order)
+        assert env.sample_into(stepped, u) is None
+        assert stepped.tobytes(order="C") == want.tobytes(order="C")
+    assert u.tobytes() == u_before
+
+
 tanks_params = st.builds(
     ThreeTanksParams,
     scenario=st.sampled_from([1, 2]),
@@ -483,10 +512,7 @@ def test_tanks_kernel_equals_its_formula(data, params, orders):
     rows = data.draw(st.lists(st.tuples(q, q, q, level, level, level), min_size=1, max_size=12))
     values = block(rows, orders[0])
     u = block(data.draw(uniform_block(len(rows), 2)), orders[1])
-    got = ThreeTanksEnv(params).sample_batch(values, u)
-    want = tanks_formula(params, values, u)
-    assert got.shape == want.shape
-    assert got.tobytes(order="C") == want.tobytes(order="C")
+    _equals_its_formula(ThreeTanksEnv(params), values, u, tanks_formula(params, values, u))
 
 
 engine_params = st.builds(
@@ -533,7 +559,4 @@ def test_engine_kernel_equals_its_formula(dual, data, params, orders):
             row[env.space.index(f"speed_{side}")] = speed
     values = block(rows, orders[0])
     u = block(data.draw(uniform_block(len(rows), env.draws)), orders[1])
-    got = env.sample_batch(values, u)
-    want = engine_formula(env, values, u)
-    assert got.shape == want.shape
-    assert got.tobytes(order="C") == want.tobytes(order="C")
+    _equals_its_formula(env, values, u, engine_formula(env, values, u))
