@@ -36,7 +36,8 @@ table runs it:
 
 A built-in model's lockstep shell (``Configuration.lockstep``, kept only
 while the benchmark counts runs through it) starts the compiled path's
-runs of its own model, on a draw tape it builds itself.
+runs of whatever configuration it is attached to, on a draw tape it builds
+itself; it checks nothing and cannot decline.
 
 Each path's ``start(c, keys, k, initial)`` returns a run of a block whose
 ``current()`` and ``step()`` give its values, a failing step raising
@@ -50,17 +51,17 @@ the run and the step.  The compiled path hands a failing step to the
 interpreter, which finishes it, so only the reference code decides the
 run reported.
 
-Blocks run in this process, except the interpreter's at threads > 1,
-which fan out over a process pool (``_fan_out``).  With a consumer, when
+Blocks run in this process, except the interpreter's at threads > 1 with
+more than one run, which fan out over a process pool.  With a consumer, when
 every row fits one block in this process, each step is handed over as it
 is simulated, on every path, so a caller that folds the steps (the
 robustness estimators fold W a chunk of steps at a time) never holds the
 (P, N, T) block.
 
-A shell declines, raising ``PreconditionError``, a process term other
-than its model's (for instance one advanced by ``sim_step``).  Each
-decline is logged at DEBUG level with its reason, and each call of
-``_run`` logs the path that served it with its runs and steps.
+The compiled path declines a configuration or table it cannot take,
+raising ``PreconditionError``; each decline is logged at DEBUG level with
+its reason, and each call of ``_run`` logs the path that served it with
+its runs and steps.
 ``use_fast_path=False`` (``--no-fast-path`` on the command line) skips the
 compiled path and forces the interpreter.
 """
@@ -107,7 +108,9 @@ class Configuration:
 
     ``defs`` is the recursion table for process variables.  ``lockstep`` is
     the built-in models' shell over the compiled program (see the module
-    docstring), ``None`` elsewhere.
+    docstring), ``None`` elsewhere; it starts the compiled runs of any
+    configuration it is attached to, so a step of ``sim_step`` or a
+    ``replace`` of the process keeps it.
     """
 
     process: Process
@@ -356,7 +359,9 @@ def estimate_penalties(
     """
     _check_counts(k, N)
     obs = list(obs_times)
-    if any(t < 0 or t > k for t in obs):
+    for t in obs:
+        _check_count("observation time", t, 0)
+    if any(t > k for t in obs):
         raise PreconditionError("observation times must lie in [0, k]")
     if len(set(obs)) < len(obs):
         raise PreconditionError("observation times must be distinct")
@@ -394,13 +399,18 @@ def _penalty_array(P: int, N: int, T: int) -> np.ndarray:
 
 
 def _check_counts(k: int, N: int) -> None:
-    for what, n, least in (("sample count", N, 1), ("step count", k, 0)):
-        try:
-            operator.index(n)
-        except TypeError:
-            raise PreconditionError(f"{what} must be an integer, got {n!r}") from None
-        if n < least:
-            raise PreconditionError(f"{what} must be >= {least}, got {n}")
+    _check_count("sample count", N, 1)
+    _check_count("step count", k, 0)
+
+
+def _check_count(what: str, n, least: int) -> None:
+    """``n`` is an integer that ``operator.index`` takes, at least ``least``."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {n!r}") from None
+    if n < least:
+        raise PreconditionError(f"{what} must be >= {least}, got {n}")
 
 
 def _store_steps(steps, dest: np.ndarray) -> None:
@@ -444,12 +454,15 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     compiled path writes that step into the block it returned (with a
     kernel that steps in place, such as the built-in ones, the run's block
     is one array from its first step to its last): a fill copies what it
-    keeps (``_store_steps``) or reduces it at once (``_store_penalties``).  Every path reads its block's
-    draws from one ``UniformTape``, the one buffer that grows with the
-    horizon, and one rule sizes the blocks: at least 64 runs, as many as
-    keep the tape within ``_BLOCK_BYTES``.  Every path runs a block as a
-    run of ``_start``, in this process, except the interpreter's at
-    ``threads`` > 1, made smaller where needed to give each worker one.
+    keeps (``_store_steps``) or reduces it at once (``_store_penalties``).
+    Every path reads its block's draws from one ``UniformTape``, the one
+    buffer that grows with the horizon, and one rule sizes the blocks: at
+    least 64 runs, as many as keep the tape within ``_BLOCK_BYTES``.  Each
+    block is a run of the ``start`` that ``_start`` picks, started in this
+    process, except the interpreter's at ``threads`` > 1 with more than one
+    run: those blocks, made smaller where needed to give each worker one,
+    run in a process pool (this module's ``ProcessPoolExecutor`` name,
+    which the benchmark's tracer replaces).
 
     ``dest`` is the block's rows of ``hold()``, an array with the run axis
     first, which the call returns.  With a ``consumer``, when every row
@@ -463,25 +476,25 @@ def _run(c, k, table, threads, use_fast_path, fill, hold, consumer=None):
     """
     N = len(table.initial)
     rows = max(64, _BLOCK_BYTES // (8 * max(1, c.env.draws) * tape_chunk(k)))
-    name, start, sim = _start(c, table, k, rows, use_fast_path)
+    name, start = _start(c, table, use_fast_path)
     log.debug("%s path: %d runs of %d steps%s", name, N, k,
               f" in {len(table.data)} segments" if len(table.data) > 1 else "")
     failures = []
-    if name == "interpreter" and threads > 1:
+    if name == "interpreter" and threads > 1 and N > 1:
         out = hold()
         rows = min(rows, -(-N // threads))  # a block for each worker
         firsts = range(0, N, rows)
         tasks = [(c, k, *_rows(table, lo, lo + rows), lo, fill, out.shape[1:]) for lo in firsts]
-        for lo, (part, failure) in zip(firsts, _fan_out(_interpret_block, tasks, threads)):
-            out[lo:lo + rows] = np.moveaxis(part, -1, 0)
-            failures.append(failure)
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            for lo, (part, failure) in zip(firsts, pool.map(_interpret_block, tasks)):
+                out[lo:lo + rows] = np.moveaxis(part, -1, 0)
+                failures.append(failure)
     else:  # in this process, straight into the rows of out or to the consumer
         stream = consumer is not None and N <= rows
         out = None if stream else hold()
         for lo in range(0, N, rows):
-            if lo or sim is None:
-                keys, initial = _rows(table, lo, lo + rows)
-                sim = start(c, keys, k, initial)
+            keys, initial = _rows(table, lo, lo + rows)
+            sim = start(c, keys, k, initial)
             dest = consumer if stream else out[lo:lo + rows]
             failures.append(_reduce_block(fill, _steps(sim, k, lo), dest))
     failures = [f for f in failures if f is not None]
@@ -495,13 +508,11 @@ def _rows(table, lo: int, hi: int) -> tuple:
     return [words[lo:hi] for words in table.keys], table.initial[lo:hi]
 
 
-def _start(c, table, k, rows, use_fast_path):
-    """(its name, ``start``, the run of the table's first ``rows`` rows or
-    None) of the first path that takes the configuration and the table:
-    with ``use_fast_path``, the compiled program, which must admit every
-    segment's data state, started by the lockstep shell unless it declines;
-    else the interpreter.  A run is started here only where a decline must
-    be seen: the lockstep shell's."""
+def _start(c, table, use_fast_path):
+    """(its name, ``start``) of the first path that takes the configuration
+    and the table: with ``use_fast_path``, the compiled program, which must
+    admit every segment's data state, started by the lockstep shell where
+    one is attached; else the interpreter."""
     if use_fast_path:
         # imported on first use: importing the package does not pay for
         # importing the compiler
@@ -513,13 +524,9 @@ def _start(c, table, k, rows, use_fast_path):
             log.debug("process not compiled, running the interpreter: %s", exc)
         else:
             if c.lockstep is not None:
-                keys, initial = _rows(table, 0, rows)
-                try:
-                    return "lockstep", c.lockstep.start, c.lockstep.start(c, keys, k, initial)
-                except PreconditionError as exc:
-                    log.debug("lockstep simulator declined: %s", exc)
-            return "compiled", program.start, None
-    return "interpreter", _InterpretedRun.start, None
+                return "lockstep", c.lockstep.start
+            return "compiled", program.start
+    return "interpreter", _InterpretedRun.start
 
 
 def _reduce_block(fill, steps, dest) -> SimulationError | None:
@@ -595,12 +602,3 @@ class _InterpretedRun:
 
 def _run_failed(run: int, step: int, exc: Exception) -> SimulationError:
     return SimulationError(f"run {run}: step {step}: {exc}", run=run, step=step)
-
-
-def _fan_out(fn, tasks: list, threads: int):
-    """``fn`` of each task in task order, in a process pool when threads > 1."""
-    if threads <= 1 or len(tasks) == 1:
-        yield from map(fn, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        yield from pool.map(fn, tasks)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataspace import PenaltyFunction
-from .engine import Configuration, estimate_penalties, write_csv
+from .engine import Configuration, _check_count, estimate_penalties, write_csv
 from .errors import PreconditionError, StructuralError
 from .rng import RandomStream
 
@@ -43,11 +43,11 @@ class ObservationTimes:
     def __post_init__(self):
         if not self.steps:
             raise PreconditionError("observation times must be non-empty")
-        if any(int(t) != t or t < 0 for t in self.steps):
-            raise PreconditionError("observation times must be non-negative integers")
+        for t in self.steps:
+            _check_count("observation time", t, 0)
         if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise PreconditionError("observation times must be strictly ascending")
-        object.__setattr__(self, "steps", tuple(int(t) for t in self.steps))
+        object.__setattr__(self, "steps", tuple(map(operator.index, self.steps)))
 
     @classmethod
     def range(cls, last: int, first: int = 0, stride: int = 1) -> "ObservationTimes":

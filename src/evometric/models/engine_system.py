@@ -43,7 +43,7 @@ from ..dataspace import (
     VarPenalty,
     VarSpec,
 )
-from ..engine import Configuration
+from ..engine import Configuration, _check_count
 from ..environment import EnvironmentEvolution
 from ..errors import DataValidationError, PreconditionError, StructuralError
 from ..process import Call, Const, If, Op, Prefix, Process, SyncPar, Var, tick
@@ -352,8 +352,7 @@ def engine_system(
             raise StructuralError(f"unknown initial-state variables {unknown}")
         values.update(init)
     data = space.state(values)
-    lockstep = EngineLockstep(process, tuple(sorted(defs.items())))
-    cfg = Configuration(process, data, env, defs, lockstep)
+    cfg = Configuration(process, data, env, defs, EngineLockstep())
     # actuator attacks share the coolant variable with the controller by design
     return cfg.validated(tolerate_write_overlap=True)
 
@@ -518,6 +517,9 @@ class SawWindowSampler(PerturbationSampler):
     awml: int = 1000
     id: str = "saw-window"
 
+    def __post_init__(self):
+        _check_count("saw window length", self.awml, 0)
+
     def sample(self, base, rng):
         aw = float(rng.uniform_int(0, self.awml))
         return base.update([(_sv("left", self.side), 0.0), (_sv("right", self.side), aw)])
@@ -568,24 +570,18 @@ def engine_manifest(params: EngineParams, dual: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EngineLockstep:
-    """Starts the runs of the engine system it was built for as its compiled
-    program's run (:mod:`..compiled`), on a tape built through this module's
+    """Starts a configuration's runs as its compiled program's run
+    (:mod:`..compiled`), on a tape built through this module's
     ``UniformTape`` name.  Kept only because the benchmark's tracer counts
     lockstep runs at this ``start`` and tape streams at that name."""
 
-    expected_process: Process
-    expected_defs: tuple  # sorted (name, body) pairs of the bound system
-
     def start(self, c: Configuration, keys, steps: int, initial):
-        """Run i of ``c`` starts from row i of ``initial`` on key i of ``keys``."""
-        defs_now = tuple(sorted(c.defs.items()))
-        if c.process != self.expected_process or defs_now != self.expected_defs:
-            raise PreconditionError(
-                "lockstep simulator is bound to the initial engine process"
-            )
+        """Run i of ``c`` starts from row i of ``initial`` on key i of
+        ``keys``.  The engine calls it once ``c``'s program has compiled
+        and admitted the call's initial data states, so none is checked
+        again here."""
         from ..compiled import _ProgramRun, program
 
-        return _ProgramRun(program(c), c, UniformTape(keys, len(initial), c.env.draws, steps),
-                           initial)
+        return _ProgramRun(program(c, ()), c,
+                           UniformTape(keys, len(initial), c.env.draws, steps), initial)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataspace import DataState, PenaltyFunction
-from .engine import Configuration, _check_counts, estimate_penalties, write_csv
+from .engine import Configuration, _check_count, _check_counts, estimate_penalties, write_csv
 from .errors import PreconditionError, ShortfallError
 from .metric import (
     ConstantDiscount,
@@ -116,8 +116,7 @@ class RobustnessSpec:
     def __post_init__(self):
         if not (0.0 <= self.eta1 < 1.0) or not (0.0 <= self.eta2 < 1.0):
             raise PreconditionError("eta1 and eta2 must lie in [0, 1)")
-        if self.M < 1:
-            raise PreconditionError("M must be >= 1")
+        _check_count("M", self.M, 1)
         if self.filter_mode not in ("evolution", "initial"):
             raise PreconditionError(f"unknown filter mode {self.filter_mode!r}")
 
@@ -299,8 +298,7 @@ def estimate_robustness(
     _check_scale(ell)
     discount = discount or ConstantDiscount()
     budget = budget if budget is not None else 20 * spec.M
-    if budget < spec.M:
-        raise PreconditionError("budget must be at least M")
+    _check_count("budget", budget, spec.M)
     stream = RandomStream.resolve(seed)
     k = obs.horizon
 

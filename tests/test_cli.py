@@ -225,6 +225,7 @@ class TestMalformedValues:
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:L:x"],
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "nosuch"],
         ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:X:5"],
+        ROBUSTNESS + ["--interval", "0:0", "--perturb", "saw:L:-5"],
         SIMULATE_ENGINE + ["--attack", "saw:L:x:1000"],
         SIMULATE_ENGINE + ["--params", '{"bogus": 1}'],
         SIMULATE_ENGINE + ["--params", '{"max_temp": "hot"}'],
@@ -236,9 +237,10 @@ class TestMalformedValues:
         SIMULATE_TANKS + ["--params", '{"dt": Infinity}'],
         SIMULATE_ENGINE + ["--params", '{"max_temp": NaN}'],
     ], ids=["zero-stride", "obs-word", "obs-list-word", "discount", "interval",
-            "interval-one-end", "saw-awml", "perturb-variable", "saw-side", "attack-word",
-            "unknown-param", "param-word", "init-word", "init-null", "param-rejected",
-            "attack-rejected", "init-variable", "param-infinite", "param-nan"])
+            "interval-one-end", "saw-awml", "perturb-variable", "saw-side",
+            "saw-negative-awml", "attack-word", "unknown-param", "param-word", "init-word",
+            "init-null", "param-rejected", "attack-rejected", "init-variable",
+            "param-infinite", "param-nan"])
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()

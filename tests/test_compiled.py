@@ -30,7 +30,9 @@ from evometric.metric import ObservationTimes, constant_discount, distance
 from evometric.models.engine_system import (
     AttackConfig, EngineParams, engine_penalties, engine_system,
 )
-from evometric.models.three_tanks import tanks_configuration, tanks_penalties
+from evometric.models.three_tanks import (
+    ThreeTanksParams, tanks_configuration, tanks_penalties, tanks_program,
+)
 from evometric.process import (
     _ARITIES, Call, Const, If, Interleave, Op, PChoice, Prefix, SyncPar, Var, _eval, tick,
 )
@@ -543,16 +545,61 @@ def test_a_decline_is_logged_with_its_reason(caplog):
     assert "running the interpreter" in caplog.text
 
 
-def test_a_lockstep_decline_is_logged_before_the_compiled_program_runs(caplog, monkeypatch):
-    # the tank lockstep is bound to the term it was built for; one step on,
-    # the continuation is still a Dirac and compiles
-    c = tanks_configuration()
-    foreign = replace(c, process=SyncPar(Call("Tanks_out"), Call("Tanks_in")))
-    monkeypatch.setattr(engine, "pstep", _refuse_pstep)
+SEN_L = (AttackConfig.parse("sen:L:0.4"),)
+# built-in configurations, their lockstep shell attached, whose process or
+# definitions are not the ones their model builds
+FOREIGN = {
+    "swapped-tanks": lambda: replace(
+        tanks_configuration(), process=SyncPar(Call("Tanks_out"), Call("Tanks_in"))),
+    "tank-controller": lambda: replace(
+        tanks_configuration(),
+        **dict(zip(("process", "defs"), tanks_program(ThreeTanksParams(delta_l=0.7))))),
+    "inlined-engine": lambda: (lambda c: replace(
+        c, process=SyncPar(c.defs["Eng_L"], c.process.right)))(engine_system(attacks=SEN_L)),
+    "engine-definitions": lambda: replace(
+        engine_system(attacks=SEN_L),
+        defs=engine_system(EngineParams(threshold=99.0), attacks=SEN_L).defs),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN)
+def test_a_shell_runs_the_compiled_program_of_any_configuration(name, caplog):
+    # a shell checks nothing: it starts the compiled program of the
+    # configuration it is given, with the bits of the interpreter and of the
+    # compiled path without a shell
+    c = FOREIGN[name]()
+    rho = VarPenalty(c.space.names[0])
+
+    def both(c, **kwargs):
+        return (estimate(c, 30, 6, seed=13, **kwargs).states.tobytes(),
+                estimate_penalties(c, 30, 6, 17, [rho], [0, 10, 30], **kwargs).tobytes())
+
     with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
-        estimate(foreign, 5, 3, seed=2)
-    assert "lockstep simulator declined: lockstep simulator is bound" in caplog.text
-    assert "running the interpreter" not in caplog.text
+        fast = both(c)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if " path: " in m] == ["lockstep path: 6 runs of 30 steps"] * 2
+    assert not [m for m in messages if "interpreter" in m]
+    assert fast == both(c, use_fast_path=False) == both(replace(c, lockstep=None))
+
+
+def test_a_shell_runs_segments_whose_configuration_state_is_not_admissible(caplog):
+    # the call's segments are admissible and the configuration's own state
+    # (q1 = -0.0 at the lower bound +0.0) is not read: the shell runs them
+    c = tanks_configuration(init={"l1": 5.0})
+    c = c.with_data(DataState(c.space, (-0.0,) + c.data.values[1:]))
+    rho = tanks_penalties(c.env.params)["l1"]
+    ok = c.data.update([("q1", 0.0)])
+    segments = [(ok, 41, 4), (ok.update([("l2", 6.0)]), 43, 3)]
+
+    def rows(**kwargs):
+        return estimate_penalties(c, 6, 7, None, [rho], [0, 3, 6], segments=segments,
+                                  **kwargs).tobytes()
+
+    with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
+        fast = rows()
+    assert [r.getMessage() for r in caplog.records if " path: " in r.getMessage()] == [
+        "lockstep path: 7 runs of 6 steps in 2 segments"]
+    assert fast == rows(use_fast_path=False)
 
 
 # -- the range analysis ------------------------------------------------------

@@ -230,6 +230,25 @@ class TestEstimate:
         assert started == []
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_one_interpreted_run_at_two_threads_makes_no_pool(self, toy_space, monkeypatch):
+        # one run is one block: it runs in this process, streamed to the
+        # consumer, with the bits of one thread
+        c = toy_configuration(toy_space)
+        rho = VarPenalty("x", id="x")
+
+        def both(threads):
+            rows = []
+            estimate_penalties(c, 5, 1, 29, [rho], [0, 3, 5], threads, False,
+                               consumer=lambda j, row: rows.append(row.copy()))
+            return np.stack(rows).tobytes(), estimate(c, 5, 1, 21, threads, False).states.tobytes()
+
+        want = both(1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was made")
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        assert both(2) == want
+
     def test_seed_invariance_across_calls(self, toy_space):
         c = toy_configuration(toy_space)
         a = estimate(c, 5, 12, seed=34)
@@ -395,6 +414,12 @@ class TestEstimatePenalties:
         b = estimate_penalties(c, 5, 12, 29, [rho], [0, 3, 5], threads=3)
         assert np.array_equal(a, b)
 
+    def test_an_observation_time_that_is_not_an_integer_is_refused(self, toy_space):
+        # 2.5 matches no step: its column would be left unwritten
+        c = toy_configuration(toy_space)
+        with pytest.raises(PreconditionError, match="observation time must be an integer"):
+            estimate_penalties(c, 5, 3, 1, [VarPenalty("x")], [0, 2.5])
+
 
 class TestStepMajorPenalties:
     """Every path fills the (P, N, T) result step-major: the N penalties of
@@ -521,7 +546,7 @@ class TestPenaltyConsumer:
 class TestDeclinedFastPath:
     def test_foreign_process_falls_back_to_the_interpreter(self):
         # the tank lockstep attached to a controller it was not built for
-        # declines, and both estimators run the interpreter instead
+        # runs that controller's compiled program, with the interpreter's bits
         c = tanks_configuration()
         other, defs = tanks_program(ThreeTanksParams(delta_l=0.7))
         foreign = Configuration(other, c.data, c.env, defs, c.lockstep)

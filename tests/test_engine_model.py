@@ -1,6 +1,4 @@
-import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from evometric.models.engine_system import (
     engine_space,
     engine_system,
 )
-from evometric.process import SyncPar, validate
+from evometric.process import validate
 from evometric.rng import RandomStream
 
 
@@ -259,6 +257,14 @@ class TestRuns:
             assert 0 <= aw <= 1000 and aw == int(aw)
             assert rho(0, cand) == pytest.approx(aw / 1000.0)
 
+    @pytest.mark.parametrize("awml, message", [
+        (-5, "saw window length must be >= 0, got -5"),
+        (2.5, "saw window length must be an integer, got 2.5"),
+    ], ids=["negative", "fraction"])
+    def test_a_window_length_that_is_no_count_is_refused(self, awml, message):
+        with pytest.raises(PreconditionError, match=message):
+            SawWindowSampler("L", awml)
+
 
 class TestValidationGate:
     def test_act_attack_overlap_is_the_only_issue(self):
@@ -304,27 +310,6 @@ class TestLockstepEquivalence:
         assert np.array_equal(fast.states, slow.states)
         assert (fast.states[:, 1, c.space.index("temp_L")] == -50.0).all()
         assert (fast.states[:, 2, c.space.index("p1_L")] == -50.0).all()
-
-    @pytest.mark.parametrize("foreign", ["process", "definitions"])
-    def test_a_foreign_configuration_is_declined_and_compiled(self, foreign, caplog):
-        # the twin is bound to the process and definitions it was built for:
-        # given the body of Eng_L in place of the call, or the definitions of
-        # another threshold, it declines, and the compiled program runs
-        c = engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),))
-        if foreign == "process":
-            c = replace(c, process=SyncPar(c.defs["Eng_L"], c.process.right))
-        else:
-            other = engine_system(EngineParams(threshold=99.0),
-                                  attacks=(AttackConfig.parse("sen:L:0.4"),))
-            c = replace(other, lockstep=c.lockstep)
-        with caplog.at_level(logging.DEBUG, logger="evometric.engine"):
-            fast = estimate(c, 40, 6, seed=13)
-        messages = [r.getMessage() for r in caplog.records]
-        declined = messages.index("lockstep simulator declined: lockstep simulator is bound "
-                                  "to the initial engine process")
-        assert declined < messages.index("compiled path: 6 runs of 40 steps")
-        assert fast.states.tobytes() == estimate(c, 40, 6, seed=13,
-                                                 use_fast_path=False).states.tobytes()
 
     def test_penalty_streaming_matches(self):
         c = engine_system(attacks=(AttackConfig.parse("sen:L:0.4"),))

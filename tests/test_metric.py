@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,12 @@ class TestObservationTimes:
             ObservationTimes((3, 3))
         with pytest.raises(PreconditionError):
             ObservationTimes((-1, 2))
+
+    @pytest.mark.parametrize("steps", [(math.nan,), (0, math.inf), (0, 2.5)],
+                             ids=["nan", "infinite", "fraction"])
+    def test_a_time_that_is_not_an_integer_is_refused(self, steps):
+        with pytest.raises(PreconditionError, match="observation time must be an integer"):
+            ObservationTimes(steps)
 
 
 class TestDiscounts:

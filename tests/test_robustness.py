@@ -117,6 +117,12 @@ class TestSamplePerturbations:
         with pytest.raises(PreconditionError):
             ball_adaptability(IDENTITY, 0.1, M=5, budget=3, seed=1)
 
+    @pytest.mark.parametrize("M, budget", [(2.5, 12), (2, 2.5)], ids=["M", "budget"])
+    def test_a_count_that_is_not_an_integer_is_refused(self, M, budget):
+        # M = 2.5 was never reached, so every attempt of the budget ran
+        with pytest.raises(PreconditionError, match="must be an integer, got 2.5"):
+            ball_adaptability(IDENTITY, 0.1, M=M, budget=budget, seed=1)
+
 
 class TestDeterministicDecay:
     def test_known_suffix_curve(self):

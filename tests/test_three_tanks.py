@@ -193,13 +193,6 @@ class TestLockstepEquivalence:
         slow = estimate(c, 80, 16, seed=99, use_fast_path=False)
         assert np.array_equal(fast.states, slow.states)
 
-    def test_lockstep_rejects_foreign_process(self):
-        c = tanks_configuration()
-        other, defs = tanks_program(ThreeTanksParams(delta_l=0.7))
-        broken = c.__class__(other, c.data, c.env, defs, c.lockstep)
-        with pytest.raises(PreconditionError):
-            start_rows(c.lockstep, broken, 2, 0, 10)
-
     def test_nan_row_reported_alike_on_both_paths(self):
         c = replace(tanks_configuration(), env=SpillingTanks(ThreeTanksParams()))
         start_rows(c.lockstep, c, 1, 4, 200)  # binds
